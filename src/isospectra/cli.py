@@ -285,21 +285,11 @@ def _run_spectrum(manifest: RunManifest) -> RunResult:
     return _deliver(manifest, payload)
 
 
-def _sample_nonrel(n: int, p: nonrel.OscillatorParams, xs: np.ndarray) -> list[float]:
-    d = nonrel.derive(p)
-    values = []
-    for x in xs:
-        x = float(x)
-        if x == 0.0:
-            values.append(0.0)
-        elif x > 0.0:
-            values.append(float(nonrel.wavefunction(n, p, x)))
-        else:
-            psi_pos = float(nonrel.wavefunction(n, p, -x))
-            extended = nonrel.parity_extend(n, d.m, psi_pos, x)
-            if isinstance(extended, nonrel.NonNormalizable):
-                raise NonNormalizableError(f"no normalizable continuation to x = {x} for m = {d.m}")
-            values.append(float(extended))
+def _off_origin(sample, xs: np.ndarray) -> np.ndarray:
+    """sample(xs) as one array call over the points x != 0, with 0 at the origin."""
+    values = np.zeros_like(xs)
+    away = xs != 0.0
+    values[away] = sample(xs[away])
     return values
 
 
@@ -313,20 +303,28 @@ def _run_wavefunction(manifest: RunManifest) -> RunResult:
     if branch == "nonrel":
         p = _nonrel_params(prm)
         energy_out = nonrel.energy(n, p).value
-        columns = {"isotonic": _sample_nonrel(n, p, xs)}
+        isotonic = _off_origin(lambda x: nonrel.wavefunction(n, p, x), np.abs(xs))
+        mirror = xs < 0.0
+        if np.any(mirror):
+            m, x_neg = nonrel.derive(p).m, float(xs[mirror][0])
+            sign = nonrel.parity_extend(n, m, 1.0, x_neg)
+            if isinstance(sign, nonrel.NonNormalizable):
+                raise NonNormalizableError(f"no normalizable continuation to x = {x_neg} for m = {m}")
+            isotonic[mirror] *= sign
+        columns = {"isotonic": isotonic}
         if prm["compare_harmonic"]:
-            columns["harmonic"] = [float(nonrel.harmonic_wavefunction(n, p, float(x))) for x in xs]
+            columns["harmonic"] = nonrel.harmonic_wavefunction(n, p, xs)
     elif branch == "spin":
         dp = _dirac_params(prm, rel.Symmetry.SPIN)
         energy_out = rel.solve_spin_energy(n, dp).value
-        upper = [0.0 if x == 0.0 else float(rel.spin_upper_spinor(n, dp, energy_out, float(x))) for x in xs]
-        lower = [0.0 if x == 0.0 else float(rel.spin_lower_spinor(n, dp, energy_out, float(x))) for x in xs]
-        columns = {"upper": upper, "lower": lower}
+        columns = {
+            "upper": _off_origin(lambda x: rel.spin_upper_spinor(n, dp, energy_out, x), xs),
+            "lower": _off_origin(lambda x: rel.spin_lower_spinor(n, dp, energy_out, x), xs),
+        }
     else:
         dp = _dirac_params(prm, rel.Symmetry.PSEUDOSPIN)
         energy_out = rel.solve_pseudospin_energy(n, dp).value
-        lower = [0.0 if x == 0.0 else float(rel.pseudospin_lower_spinor(n, dp, energy_out, float(x))) for x in xs]
-        columns = {"lower": lower}
+        columns = {"lower": _off_origin(lambda x: rel.pseudospin_lower_spinor(n, dp, energy_out, x), xs)}
 
     names = ["x"] + list(columns)
     if manifest.output_format == "csv":

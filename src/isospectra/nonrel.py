@@ -183,6 +183,41 @@ def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
 
 
+def _sample(x, beta: float, where: str | None = None):
+    """The math module and x as a float for scalar x, numpy and a float array otherwise.
+
+    Returned with s = beta x^2, computed as (beta x) x for a float and
+    beta (x^2) for an array: the two round differently in the last
+    bit, and scalar and array samples each keep their own values. This
+    is the one scalar/array fork of the wavefunctions; scalar
+    quadrature integrands call it thousands of times per integral,
+    hence the isinstance short cut. When ``where`` is given, x must be
+    > 0 elementwise and ValueError(where) is raised otherwise.
+    """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if where is not None and x <= 0.0:
+            raise ValueError(where)
+        return math, x, beta * x * x
+    x = np.asarray(x, dtype=float)
+    if where is not None and np.any(x <= 0.0):
+        raise ValueError(where)
+    return np, x, beta * x**2
+
+
+def _envelope(n: int, beta: float, zeta: float, x, where: str):
+    """N x^(1/2 + zeta) exp(-beta x^2 / 2), the envelope of every Laguerre state here.
+
+    Times L_n^(zeta)(beta x^2) it has unit norm on x > 0; N is assembled
+    in log space so large n stays finite. Returns (x, s, envelope): x as
+    converted by ``_sample`` and s = beta x^2. Raises ValueError(where)
+    unless x > 0 elementwise.
+    """
+    xp, x, s = _sample(x, beta, where)
+    ln_norm = 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + log_gamma(n + 1.0) - log_gamma(n + zeta + 1.0))
+    return x, s, xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s)
+
+
 def wavefunction(n: int, p: OscillatorParams, x):
     """Normalized n-th eigenfunction on the half line.
 
@@ -195,18 +230,10 @@ def wavefunction(n: int, p: OscillatorParams, x):
     d = derive(p)
     if classify_regime(d.alpha) is Regime.UNPHYSICAL:
         raise UnphysicalRegime(f"alpha = {d.alpha} < -1/4 admits no bound spectrum")
-    ln_norm = 0.5 * (math.log(2.0) + (1.0 + d.xi) * math.log(d.beta) + log_gamma(n + 1.0) - log_gamma(n + d.xi + 1.0))
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if xf <= 0.0:
-            raise ValueError("wavefunction is defined on x > 0; use parity_extend for the mirror side")
-        s = d.beta * xf * xf
-        return math.exp(ln_norm + (0.5 + d.xi) * math.log(xf) - 0.5 * s) * laguerre(n, d.xi, s)
-    xx = np.asarray(x, dtype=float)
-    if np.any(xx <= 0.0):
-        raise ValueError("wavefunction is defined on x > 0; use parity_extend for the mirror side")
-    s = d.beta * xx**2
-    return np.exp(ln_norm + (0.5 + d.xi) * np.log(xx) - 0.5 * s) * laguerre(n, d.xi, s)
+    _, s, envelope = _envelope(
+        n, d.beta, d.xi, x, "wavefunction is defined on x > 0; use parity_extend for the mirror side"
+    )
+    return envelope * laguerre(n, d.xi, s)
 
 
 def parity_extend(n: int, m: float, psi_pos: float, x: float):
@@ -240,11 +267,8 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     n = _check_level(n)
     beta = p.mass * p.omega / p.hbar
     ln_norm = 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - log_gamma(n + 1.0))
-    if np.ndim(x) == 0:
-        xf = float(x)
-        return math.exp(ln_norm - 0.5 * beta * xf * xf) * hermite(n, math.sqrt(beta) * xf)
-    xx = np.asarray(x, dtype=float)
-    return np.exp(ln_norm - 0.5 * beta * xx**2) * hermite(n, math.sqrt(beta) * xx)
+    xp, x, s = _sample(x, beta)
+    return xp.exp(ln_norm - 0.5 * s) * hermite(n, math.sqrt(beta) * x)
 
 
 def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
@@ -265,17 +289,5 @@ def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
     n = _check_level(n)
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
         raise ValueError(f"orbital index must be a non-negative integer, got {l!r}")
-    beta = p.mass * p.omega / p.hbar
-    xi = l + 0.5
-    ln_norm = 0.5 * (math.log(2.0) + (1.0 + xi) * math.log(beta) + log_gamma(n + 1.0) - log_gamma(n + xi + 1.0))
-    if np.ndim(r) == 0:
-        rf = float(r)
-        if rf <= 0.0:
-            raise ValueError("radial coordinate must be positive")
-        s = beta * rf * rf
-        return math.exp(ln_norm + (0.5 + xi) * math.log(rf) - 0.5 * s) * laguerre(n, xi, s)
-    rr = np.asarray(r, dtype=float)
-    if np.any(rr <= 0.0):
-        raise ValueError("radial coordinate must be positive")
-    s = beta * rr**2
-    return np.exp(ln_norm + (0.5 + xi) * np.log(rr) - 0.5 * s) * laguerre(n, xi, s)
+    _, s, envelope = _envelope(n, p.mass * p.omega / p.hbar, l + 0.5, r, "radial coordinate must be positive")
+    return envelope * laguerre(n, l + 0.5, s)

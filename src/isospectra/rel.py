@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateEnergy, NoRootInRange, UnphysicalRegime
-from .nonrel import Branch, EnergyLevel, OscillatorParams, _check_level, energy as nonrel_energy
+from .nonrel import Branch, EnergyLevel, OscillatorParams, _check_level, _envelope, energy as nonrel_energy
 from .nu import HypergeometricForm, nu_eigencondition, nu_reduce
-from .specfun import laguerre, laguerre_derivative, log_gamma
+from .specfun import laguerre, laguerre_derivative
 
 __all__ = [
     "Symmetry",
@@ -50,6 +50,8 @@ _SCAN_FACTOR = 1.05
 _UPPER_FACTOR = 1e3
 _BISECT_MAX = 200
 _BISECT_TOL = 1e-12
+
+_SPINOR_DOMAIN = "spinor components are defined on x > 0"
 
 
 class Symmetry(enum.Enum):
@@ -327,19 +329,6 @@ def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
     return EnergyLevel(n=n, value=e_value, branch=Branch.DIRAC_PSEUDOSPIN, residual=res)
 
 
-def _polynomial_envelope(n: int, falloff: float, order: float, x):
-    """Shared normalized shape N x^(1/2+order) exp(-falloff x^2/2) L_n^(order)."""
-    ln_norm = 0.5 * (
-        math.log(2.0) + (1.0 + order) * math.log(falloff) + log_gamma(n + 1.0) - log_gamma(n + order + 1.0)
-    )
-    if np.ndim(x) == 0:
-        xf = float(x)
-        s = falloff * xf * xf
-        return math.exp(ln_norm + (0.5 + order) * math.log(xf) - 0.5 * s) * laguerre(n, order, s)
-    s = falloff * x**2
-    return np.exp(ln_norm + (0.5 + order) * np.log(x) - 0.5 * s) * laguerre(n, order, s)
-
-
 def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     """Normalized upper spinor component of the spin branch at energy e_value.
 
@@ -349,14 +338,8 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     """
     n = _check_level(n)
     d = spin_derived(p, e_value)
-    if np.ndim(x) == 0:
-        if float(x) <= 0.0:
-            raise ValueError("spinor components are defined on x > 0")
-        return _polynomial_envelope(n, d.falloff, d.ladder_order, float(x))
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("spinor components are defined on x > 0")
-    return _polynomial_envelope(n, d.falloff, d.ladder_order, x_arr)
+    _, s, envelope = _envelope(n, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    return envelope * laguerre(n, d.ladder_order, s)
 
 
 def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
@@ -374,24 +357,9 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     d = spin_derived(p, e_value)
     nu = d.falloff
     zeta = d.ladder_order
-    ln_norm = 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(nu) + log_gamma(n + 1.0) - log_gamma(n + zeta + 1.0))
-    if np.ndim(x) == 0:
-        xf = float(x)
-        if xf <= 0.0:
-            raise ValueError("spinor components are defined on x > 0")
-        s = nu * xf * xf
-        envelope = math.exp(ln_norm + (0.5 + zeta) * math.log(xf) - 0.5 * s)
-        bracket = ((2.0 * zeta - 1.0) / (2.0 * xf) - nu * xf) * laguerre(n, zeta, s)
-        bracket += laguerre_derivative(n, zeta, s) * 2.0 * nu * xf
-        return envelope * bracket / denom
-    xx = np.asarray(x, dtype=float)
-    if np.any(xx <= 0.0):
-        raise ValueError("spinor components are defined on x > 0")
-    s = nu * xx**2
-    envelope = np.exp(ln_norm + (0.5 + zeta) * np.log(xx) - 0.5 * s)
-    lag = laguerre(n, zeta, s)
-    dlag_dx = laguerre_derivative(n, zeta, s) * 2.0 * nu * xx
-    bracket = ((2.0 * zeta - 1.0) / (2.0 * xx) - nu * xx) * lag + dlag_dx
+    x, s, envelope = _envelope(n, nu, zeta, x, _SPINOR_DOMAIN)
+    bracket = ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
+    bracket += laguerre_derivative(n, zeta, s) * 2.0 * nu * x
     return envelope * bracket / denom
 
 
@@ -404,14 +372,8 @@ def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     """
     n = _check_level(n)
     d = pseudospin_derived(p, e_value)
-    if np.ndim(x) == 0:
-        if float(x) <= 0.0:
-            raise ValueError("spinor components are defined on x > 0")
-        return _polynomial_envelope(n, d.falloff, d.ladder_order, float(x))
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("spinor components are defined on x > 0")
-    return _polynomial_envelope(n, d.falloff, d.ladder_order, x_arr)
+    _, s, envelope = _envelope(n, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    return envelope * laguerre(n, d.ladder_order, s)
 
 
 def klein_gordon_residual(e_value: float, n: int, p: DiracParams) -> float:
@@ -465,8 +427,9 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
     """Cross-check the pseudospin residual against the generic reduction.
 
     Feeds the pseudospin problem's coefficient triple through the
-    generic hypergeometric reduction (the same machinery the spin
-    branch exercises) and compares the resulting eigencondition,
+    generic hypergeometric reduction of ``nu`` (this check is its only
+    caller; the spin and Klein-Gordon residuals are written out
+    directly) and compares the resulting eigencondition,
     rescaled to residual units, against pseudospin_energy_residual on a
     100-point energy grid spanning the bound region around the n-th
     level. Returns the maximum absolute difference; nonzero values mean

@@ -51,23 +51,17 @@ def laguerre(n: int, alpha: float, z):
     n = _check_degree(n)
     if alpha <= -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
-    if np.ndim(z) == 0:
+    if isinstance(z, float) or np.ndim(z) == 0:
         # scalar fast path; the quadrature oracle hits this millions of times
-        zf = float(z)
-        if zf < 0.0:
-            raise ValueError("argument must be non-negative")
-        if n == 0:
-            return 1.0
-        prev, cur = 1.0, 1.0 + alpha - zf
-        for k in range(1, n):
-            prev, cur = cur, ((2 * k + 1 + alpha - zf) * cur - (k + alpha) * prev) / (k + 1)
-        return cur
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
+        z, prev = float(z), 1.0
+        negative = z < 0.0
+    else:
+        z = np.asarray(z, dtype=float)
+        prev, negative = np.ones_like(z), np.any(z < 0.0)
+    if negative:
         raise ValueError("argument must be non-negative")
     if n == 0:
-        return np.ones_like(z)
-    prev = np.ones_like(z)
+        return prev
     cur = 1.0 + alpha - z
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + alpha - z) * cur - (k + alpha) * prev) / (k + 1)
@@ -78,9 +72,8 @@ def laguerre_derivative(n: int, alpha: float, z):
     """d/dz of L_n^(alpha)(z), via d/dz L_n^(a) = -L_{n-1}^(a+1)."""
     n = _check_degree(n)
     if n == 0:
-        return 0.0 if np.ndim(z) == 0 else np.zeros_like(np.asarray(z, dtype=float))
-    result = laguerre(n - 1, alpha + 1.0, z)
-    return -result
+        return 0.0 * laguerre(0, alpha + 1.0, z)  # zero in the shape of z
+    return -laguerre(n - 1, alpha + 1.0, z)
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:
@@ -141,18 +134,13 @@ def hermite(n: int, y):
     Upward recurrence H_{k+1} = 2 y H_k - 2 k H_{k-1}. Scalar or array y.
     """
     n = _check_degree(n)
-    if np.ndim(y) == 0:
-        yf = float(y)
-        if n == 0:
-            return 1.0
-        prev, cur = 1.0, 2.0 * yf
-        for k in range(1, n):
-            prev, cur = cur, 2.0 * yf * cur - 2.0 * k * prev
-        return cur
-    y = np.asarray(y, dtype=float)
+    if isinstance(y, float) or np.ndim(y) == 0:
+        y, prev = float(y), 1.0
+    else:
+        y = np.asarray(y, dtype=float)
+        prev = np.ones_like(y)
     if n == 0:
-        return np.ones_like(y)
-    prev = np.ones_like(y)
+        return prev
     cur = 2.0 * y
     for k in range(1, n):
         prev, cur = cur, 2.0 * y * cur - 2.0 * k * prev

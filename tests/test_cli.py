@@ -10,6 +10,7 @@ import re
 import pytest
 
 from isospectra import cli, nonrel
+from isospectra.errors import NonNormalizableError
 
 
 def run_cli(argv, capsys):
@@ -160,6 +161,18 @@ def test_wavefunction_even_barrier_extends_to_negative_axis(capsys):
     assert rows[1][1] == rows[3][1]
 
 
+def test_wavefunction_odd_barrier_flips_sign_and_vanishes_at_origin(capsys):
+    code, out, _ = run_cli(
+        ["wavefunction", "--m", "2", "--x-min", "-2", "--x-max", "2", "--points", "5"], capsys
+    )
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[2][1] == "0"
+    # m = 2 continues with odd parity; the ground state is positive on x > 0
+    assert rows[0][1] == "-" + rows[4][1]
+    assert rows[1][1] == "-" + rows[3][1]
+
+
 def test_wavefunction_fractional_barrier_blocks_negative_axis(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["wavefunction", "--g", "0.5", "--x-min", "-1"])
@@ -286,6 +299,15 @@ def test_manifest_json_round_trip_replays_identically(capsys):
     replayed = cli.RunManifest.from_json(manifest.to_json())
     assert replayed == manifest
     assert cli.run_manifest(replayed).stdout == cli.run_manifest(manifest).stdout
+
+
+def test_replayed_manifest_blocks_negative_axis_at_fractional_barrier():
+    # skips the parser's barrier-index check: g = 1 gives m = 0.618
+    params = dict(g=1.0, mass=1.0, omega=1.0, hbar=1.0, c=1.0, out=None, branch="nonrel", n=0,
+                  x_min=-1.0, x_max=1.0, points=5, compare_harmonic=False, cs=0.0, cps=0.0)
+    manifest = cli.RunManifest(command="wavefunction", parameters=params, output_format="csv")
+    with pytest.raises(NonNormalizableError, match=r"x = -1\.0 for m = 0\.618"):
+        cli.run_manifest(manifest)
 
 
 def test_manifest_rejects_bad_fields():

@@ -214,6 +214,7 @@ def test_oscillator3d_matches_barrier_at_matching_coupling():
     [
         (wavefunction, (2, OscillatorParams(g=2.0))),
         (harmonic_wavefunction, (3, OscillatorParams())),
+        (oscillator3d_radial, (1, 2, OscillatorParams())),
     ],
 )
 def test_scalar_matches_array(fn, args):
