@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import golden, nonrel, rel, validate
-from .errors import NonNormalizableError, SpectraError
+from .errors import DivergenceError, NonNormalizableError, SpectraError
 
 __all__ = ["RunManifest", "RunResult", "build_parser", "run_manifest", "main"]
 
@@ -326,6 +326,14 @@ def _run_wavefunction(manifest: RunManifest) -> RunResult:
         energy_out = rel.solve_pseudospin_energy(n, dp).value
         columns = {"lower": _off_origin(lambda x: rel.pseudospin_lower_spinor(n, dp, energy_out, x), xs)}
 
+    for name, values in columns.items():
+        if not np.all(np.isfinite(values)):
+            polynomial = "Hermite" if name == "harmonic" else "Laguerre"
+            raise DivergenceError(
+                f"{name} column of level n = {n} has non-finite samples: "
+                f"the {polynomial} recurrence overflows the float range at this degree and x"
+            )
+
     names = ["x"] + list(columns)
     if manifest.output_format == "csv":
         lines = [",".join(names)]
@@ -453,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = manifest_from_args(parser, args)
     try:
         result = run_manifest(manifest)
-    except (SpectraError, ValueError) as exc:
+    except (SpectraError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path, content in result.files.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,27 @@ class OscillatorParams:
         x = np.asarray(x, dtype=float)
         return 0.5 * self.mass * self.omega**2 * x**2 + self.g / (2.0 * x**2)
 
+    # Constants of the parameter set, computed on first use and kept on the
+    # instance. They are not fields, so ==, hash, repr and
+    # dataclasses.replace see only the four parameters above.
+
+    @cached_property
+    def _ladder(self) -> DerivedNonrel:
+        """derive(self) once the regime is known to carry a bound ladder.
+
+        A cached_property keeps nothing when its body raises, so
+        unphysical params raise UnphysicalRegime on every access.
+        """
+        d = derive(self)
+        if classify_regime(d.alpha) is Regime.UNPHYSICAL:
+            raise UnphysicalRegime(f"alpha = {d.alpha} < -1/4 admits no bound spectrum")
+        return d
+
+    @cached_property
+    def _log_norms(self) -> dict:
+        """ln N of each state sampled so far, by (level, envelope order); see _stored_log_norm."""
+        return {}
+
 
 @dataclass(frozen=True)
 class DerivedNonrel:
@@ -162,6 +184,8 @@ def classify_regime(alpha: float) -> Regime:
 
 
 def _check_level(n) -> int:
+    if type(n) is int and n >= 0:
+        return n
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"level index must be an integer, got {n!r}")
     if n < 0:
@@ -176,9 +200,7 @@ def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     half-line levels at g = 0.
     """
     n = _check_level(n)
-    d = derive(p)
-    if classify_regime(d.alpha) is Regime.UNPHYSICAL:
-        raise UnphysicalRegime(f"alpha = {d.alpha} < -1/4 admits no bound spectrum")
+    d = p._ladder
     value = p.hbar * p.omega * (2.0 * n + 1.0 + d.xi)
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
 
@@ -205,16 +227,44 @@ def _sample(x, beta: float, where: str | None = None):
     return np, x, beta * x**2
 
 
-def _envelope(n: int, beta: float, zeta: float, x, where: str):
+def _log_norm(n: int, beta: float, zeta: float) -> float:
+    """ln N for the envelope N x^(1/2 + zeta) exp(-beta x^2 / 2) of level n.
+
+    With this N, the envelope times L_n^(zeta)(beta x^2) has unit norm
+    on x > 0. N is assembled in log space so large n stays finite.
+    """
+    return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + log_gamma(n + 1.0) - log_gamma(n + zeta + 1.0))
+
+
+def _harmonic_log_norm(n: int, beta: float) -> float:
+    """ln N of the full-line harmonic state N exp(-beta x^2 / 2) H_n(sqrt(beta) x)."""
+    return 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - log_gamma(n + 1.0))
+
+
+def _stored_log_norm(p: OscillatorParams, n: int, zeta: float | None) -> float:
+    """ln N of level n of p, computed on the first call and kept on p.
+
+    zeta is the Laguerre order of an envelope state (``_log_norm``);
+    None selects the harmonic state. Every state here has
+    beta = M omega / hbar, so (n, zeta) names one constant of p.
+    """
+    key = (n, zeta)
+    ln_norm = p._log_norms.get(key)
+    if ln_norm is None:
+        beta = p.mass * p.omega / p.hbar
+        ln_norm = _harmonic_log_norm(n, beta) if zeta is None else _log_norm(n, beta, zeta)
+        p._log_norms[key] = ln_norm
+    return ln_norm
+
+
+def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
     """N x^(1/2 + zeta) exp(-beta x^2 / 2), the envelope of every Laguerre state here.
 
-    Times L_n^(zeta)(beta x^2) it has unit norm on x > 0; N is assembled
-    in log space so large n stays finite. Returns (x, s, envelope): x as
+    ln_norm is ln N (``_log_norm``). Returns (x, s, envelope): x as
     converted by ``_sample`` and s = beta x^2. Raises ValueError(where)
     unless x > 0 elementwise.
     """
     xp, x, s = _sample(x, beta, where)
-    ln_norm = 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + log_gamma(n + 1.0) - log_gamma(n + zeta + 1.0))
     return x, s, xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s)
 
 
@@ -227,11 +277,13 @@ def wavefunction(n: int, p: OscillatorParams, x):
     elementwise; scalar in, scalar out.
     """
     n = _check_level(n)
-    d = derive(p)
-    if classify_regime(d.alpha) is Regime.UNPHYSICAL:
-        raise UnphysicalRegime(f"alpha = {d.alpha} < -1/4 admits no bound spectrum")
+    d = p._ladder
     _, s, envelope = _envelope(
-        n, d.beta, d.xi, x, "wavefunction is defined on x > 0; use parity_extend for the mirror side"
+        _stored_log_norm(p, n, d.xi),
+        d.beta,
+        d.xi,
+        x,
+        "wavefunction is defined on x > 0; use parity_extend for the mirror side",
     )
     return envelope * laguerre(n, d.xi, s)
 
@@ -266,7 +318,7 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     """Normalized full-line harmonic eigenfunction, for side-by-side plots."""
     n = _check_level(n)
     beta = p.mass * p.omega / p.hbar
-    ln_norm = 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - log_gamma(n + 1.0))
+    ln_norm = _stored_log_norm(p, n, None)
     xp, x, s = _sample(x, beta)
     return xp.exp(ln_norm - 0.5 * s) * hermite(n, math.sqrt(beta) * x)
 
@@ -289,5 +341,8 @@ def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
     n = _check_level(n)
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
         raise ValueError(f"orbital index must be a non-negative integer, got {l!r}")
-    _, s, envelope = _envelope(n, p.mass * p.omega / p.hbar, l + 0.5, r, "radial coordinate must be positive")
-    return envelope * laguerre(n, l + 0.5, s)
+    zeta = l + 0.5
+    _, s, envelope = _envelope(
+        _stored_log_norm(p, n, zeta), p.mass * p.omega / p.hbar, zeta, r, "radial coordinate must be positive"
+    )
+    return envelope * laguerre(n, zeta, s)

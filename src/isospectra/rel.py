@@ -15,11 +15,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateEnergy, NoRootInRange, UnphysicalRegime
-from .nonrel import Branch, EnergyLevel, OscillatorParams, _check_level, _envelope, energy as nonrel_energy
+from .nonrel import Branch, EnergyLevel, OscillatorParams, _check_level, _envelope, _log_norm, energy as nonrel_energy
 from .nu import HypergeometricForm, nu_eigencondition, nu_reduce
 from .specfun import laguerre, laguerre_derivative
 
@@ -98,9 +99,23 @@ class DiracParams:
         elif self.kappa != expected:
             raise ValueError(f"kappa must be {expected} for the {self.branch.value} branch, got {self.kappa}")
 
-    @property
+    # Constants of the parameter set, computed on first use and kept on the
+    # instance; not fields, so ==, hash, repr and dataclasses.replace see
+    # only the parameters above.
+
+    @cached_property
     def rest_energy(self) -> float:
         return self.mass * self.c**2
+
+    @cached_property
+    def _hc2(self) -> float:
+        """(hbar c)^2, the denominator of every energy weight."""
+        return (self.hbar * self.c) ** 2
+
+    @cached_property
+    def _level_scale(self) -> float:
+        """hbar c omega sqrt(2 M), the factor of (2n + 1 + order) in each residual."""
+        return self.hbar * self.c * self.omega * math.sqrt(2.0 * self.mass)
 
     def potential(self, x):
         """The isotonic well U(x) shared by both branches."""
@@ -149,8 +164,7 @@ def spin_derived(p: DiracParams, e_value: float) -> SpinDerived:
     w = p.rest_energy + e_value - p.sym_constant
     if w <= 0.0:
         raise ValueError(f"energy denominator M c^2 + E - sym_constant = {w} must be positive")
-    hc2 = (p.hbar * p.c) ** 2
-    weight = w / hc2
+    weight = w / p._hc2
     under = 1.0 + 2.0 * p.g * weight
     if under < 0.0:
         raise UnphysicalRegime(f"1 + 2 g energy_weight = {under} < 0: no bound ladder at this energy")
@@ -168,8 +182,7 @@ def pseudospin_derived(p: DiracParams, e_value: float) -> PseudospinDerived:
     u = e_value - p.rest_energy - p.sym_constant
     if u <= 0.0:
         raise ValueError(f"energy gap E - M c^2 - sym_constant = {u} must be positive")
-    hc2 = (p.hbar * p.c) ** 2
-    weight = -u / hc2  # negative for bound states by construction
+    weight = -u / p._hc2  # negative for bound states by construction
     under = 1.0 + 2.0 * p.g * (-weight)
     if under < 0.0:
         raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
@@ -193,21 +206,15 @@ def spin_energy_residual(e_value: float, n: int, p: DiracParams) -> float:
     w = p.rest_energy + e_value - p.sym_constant
     if w < 0.0:
         raise ValueError(f"energy denominator M c^2 + E - sym_constant = {w} must be non-negative")
-    hc2 = (p.hbar * p.c) ** 2
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / hc2)
-    return (e_value - p.rest_energy) * math.sqrt(w) - p.hbar * p.c * p.omega * math.sqrt(2.0 * p.mass) * (
-        2.0 * n + 1.0 + order
-    )
+    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
+    return (e_value - p.rest_energy) * math.sqrt(w) - p._level_scale * (2.0 * n + 1.0 + order)
 
 
 def _spin_residual_derivative(e_value: float, n: int, p: DiracParams) -> float:
     w = p.rest_energy + e_value - p.sym_constant
-    hc2 = (p.hbar * p.c) ** 2
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / hc2)
-    d_order = p.g / (4.0 * order * hc2)
-    return math.sqrt(w) + (e_value - p.rest_energy) / (2.0 * math.sqrt(w)) - p.hbar * p.c * p.omega * math.sqrt(
-        2.0 * p.mass
-    ) * d_order
+    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
+    d_order = p.g / (4.0 * order * p._hc2)
+    return math.sqrt(w) + (e_value - p.rest_energy) / (2.0 * math.sqrt(w)) - p._level_scale * d_order
 
 
 def pseudospin_energy_residual(e_value: float, n: int, p: DiracParams) -> float:
@@ -216,21 +223,15 @@ def pseudospin_energy_residual(e_value: float, n: int, p: DiracParams) -> float:
     u = e_value - p.rest_energy - p.sym_constant
     if u < 0.0:
         raise ValueError(f"energy gap E - M c^2 - sym_constant = {u} must be non-negative")
-    hc2 = (p.hbar * p.c) ** 2
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * u / hc2)
-    return (e_value + p.rest_energy) * math.sqrt(u) - p.hbar * p.c * p.omega * math.sqrt(2.0 * p.mass) * (
-        2.0 * n + 1.0 + order
-    )
+    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * u / p._hc2)
+    return (e_value + p.rest_energy) * math.sqrt(u) - p._level_scale * (2.0 * n + 1.0 + order)
 
 
 def _pseudospin_residual_derivative(e_value: float, n: int, p: DiracParams) -> float:
     u = e_value - p.rest_energy - p.sym_constant
-    hc2 = (p.hbar * p.c) ** 2
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * u / hc2)
-    d_order = p.g / (4.0 * order * hc2)
-    return math.sqrt(u) + (e_value + p.rest_energy) / (2.0 * math.sqrt(u)) - p.hbar * p.c * p.omega * math.sqrt(
-        2.0 * p.mass
-    ) * d_order
+    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * u / p._hc2)
+    d_order = p.g / (4.0 * order * p._hc2)
+    return math.sqrt(u) + (e_value + p.rest_energy) / (2.0 * math.sqrt(u)) - p._level_scale * d_order
 
 
 def _find_root(f, df, lower: float, upper: float) -> tuple[float, float]:
@@ -338,7 +339,7 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     """
     n = _check_level(n)
     d = spin_derived(p, e_value)
-    _, s, envelope = _envelope(n, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    _, s, envelope = _envelope(_log_norm(n, d.falloff, d.ladder_order), d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
     return envelope * laguerre(n, d.ladder_order, s)
 
 
@@ -357,7 +358,7 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     d = spin_derived(p, e_value)
     nu = d.falloff
     zeta = d.ladder_order
-    x, s, envelope = _envelope(n, nu, zeta, x, _SPINOR_DOMAIN)
+    x, s, envelope = _envelope(_log_norm(n, nu, zeta), nu, zeta, x, _SPINOR_DOMAIN)
     bracket = ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
     bracket += laguerre_derivative(n, zeta, s) * 2.0 * nu * x
     return envelope * bracket / denom
@@ -372,7 +373,7 @@ def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     """
     n = _check_level(n)
     d = pseudospin_derived(p, e_value)
-    _, s, envelope = _envelope(n, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    _, s, envelope = _envelope(_log_norm(n, d.falloff, d.ladder_order), d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
     return envelope * laguerre(n, d.ladder_order, s)
 
 
@@ -386,21 +387,15 @@ def klein_gordon_residual(e_value: float, n: int, p: DiracParams) -> float:
     w = p.rest_energy + e_value
     if w < 0.0:
         raise ValueError(f"M c^2 + E = {w} must be non-negative")
-    hc2 = (p.hbar * p.c) ** 2
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / hc2)
-    return (e_value - p.rest_energy) * math.sqrt(w) - p.hbar * p.c * p.omega * math.sqrt(2.0 * p.mass) * (
-        2.0 * n + 1.0 + order
-    )
+    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
+    return (e_value - p.rest_energy) * math.sqrt(w) - p._level_scale * (2.0 * n + 1.0 + order)
 
 
 def _kg_residual_derivative(e_value: float, n: int, p: DiracParams) -> float:
     w = p.rest_energy + e_value
-    hc2 = (p.hbar * p.c) ** 2
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / hc2)
-    d_order = p.g / (4.0 * order * hc2)
-    return math.sqrt(w) + (e_value - p.rest_energy) / (2.0 * math.sqrt(w)) - p.hbar * p.c * p.omega * math.sqrt(
-        2.0 * p.mass
-    ) * d_order
+    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
+    d_order = p.g / (4.0 * order * p._hc2)
+    return math.sqrt(w) + (e_value - p.rest_energy) / (2.0 * math.sqrt(w)) - p._level_scale * d_order
 
 
 def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -443,11 +438,10 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
     span = level.value - lower
     energies = np.linspace(lower + 0.01 * span, level.value + 0.5 * span, 100)
 
-    hc2 = (p.hbar * p.c) ** 2
     worst = 0.0
     for e_value in energies:
         u = float(e_value) - p.rest_energy - p.sym_constant
-        weight_mag = u / hc2
+        weight_mag = u / p._hc2
         form = HypergeometricForm(
             a2=-0.5 * p.mass * p.omega**2 * weight_mag,
             a1=weight_mag * (p.rest_energy + float(e_value)),

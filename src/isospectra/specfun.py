@@ -31,6 +31,8 @@ _SERIES_MAX_TERMS = 1000
 
 
 def _check_degree(n: int) -> int:
+    if type(n) is int and n >= 0:
+        return n
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise ValueError(f"degree must be an integer, got {n!r}")
     if n < 0:

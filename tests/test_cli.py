@@ -121,6 +121,17 @@ def test_spectrum_unphysical_coupling_exits_one(capsys):
     assert err.startswith("error:")
 
 
+def test_arithmetic_error_exits_one_without_traceback(monkeypatch, capsys):
+    def divide_by_zero(manifest):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "run_manifest", divide_by_zero)
+    code, out, err = run_cli(["spectrum", "--branch", "pseudospin", "--n-max", "1", "--c", "1e4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: float division by zero\n"
+
+
 # ------------------------------------------------------------ wavefunction
 
 def test_wavefunction_with_harmonic_companion(capsys):
@@ -209,6 +220,16 @@ def test_wavefunction_harmonic_column_is_nonrel_only(capsys):
         cli.main(["wavefunction", "--branch", "spin", "--compare-harmonic"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_wavefunction_overflow_exits_one_naming_the_column(capsys):
+    argv = ["wavefunction", "--n", "2000", "--m", "1", "--x-min", "-80", "--x-max", "80", "--points", "5"]
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: isotonic column of level n = 2000 has non-finite samples")
+    assert "Laguerre recurrence overflows" in err
 
 
 # --------------------------------------------------------------- potential

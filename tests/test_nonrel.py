@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from isospectra.nonrel import (
     wavefunction,
 )
 from isospectra.oracle import quadrature
+from isospectra.specfun import laguerre
 
 
 def test_energy_ladder_natural_units():
@@ -222,3 +224,76 @@ def test_scalar_matches_array(fn, args):
     arr = fn(*args, xs)
     one_by_one = np.array([fn(*args, float(x)) for x in xs])
     assert np.max(np.abs(arr - one_by_one)) <= 1e-15
+
+
+# ------------------------------------------- constants kept on the params
+
+def _samples(p):
+    """Scalar and array samples of every nonrel state, as exact bit patterns."""
+    xs = np.linspace(0.1, 4.0, 17)
+    out = []
+    for n in (0, 3, 7):
+        for fn, args in ((wavefunction, (n, p)), (harmonic_wavefunction, (n, p)), (oscillator3d_radial, (n, 1, p))):
+            out.append(fn(*args, 1.3).hex())
+            out.append(fn(*args, xs).tobytes())
+    return out
+
+
+def test_unphysical_params_raise_on_every_call():
+    p = OscillatorParams(g=-0.3)
+    for _ in range(2):
+        with pytest.raises(UnphysicalRegime, match="admits no bound spectrum"):
+            wavefunction(0, p, 1.0)
+        with pytest.raises(UnphysicalRegime, match="admits no bound spectrum"):
+            energy(0, p)
+
+
+def _written_out_psi(n, p, x):
+    """Scalar psi_n(x) from the fields alone, in the closed form's order of operations."""
+    beta = p.mass * p.omega / p.hbar
+    xi = 0.5 * math.sqrt(1.0 + 4.0 * (p.mass * p.g / p.hbar**2))
+    ln_norm = 0.5 * (math.log(2.0) + (1.0 + xi) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + xi + 1.0))
+    s = beta * x * x
+    return math.exp(ln_norm + (0.5 + xi) * math.log(x) - 0.5 * s) * laguerre(n, xi, s)
+
+
+def test_replaced_params_get_fresh_constants():
+    p = OscillatorParams(mass=2.0, omega=0.7, g=2.0, hbar=1.3)
+    _samples(p)
+    energy(2, p)
+    for changes in ({"g": 6.0}, {"mass": 0.5}, {"omega": 3.0}, {"hbar": 0.2}):
+        q = replace(p, **changes)
+        for n in (0, 3, 7):
+            assert wavefunction(n, q, 1.3) == _written_out_psi(n, q, 1.3)
+        assert energy(2, q).value == energy(2, OscillatorParams(**{**asdict(p), **changes})).value
+    with pytest.raises(UnphysicalRegime):
+        energy(0, replace(p, g=-0.3))
+
+
+def test_equal_params_give_identical_samples():
+    p, q = OscillatorParams(g=2.0, mass=1.5), OscillatorParams(g=2.0, mass=1.5)
+    before = repr(p)
+    assert _samples(p) == _samples(q) == _samples(p)
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q) == before == "OscillatorParams(mass=1.5, omega=1.0, g=2.0, hbar=1.0)"
+    assert p != replace(p, g=6.0)
+
+
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (True, "level index must be an integer, got True"),
+        (-1, "level index must be non-negative, got -1"),
+        (1.0, "level index must be an integer, got 1.0"),
+    ],
+)
+def test_level_check_rejects(n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        wavefunction(n, OscillatorParams(), 1.0)
+
+
+def test_level_check_accepts_numpy_integers():
+    p = OscillatorParams()
+    n = np.int64(3)
+    assert wavefunction(n, p, 1.3) == wavefunction(3, p, 1.3)
+    assert energy(n, p).n == 3 and type(energy(n, p).n) is int

@@ -277,3 +277,58 @@ def test_upper_spinor_approaches_nonrel_state_at_large_c():
     f = spin_upper_spinor(0, p, e, xs)
     psi = wavefunction(0, OscillatorParams(g=2.0), xs)
     assert np.max(np.abs(f - psi)) <= 1e-4
+
+
+# ------------------------------------------- constants kept on the params
+
+def _written_out_residuals(p, e, n):
+    """The three quantization residuals, spelled out from the fields alone."""
+    mc2 = p.mass * p.c**2
+    hc2 = (p.hbar * p.c) ** 2
+    scale = p.hbar * p.c * p.omega * math.sqrt(2.0 * p.mass)
+    w = mc2 + e - p.sym_constant
+    spin = (e - mc2) * math.sqrt(w) - scale * (2.0 * n + 1.0 + 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / hc2))
+    u = e - mc2 - p.sym_constant
+    pseudo = (e + mc2) * math.sqrt(u) - scale * (2.0 * n + 1.0 + 0.5 * math.sqrt(1.0 + 2.0 * p.g * u / hc2))
+    w = mc2 + e
+    kg = (e - mc2) * math.sqrt(w) - scale * (2.0 * n + 1.0 + 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / hc2))
+    return spin, pseudo, kg
+
+
+@pytest.mark.parametrize("c", [1.0, 2.9, 137.0])
+def test_residuals_equal_their_written_out_form(c):
+    spin_p = DiracParams(mass=1.7, omega=0.9, g=3.1, sym_constant=-0.4, hbar=1.3, c=c)
+    pseudo_p = replace(spin_p, branch=Symmetry.PSEUDOSPIN, kappa=None)
+    kg_p = replace(spin_p, sym_constant=0.0)
+    for e in spin_p.rest_energy * np.array([1.01, 1.3, 2.0, 7.5]):
+        e = float(e)
+        for n in (0, 2, 9):
+            assert spin_energy_residual(e, n, spin_p) == _written_out_residuals(spin_p, e, n)[0]
+            assert pseudospin_energy_residual(e, n, pseudo_p) == _written_out_residuals(pseudo_p, e, n)[1]
+            assert klein_gordon_residual(e, n, kg_p) == _written_out_residuals(kg_p, e, n)[2]
+
+
+def test_replaced_dirac_params_get_fresh_constants():
+    p = spin_params(6.0, 2.0)
+    solve_spin_energy(1, p)
+    assert p.rest_energy == 1.0
+    q = replace(p, c=3.0, mass=2.0)
+    assert q.rest_energy == 18.0
+    e = 1.2 * q.rest_energy
+    assert spin_energy_residual(e, 1, q) == _written_out_residuals(q, e, 1)[0]
+    fresh = DiracParams(g=6.0, sym_constant=2.0, c=3.0, mass=2.0)
+    assert solve_spin_energy(1, q).value == solve_spin_energy(1, fresh).value
+
+
+def test_equal_dirac_params_give_identical_results():
+    p, q = spin_params(6.0, 2.0), spin_params(6.0, 2.0)
+    before = repr(p)
+    e = solve_spin_energy(2, p).value
+    assert solve_spin_energy(2, q).value == e
+    xs = np.linspace(0.1, 4.0, 13)
+    for fn in (spin_upper_spinor, spin_lower_spinor):
+        assert fn(2, p, e, xs).tobytes() == fn(2, q, e, xs).tobytes()
+        assert fn(2, p, e, 1.3).hex() == fn(2, q, e, 1.3).hex()
+    assert p == q and hash(p) == hash(q)
+    assert repr(p) == repr(q) == before
+    assert "rest_energy" not in before and p != replace(p, c=2.0)

@@ -39,6 +39,24 @@ def test_laguerre_rejects_bad_arguments():
         laguerre(True, 0.5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (True, "degree must be an integer, got True"),
+        (-1, "degree must be non-negative, got -1"),
+        (1.0, "degree must be an integer, got 1.0"),
+    ],
+)
+def test_degree_check_rejects(n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        laguerre(n, 0.5, 1.0)
+
+
+def test_degree_check_accepts_numpy_integers():
+    assert laguerre(np.int64(3), 0.5, 1.3) == laguerre(3, 0.5, 1.3)
+    assert hermite(np.int64(3), 1.3) == hermite(3, 1.3)
+
+
 def test_laguerre_scalar_matches_array():
     zs = np.linspace(0.0, 30.0, 61)
     for n, a in [(0, 0.5), (3, 1.5), (7, 2.5), (12, 0.5)]:
