@@ -52,6 +52,7 @@ from .rel import (
     PseudospinDerived,
     SpinDerived,
     Symmetry,
+    energy_residual,
     klein_gordon_energy,
     klein_gordon_residual,
     nonrel_limit_check,
@@ -110,6 +111,7 @@ __all__ = [
     "PseudospinDerived",
     "spin_derived",
     "pseudospin_derived",
+    "energy_residual",
     "spin_energy_residual",
     "pseudospin_energy_residual",
     "solve_spin_energy",

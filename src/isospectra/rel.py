@@ -31,6 +31,7 @@ __all__ = [
     "PseudospinDerived",
     "spin_derived",
     "pseudospin_derived",
+    "energy_residual",
     "spin_energy_residual",
     "pseudospin_energy_residual",
     "solve_spin_energy",
@@ -125,15 +126,17 @@ class DiracParams:
 
 @dataclass(frozen=True)
 class SpinDerived:
-    """Energy-dependent combinations in the upper-component equation.
+    """Energy-dependent combinations in the reduced equation of one branch.
+
+    For the spin branch (upper component):
 
     energy_weight    (M c^2 + E - sym_constant) / (hbar c)^2, the factor
                      multiplying the well in the reduced equation
     constant_term    energy_weight * (M c^2 - E), the x-independent part
                      of the curvature coefficient (negative when bound)
     singular_coeff   (1/2) g * energy_weight, strength of the 1/x^2 term
-    falloff          sqrt(M omega^2 energy_weight / 2), Gaussian scale
-    ladder_order     (1/2) sqrt(1 + 2 g * energy_weight), Laguerre order
+    falloff          sqrt(M omega^2 |energy_weight| / 2), Gaussian scale
+    ladder_order     (1/2) sqrt(1 + 2 g |energy_weight|), Laguerre order
     """
 
     energy_weight: float
@@ -143,95 +146,95 @@ class SpinDerived:
     ladder_order: float
 
 
-@dataclass(frozen=True)
-class PseudospinDerived:
+class PseudospinDerived(SpinDerived):
     """Same combinations for the lower-component equation.
 
     energy_weight is (M c^2 - E + sym_constant) / (hbar c)^2 and is
-    negative for bound states; falloff and ladder_order are built from
-    its magnitude so the component stays manifestly real.
+    negative for bound states; constant_term is energy_weight *
+    (M c^2 + E). falloff and ladder_order are built from its magnitude
+    so the component stays manifestly real.
     """
 
-    energy_weight: float
-    constant_term: float
-    singular_coeff: float
-    falloff: float
-    ladder_order: float
+
+def _derived(p: DiracParams, e_value: float, sign: float) -> SpinDerived:
+    """Derived combinations at e_value of the spin (sign +1) or pseudospin (sign -1) equation.
+
+    The magnitude of the energy weight is (E + sign M c^2 - sym_constant)
+    / (hbar c)^2 and must be positive; the weight itself carries the sign.
+    """
+    w = e_value + sign * p.rest_energy - p.sym_constant
+    if w <= 0.0:
+        raise ValueError(f"E {'+' if sign > 0.0 else '-'} M c^2 - sym_constant = {w} must be positive")
+    magnitude = w / p._hc2
+    weight = sign * magnitude
+    under = 1.0 + 2.0 * p.g * magnitude
+    if under < 0.0:
+        raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
+    return (SpinDerived if sign > 0.0 else PseudospinDerived)(
+        energy_weight=weight,
+        constant_term=weight * (p.rest_energy - sign * e_value),
+        singular_coeff=0.5 * p.g * weight,
+        falloff=math.sqrt(0.5 * p.mass * p.omega**2 * magnitude),
+        ladder_order=0.5 * math.sqrt(under),
+    )
 
 
 def spin_derived(p: DiracParams, e_value: float) -> SpinDerived:
     """Derived combinations of the spin-branch equation at energy e_value."""
-    w = p.rest_energy + e_value - p.sym_constant
-    if w <= 0.0:
-        raise ValueError(f"energy denominator M c^2 + E - sym_constant = {w} must be positive")
-    weight = w / p._hc2
-    under = 1.0 + 2.0 * p.g * weight
-    if under < 0.0:
-        raise UnphysicalRegime(f"1 + 2 g energy_weight = {under} < 0: no bound ladder at this energy")
-    return SpinDerived(
-        energy_weight=weight,
-        constant_term=weight * (p.rest_energy - e_value),
-        singular_coeff=0.5 * p.g * weight,
-        falloff=math.sqrt(0.5 * p.mass * p.omega**2 * weight),
-        ladder_order=0.5 * math.sqrt(under),
-    )
+    return _derived(p, e_value, 1.0)
 
 
 def pseudospin_derived(p: DiracParams, e_value: float) -> PseudospinDerived:
     """Derived combinations of the pseudospin-branch equation at energy e_value."""
-    u = e_value - p.rest_energy - p.sym_constant
-    if u <= 0.0:
-        raise ValueError(f"energy gap E - M c^2 - sym_constant = {u} must be positive")
-    weight = -u / p._hc2  # negative for bound states by construction
-    under = 1.0 + 2.0 * p.g * (-weight)
+    return _derived(p, e_value, -1.0)
+
+
+def energy_residual(e_value: float, n: int, p: DiracParams, sign: float, offset: float) -> float:
+    """Quantization residual of every relativistic branch; zero at the n-th level.
+
+    In the form (E - s M c^2) sqrt(w) - hbar c omega sqrt(2 M) (2n + 1 + order)
+    with w = E + s M c^2 - C and order = (1/2) sqrt(1 + 2 g w / (hbar c)^2).
+    (s, C) = (sign, offset) is (+1, sym_constant) for spin, (-1,
+    sym_constant) for pseudospin and (+1, 0) for Klein-Gordon. Strictly
+    increasing in E on the admissible side w >= 0, which the root scan
+    relies on.
+    """
+    n = _check_level(n)
+    mc2 = sign * p.rest_energy
+    w = e_value + mc2 - offset
+    if w < 0.0:
+        raise ValueError(f"E {'+' if sign > 0.0 else '-'} M c^2 - {offset} = {w} must be non-negative")
+    under = 1.0 + 2.0 * p.g * w / p._hc2
     if under < 0.0:
         raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
-    return PseudospinDerived(
-        energy_weight=weight,
-        constant_term=weight * (p.rest_energy + e_value),
-        singular_coeff=0.5 * p.g * weight,
-        falloff=math.sqrt(0.5 * p.mass * p.omega**2 * (-weight)),
-        ladder_order=0.5 * math.sqrt(under),
-    )
+    return (e_value - mc2) * math.sqrt(w) - p._level_scale * (2.0 * n + 1.0 + 0.5 * math.sqrt(under))
+
+
+def _residual_derivative(e_value: float, p: DiracParams, sign: float, offset: float) -> float:
+    """d/dE of energy_residual; inf on the window edge, where the slope diverges."""
+    mc2 = sign * p.rest_energy
+    w = e_value + mc2 - offset
+    under = 1.0 + 2.0 * p.g * w / p._hc2
+    if w <= 0.0 or under <= 0.0:
+        return math.inf
+    order = 0.5 * math.sqrt(under)
+    d_order = p.g / (4.0 * order * p._hc2)
+    return math.sqrt(w) + (e_value - mc2) / (2.0 * math.sqrt(w)) - p._level_scale * d_order
 
 
 def spin_energy_residual(e_value: float, n: int, p: DiracParams) -> float:
-    """Quantization residual of the spin branch; zero at the n-th level.
-
-    In the form (E - M c^2) sqrt(w) - hbar c omega sqrt(2 M) (2n + 1 + order)
-    with w = M c^2 + E - sym_constant. Strictly increasing in E on the
-    admissible side, which the root scan relies on.
-    """
-    n = _check_level(n)
-    w = p.rest_energy + e_value - p.sym_constant
-    if w < 0.0:
-        raise ValueError(f"energy denominator M c^2 + E - sym_constant = {w} must be non-negative")
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
-    return (e_value - p.rest_energy) * math.sqrt(w) - p._level_scale * (2.0 * n + 1.0 + order)
-
-
-def _spin_residual_derivative(e_value: float, n: int, p: DiracParams) -> float:
-    w = p.rest_energy + e_value - p.sym_constant
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
-    d_order = p.g / (4.0 * order * p._hc2)
-    return math.sqrt(w) + (e_value - p.rest_energy) / (2.0 * math.sqrt(w)) - p._level_scale * d_order
+    """Quantization residual of the spin branch: energy_residual with w = M c^2 + E - sym_constant."""
+    return energy_residual(e_value, n, p, 1.0, p.sym_constant)
 
 
 def pseudospin_energy_residual(e_value: float, n: int, p: DiracParams) -> float:
-    """Quantization residual of the pseudospin branch; zero at the n-th level."""
-    n = _check_level(n)
-    u = e_value - p.rest_energy - p.sym_constant
-    if u < 0.0:
-        raise ValueError(f"energy gap E - M c^2 - sym_constant = {u} must be non-negative")
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * u / p._hc2)
-    return (e_value + p.rest_energy) * math.sqrt(u) - p._level_scale * (2.0 * n + 1.0 + order)
+    """Quantization residual of the pseudospin branch: energy_residual with w = E - M c^2 - sym_constant."""
+    return energy_residual(e_value, n, p, -1.0, p.sym_constant)
 
 
-def _pseudospin_residual_derivative(e_value: float, n: int, p: DiracParams) -> float:
-    u = e_value - p.rest_energy - p.sym_constant
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * u / p._hc2)
-    d_order = p.g / (4.0 * order * p._hc2)
-    return math.sqrt(u) + (e_value + p.rest_energy) / (2.0 * math.sqrt(u)) - p._level_scale * d_order
+def klein_gordon_residual(e_value: float, n: int, p: DiracParams) -> float:
+    """Quantization residual of the Klein-Gordon branch with equal wells: w = M c^2 + E."""
+    return energy_residual(e_value, n, p, 1.0, 0.0)
 
 
 def _find_root(f, df, lower: float, upper: float) -> tuple[float, float]:
@@ -289,6 +292,29 @@ def _find_root(f, df, lower: float, upper: float) -> tuple[float, float]:
     return best, abs(f_best)
 
 
+def _solve(n: int, p: DiracParams, branch: Branch, lower: float) -> EnergyLevel:
+    """The n-th root of energy_residual above ``lower``, capped at 1e3 M c^2.
+
+    The branch fixes (s, C) once per solve. A root that lands on the
+    window edge w = 0 is no level: the binding gap is then below the
+    float spacing of E, which happens when M c^2 dwarfs hbar omega.
+    """
+    sign = -1.0 if branch is Branch.DIRAC_PSEUDOSPIN else 1.0
+    offset = 0.0 if branch is Branch.KLEIN_GORDON else p.sym_constant
+    e_value, res = _find_root(
+        lambda e: energy_residual(e, n, p, sign, offset),
+        lambda e: _residual_derivative(e, p, sign, offset),
+        lower,
+        _UPPER_FACTOR * p.rest_energy,
+    )
+    if e_value + sign * p.rest_energy - offset <= 0.0:
+        raise NoRootInRange(
+            f"level {n} sits on the window edge E = {e_value}: the binding gap is below "
+            f"the float resolution {math.ulp(e_value)} of E at M c^2 = {p.rest_energy}"
+        )
+    return EnergyLevel(n=n, value=e_value, branch=branch, residual=res)
+
+
 def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
     """Energy of the n-th spin-branch level by bracketed root solving.
 
@@ -299,15 +325,7 @@ def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
     n = _check_level(n)
     if p.branch is not Symmetry.SPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
-    lower = max(p.rest_energy, p.sym_constant - p.rest_energy)
-    upper = _UPPER_FACTOR * p.rest_energy
-    e_value, res = _find_root(
-        lambda e: spin_energy_residual(e, n, p),
-        lambda e: _spin_residual_derivative(e, n, p),
-        lower,
-        upper,
-    )
-    return EnergyLevel(n=n, value=e_value, branch=Branch.DIRAC_SPIN, residual=res)
+    return _solve(n, p, Branch.DIRAC_SPIN, max(p.rest_energy, p.sym_constant - p.rest_energy))
 
 
 def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -319,15 +337,25 @@ def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
     n = _check_level(n)
     if p.branch is not Symmetry.PSEUDOSPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
-    lower = p.rest_energy + p.sym_constant
-    upper = _UPPER_FACTOR * p.rest_energy
-    e_value, res = _find_root(
-        lambda e: pseudospin_energy_residual(e, n, p),
-        lambda e: _pseudospin_residual_derivative(e, n, p),
-        lower,
-        upper,
-    )
-    return EnergyLevel(n=n, value=e_value, branch=Branch.DIRAC_PSEUDOSPIN, residual=res)
+    return _solve(n, p, Branch.DIRAC_PSEUDOSPIN, p.rest_energy + p.sym_constant)
+
+
+def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
+    """Energy of the n-th Klein-Gordon level (equal scalar and vector wells).
+
+    Requires sym_constant == 0: the second-order equation this branch
+    reduces to has no room for a symmetry offset.
+    """
+    n = _check_level(n)
+    if p.sym_constant != 0.0:
+        raise ValueError("Klein-Gordon branch has no symmetry constant; set sym_constant = 0")
+    return _solve(n, p, Branch.KLEIN_GORDON, p.rest_energy)
+
+
+def _laguerre_state(n: int, d: SpinDerived, x):
+    """Envelope times L_n^(order)(falloff x^2), unit norm on x > 0: the shape of both normalized components."""
+    _, s, envelope = _envelope(_log_norm(n, d.falloff, d.ladder_order), d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    return envelope * laguerre(n, d.ladder_order, s)
 
 
 def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
@@ -338,9 +366,7 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     elementwise; scalar in, scalar out.
     """
     n = _check_level(n)
-    d = spin_derived(p, e_value)
-    _, s, envelope = _envelope(_log_norm(n, d.falloff, d.ladder_order), d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
-    return envelope * laguerre(n, d.ladder_order, s)
+    return _laguerre_state(n, spin_derived(p, e_value), x)
 
 
 def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
@@ -372,62 +398,18 @@ def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     the polynomial weight integral. x > 0 elementwise.
     """
     n = _check_level(n)
-    d = pseudospin_derived(p, e_value)
-    _, s, envelope = _envelope(_log_norm(n, d.falloff, d.ladder_order), d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
-    return envelope * laguerre(n, d.ladder_order, s)
-
-
-def klein_gordon_residual(e_value: float, n: int, p: DiracParams) -> float:
-    """Quantization residual of the Klein-Gordon branch with equal wells.
-
-    Identical in form to the spin residual with zero symmetry constant:
-    the energy weight is (M c^2 + E) / (hbar c)^2.
-    """
-    n = _check_level(n)
-    w = p.rest_energy + e_value
-    if w < 0.0:
-        raise ValueError(f"M c^2 + E = {w} must be non-negative")
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
-    return (e_value - p.rest_energy) * math.sqrt(w) - p._level_scale * (2.0 * n + 1.0 + order)
-
-
-def _kg_residual_derivative(e_value: float, n: int, p: DiracParams) -> float:
-    w = p.rest_energy + e_value
-    order = 0.5 * math.sqrt(1.0 + 2.0 * p.g * w / p._hc2)
-    d_order = p.g / (4.0 * order * p._hc2)
-    return math.sqrt(w) + (e_value - p.rest_energy) / (2.0 * math.sqrt(w)) - p._level_scale * d_order
-
-
-def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
-    """Energy of the n-th Klein-Gordon level (equal scalar and vector wells).
-
-    Requires sym_constant == 0: the second-order equation this branch
-    reduces to has no room for a symmetry offset.
-    """
-    n = _check_level(n)
-    if p.sym_constant != 0.0:
-        raise ValueError("Klein-Gordon branch has no symmetry constant; set sym_constant = 0")
-    lower = p.rest_energy
-    upper = _UPPER_FACTOR * p.rest_energy
-    e_value, res = _find_root(
-        lambda e: klein_gordon_residual(e, n, p),
-        lambda e: _kg_residual_derivative(e, n, p),
-        lower,
-        upper,
-    )
-    return EnergyLevel(n=n, value=e_value, branch=Branch.KLEIN_GORDON, residual=res)
+    return _laguerre_state(n, pseudospin_derived(p, e_value), x)
 
 
 def pseudospin_map_check(n: int, p: DiracParams) -> float:
     """Cross-check the pseudospin residual against the generic reduction.
 
     Feeds the pseudospin problem's coefficient triple through the
-    generic hypergeometric reduction of ``nu`` (this check is its only
-    caller; the spin and Klein-Gordon residuals are written out
-    directly) and compares the resulting eigencondition,
-    rescaled to residual units, against pseudospin_energy_residual on a
-    100-point energy grid spanning the bound region around the n-th
-    level. Returns the maximum absolute difference; nonzero values mean
+    generic hypergeometric reduction of ``nu`` (which the residuals here
+    do not use; ``validate.kg_spin_deviation`` feeds it the Klein-Gordon
+    triple) and compares the resulting eigencondition, rescaled to
+    residual units, against pseudospin_energy_residual on a 100-point
+    energy grid spanning the bound region around the n-th level. Returns the maximum absolute difference; nonzero values mean
     the two derivation routes disagree.
     """
     n = _check_level(n)

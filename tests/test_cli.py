@@ -121,6 +121,20 @@ def test_spectrum_unphysical_coupling_exits_one(capsys):
     assert err.startswith("error:")
 
 
+def test_spectrum_negative_coupling_names_the_missing_ladder(capsys):
+    code, out, err = run_cli(["spectrum", "--branch", "spin", "--g", "-0.2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert re.fullmatch(r"error: 1 \+ 2 g \|energy_weight\| = \S+ < 0: no bound ladder at this energy\n", err)
+
+
+def test_spectrum_gap_below_float_resolution_exits_one(capsys):
+    code, out, err = run_cli(["spectrum", "--branch", "pseudospin", "--n-max", "1", "--c", "1e4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: level 0 sits on the window edge") and "below the float resolution" in err
+
+
 def test_arithmetic_error_exits_one_without_traceback(monkeypatch, capsys):
     def divide_by_zero(manifest):
         raise ZeroDivisionError("float division by zero")

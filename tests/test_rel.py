@@ -13,6 +13,8 @@ from isospectra.nonrel import Branch, OscillatorParams, wavefunction
 from isospectra.oracle import quadrature
 from isospectra.rel import (
     DiracParams,
+    PseudospinDerived,
+    SpinDerived,
     Symmetry,
     klein_gordon_energy,
     klein_gordon_residual,
@@ -89,6 +91,30 @@ def test_solver_rejects_wrong_branch():
 def test_no_root_in_window():
     with pytest.raises(NoRootInRange):
         solve_spin_energy(0, spin_params(1e12, 0.0))
+
+
+@pytest.mark.parametrize("params", [{"c": 1e4}, {"mass": 1e8}])
+def test_level_below_float_resolution_raises_no_root(params):
+    """At M c^2 = 1e8 the pseudospin gap (about 1e-8) is below the float spacing of E.
+
+    The bracket then closes on the window edge E = M c^2 + sym_constant,
+    where the residual's slope diverges; that is no level.
+    """
+    p = DiracParams(branch=Symmetry.PSEUDOSPIN, **params)
+    with pytest.raises(NoRootInRange, match="below the float resolution"):
+        solve_pseudospin_energy(0, p)
+
+
+def test_negative_coupling_beyond_ladder_is_unphysical():
+    message = r"1 \+ 2 g \|energy_weight\| = .* < 0: no bound ladder at this energy"
+    with pytest.raises(UnphysicalRegime, match=message):
+        solve_spin_energy(0, DiracParams(g=-0.2))
+    p = spin_params(-1.0, 0.0)
+    for res in (spin_energy_residual, klein_gordon_residual):
+        with pytest.raises(UnphysicalRegime, match=message):
+            res(3.0, 0, p)
+    with pytest.raises(UnphysicalRegime, match=message):
+        pseudospin_energy_residual(3.0, 0, pseudo_params(-1.0, 0.0))
 
 
 def test_residual_small_at_tabulated_energies():
@@ -306,6 +332,38 @@ def test_residuals_equal_their_written_out_form(c):
             assert spin_energy_residual(e, n, spin_p) == _written_out_residuals(spin_p, e, n)[0]
             assert pseudospin_energy_residual(e, n, pseudo_p) == _written_out_residuals(pseudo_p, e, n)[1]
             assert klein_gordon_residual(e, n, kg_p) == _written_out_residuals(kg_p, e, n)[2]
+
+
+def _written_out_derived(p, e, branch):
+    """The five derived combinations of one branch, spelled out from the fields alone."""
+    mc2 = p.mass * p.c**2
+    hc2 = (p.hbar * p.c) ** 2
+    if branch is Symmetry.SPIN:
+        weight = (mc2 + e - p.sym_constant) / hc2
+        magnitude, constant = weight, weight * (mc2 - e)
+    else:
+        weight = -(e - mc2 - p.sym_constant) / hc2
+        magnitude, constant = -weight, weight * (mc2 + e)
+    return (
+        weight,
+        constant,
+        0.5 * p.g * weight,
+        math.sqrt(0.5 * p.mass * p.omega**2 * magnitude),
+        0.5 * math.sqrt(1.0 + 2.0 * p.g * magnitude),
+    )
+
+
+@pytest.mark.parametrize("c", [1.0, 2.9, 137.0])
+def test_derived_equal_their_written_out_form(c):
+    spin_p = DiracParams(mass=1.7, omega=0.9, g=3.1, sym_constant=-0.4, hbar=1.3, c=c)
+    pseudo_p = replace(spin_p, branch=Symmetry.PSEUDOSPIN, kappa=None)
+    for e in spin_p.rest_energy * np.array([1.01, 1.3, 2.0, 7.5]):
+        e = float(e)
+        for p, derived in ((spin_p, spin_derived), (pseudo_p, pseudospin_derived)):
+            d = derived(p, e)
+            assert type(d) is (SpinDerived if p.branch is Symmetry.SPIN else PseudospinDerived)
+            fields = (d.energy_weight, d.constant_term, d.singular_coeff, d.falloff, d.ladder_order)
+            assert fields == _written_out_derived(p, e, p.branch)
 
 
 def test_replaced_dirac_params_get_fresh_constants():
