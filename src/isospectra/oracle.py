@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import GridTooCoarse, NoConvergence, ToleranceNotMet
+from .errors import GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
 from .rel import DiracParams, Symmetry
 
 __all__ = [
@@ -42,6 +42,7 @@ _COARSE_LIMIT = 1e-3
 _EIG_TOL = 1e-12  # absolute eigenvalue tolerance for the Sturm bisection;
 # the LAPACK default scales with the matrix norm, which the 1/x^2
 # diagonal inflates past any useful accuracy
+_EPS = float(np.finfo(float).eps)
 
 # fractional-power kinks at an endpoint (x^p, 0<p<1) need ~70 levels
 # before the halved tolerance catches up with the h^(p+1) error decay
@@ -121,16 +122,40 @@ def _evaluate_on(func, x: np.ndarray) -> np.ndarray:
     return np.array([float(func(xi)) for xi in x])
 
 
-def _tridiag_lowest(v: np.ndarray, spacing: float, kinetic: float, lo: int, hi: int) -> np.ndarray:
+def _tridiag_lowest(
+    v: np.ndarray, spacing: float, kinetic: float, lo: int, hi: int, enclosure: tuple[float, float] | None = None
+) -> np.ndarray:
     """Eigenvalues lo..hi of -kinetic f'' + v f with Dirichlet walls.
 
     v is sampled on the full grid; the first and last points are the
     walls themselves (f = 0 there), so the matrix acts on the interior.
+
+    ``enclosure`` = (a, b), for a single index lo == hi, is an interval
+    known to hold that eigenvalue. It is padded by the bisection
+    tolerance plus the rounding of the assembled diagonal and solved by
+    value, which bisects only the window instead of the whole Gershgorin
+    interval. The result is kept only when the window holds exactly one
+    eigenvalue; otherwise the index solve runs as without an enclosure.
     """
     v = v[1:-1]
     k = kinetic / spacing**2
     diag = 2.0 * k + v
     off = np.full(v.size - 1, -k)
+    if enclosure is not None:
+        if lo != hi:
+            raise ValueError(f"an enclosure bounds one eigenvalue, got indices {lo}..{hi}")
+        pad = _EIG_TOL + 8.0 * _EPS * float(np.max(np.abs(diag)))
+        found = eigh_tridiagonal(
+            diag,
+            off,
+            eigvals_only=True,
+            select="v",
+            select_range=(enclosure[0] - pad, enclosure[1] + pad),
+            lapack_driver="stebz",
+            tol=_EIG_TOL,
+        )
+        if found.size == 1:
+            return found
     return eigh_tridiagonal(
         diag,
         off,
@@ -157,8 +182,8 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if count > grid.n_points // 10:
         raise ValueError(f"count = {count} too large for {grid.n_points} grid points")
-    if not (mass > 0.0 and hbar > 0.0):
-        raise ValueError("mass and hbar must be positive")
+    if not (math.isfinite(mass) and mass > 0.0 and math.isfinite(hbar) and hbar > 0.0):
+        raise ValueError(f"mass and hbar must be positive and finite, got mass = {mass}, hbar = {hbar}")
     kinetic = hbar**2 / (2.0 * mass)
 
     def solve(g: Grid) -> np.ndarray:
@@ -231,7 +256,7 @@ def quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     """
     if not (math.isfinite(a) and tol > 0.0):
         raise ValueError("need finite a and positive tol")
-    if math.isinf(b):
+    if b == math.inf:
         b = _tail_cutoff(f, a)
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -305,6 +330,17 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     quadratic; steps are damped by half whenever they change sign.
     Stops when the energy moves by no more than 1e-9, raises
     NoConvergence after 200 sweeps.
+
+    Each solve on a grid after its first is bounded by the one before:
+    the matrix is K + w D, with K the FD form of -d^2/dx^2 (K >= 0)
+    and D = diag(U), so when every interior U > 0 Courant-Fischer puts
+    eigenvalue n at weight w' inside [min(1, r), max(1, r)] times its
+    value at w, r = w'/w. The eigensolve bisects only that window and
+    falls back to the index solve when the window does not hold exactly
+    one eigenvalue; a well with U <= 0 anywhere (g < 0) always takes the
+    index solve. Raises UnphysicalRegime when a sweep's weight puts the
+    1/x^2 term below the Hardy bound, 1 + 2 g weight < 0, and
+    GridTooCoarse when the error estimate exceeds 1e-3.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ValueError(f"level index must be a non-negative integer, got {n!r}")
@@ -322,14 +358,30 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     wells = {}
     for g in (grid, grid.halved_spacing(), grid.doubled_cutoff()):
         x = g.points()
-        wells[g] = 0.5 * p.mass * p.omega**2 * x**2 + p.g / (2.0 * x**2)
+        u = 0.5 * p.mass * p.omega**2 * x**2 + p.g / (2.0 * x**2)
+        wells[g] = (u, bool(np.all(u[1:-1] > 0.0)))
+    last: dict[Grid, tuple[float, float]] = {}  # (weight, eigenvalue) of each grid's latest solve
 
     def nth_curvature(g: Grid, weight: float) -> float:
         # -f'' + weight * U(x) f, eigenvalue number n
-        vals = _tridiag_lowest(weight * wells[g], g.spacing, 1.0, n, n)
-        return float(vals[0])
+        under = 1.0 + 2.0 * p.g * weight
+        if under < 0.0:
+            raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
+        u, positive = wells[g]
+        enclosure = None
+        if positive and g in last:
+            w_prev, lam_prev = last[g]
+            scaled = weight / w_prev * lam_prev
+            enclosure = (min(lam_prev, scaled), max(lam_prev, scaled))
+        lam = float(_tridiag_lowest(weight * u, g.spacing, 1.0, n, n, enclosure)[0])
+        last[g] = (weight, lam)
+        return lam
 
     e_value = mc2 + p.hbar * p.omega * (2.0 * n + 1.5)
+    if p.g < 0.0:
+        # A bound level has 1 + 2 g weight >= 0, so start just inside
+        # that edge rather than past it.
+        e_value = min(e_value, offset - mc2 - (1.0 - 1e-6) * hc2 / (2.0 * p.g))
     prev_step = 0.0
     converged = False
     for _ in range(200):
@@ -361,6 +413,8 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     lam_err = _RICHARDSON_SAFETY * abs(lam_h - lam_half) + abs(lam_h - lam_cut) + _RICHARDSON_FLOOR
     de_dlam = hc2 / (2.0 * e_value - offset)
     estimate = lam_err * abs(de_dlam) + _RICHARDSON_FLOOR
+    if estimate > _COARSE_LIMIT:
+        raise GridTooCoarse(f"error estimate {estimate:.3e} exceeds {_COARSE_LIMIT:.0e}")
     return OracleReport(
         eigenvalues=(float(e_value),),
         grid=grid,

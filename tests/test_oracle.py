@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from isospectra.errors import GridTooCoarse, NoConvergence, ToleranceNotMet
+from isospectra import oracle
+from isospectra.errors import GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
 from isospectra.nonrel import OscillatorParams, energy, wavefunction
 from isospectra.oracle import (
     Grid,
@@ -106,6 +107,12 @@ def test_fd_rejects_bad_input():
         fd_eigenvalues(lambda x: np.where(x < 1.0, np.inf, 0.0), 2, FAST_GRID)
 
 
+@pytest.mark.parametrize("mass,hbar", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)])
+def test_fd_rejects_nonfinite_mass_and_hbar(mass, hbar):
+    with pytest.raises(ValueError, match="positive and finite"):
+        fd_eigenvalues(OscillatorParams().potential, 2, FAST_GRID, mass=mass, hbar=hbar)
+
+
 def test_fd_coarse_grid_detected():
     p = OscillatorParams(g=2.0)
     with pytest.raises(GridTooCoarse):
@@ -158,6 +165,12 @@ def test_quadrature_rejects_bad_window():
         quadrature(lambda x: x, 1.0, 1.0)
     with pytest.raises(ValueError):
         quadrature(lambda x: x, 0.0, 1.0, tol=0.0)
+
+
+def test_quadrature_rejects_minus_infinity_upper_limit():
+    # only +inf is truncated; [0, -inf) is an empty window, not [0, +inf)
+    with pytest.raises(ValueError, match="need a < b"):
+        quadrature(lambda x: math.exp(-x), 0.0, -math.inf)
 
 
 # ------------------------------------------------------------ root scan
@@ -253,3 +266,103 @@ def test_ode_residual_rejects_bad_samples():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         ode_residual(bad, lambda x: x, grid)
+
+
+def test_selfconsistent_below_hardy_bound_is_unphysical():
+    # the closed-form solver refuses this coupling too; the oracle must not return a level
+    with pytest.raises(UnphysicalRegime, match=r"1 \+ 2 g \|energy_weight\| = .* < 0"):
+        dirac_selfconsistent(0, spin_params(-0.2, 0.0))
+    # here the level itself keeps 1 + 2 g weight > 0 and only the
+    # harmonic-ladder start is past the edge: the sweeps must start
+    # inside it, and the coarse grid is what fails
+    assert 1.0 + 2.0 * -0.15 * (1.0 + 2.5) < 0.0
+    with pytest.raises(GridTooCoarse):
+        dirac_selfconsistent(0, spin_params(-0.15, 0.0), FAST_GRID)
+
+
+def test_selfconsistent_coarse_grid_detected():
+    with pytest.raises(GridTooCoarse, match="exceeds 1e-03"):
+        dirac_selfconsistent(3, spin_params(2.0, 0.0), Grid(n_points=400))
+
+
+# ------------------------------------------------ enclosure-bounded solves
+
+
+def _weighted_well(weight, g=2.0, grid=FAST_GRID):
+    x = grid.points()
+    return weight * (0.5 * x**2 + g / (2.0 * x**2))
+
+
+def _record_selects(monkeypatch):
+    selects = []
+    real = oracle.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        selects.append(kwargs["select"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+    return selects
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_windowed_solve_equals_index_solve(monkeypatch, n):
+    h = FAST_GRID.spacing
+    w0, w1 = 3.2, 3.35
+    lam0 = float(oracle._tridiag_lowest(_weighted_well(w0), h, 1.0, n, n)[0])
+    expected = float(oracle._tridiag_lowest(_weighted_well(w1), h, 1.0, n, n)[0])
+    selects = _record_selects(monkeypatch)
+    window = (lam0, w1 / w0 * lam0)
+    got = oracle._tridiag_lowest(_weighted_well(w1), h, 1.0, n, n, window)
+    assert selects == ["v"]
+    assert got.shape == (1,)
+    assert abs(float(got[0]) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["empty", "two"])
+def test_windowed_solve_falls_back_to_index_solve(monkeypatch, case):
+    h = FAST_GRID.spacing
+    v = _weighted_well(3.0)
+    lams = oracle._tridiag_lowest(v, h, 1.0, 0, 3)
+    # eigenvalue 1, but the window misses it or also holds eigenvalue 2
+    window = {"empty": (lams[3] + 1.0, lams[3] + 2.0), "two": (lams[1], lams[2])}[case]
+    expected = oracle._tridiag_lowest(v, h, 1.0, 1, 1)
+    selects = _record_selects(monkeypatch)
+    got = oracle._tridiag_lowest(v, h, 1.0, 1, 1, window)
+    assert selects == ["v", "i"]
+    assert float(got[0]) == float(expected[0])
+
+
+def test_enclosure_needs_a_single_index():
+    with pytest.raises(ValueError, match="one eigenvalue"):
+        oracle._tridiag_lowest(_weighted_well(3.0), FAST_GRID.spacing, 1.0, 0, 1, (1.0, 2.0))
+
+
+def test_negative_coupling_never_takes_the_window(monkeypatch):
+    selects = _record_selects(monkeypatch)
+    dirac_selfconsistent(0, spin_params(-0.05, 0.0), FAST_GRID)
+    assert len(selects) >= 4
+    assert set(selects) == {"i"}
+
+
+@pytest.mark.parametrize("n,g,cs", [(0, 0.5, 0.0), (1, 2.0, 1.0), (3, 6.0, 2.0), (2, 0.0, 0.5)])
+def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs):
+    p = spin_params(g, cs)
+    selects = _record_selects(monkeypatch)
+    windowed = dirac_selfconsistent(n, p, FAST_GRID)
+    window_selects = list(selects)
+    selects.clear()
+
+    bounded = oracle._tridiag_lowest
+
+    def index_only(v, spacing, kinetic, lo, hi, enclosure=None):
+        return bounded(v, spacing, kinetic, lo, hi)
+
+    monkeypatch.setattr(oracle, "_tridiag_lowest", index_only)
+    reference = dirac_selfconsistent(n, p, FAST_GRID)
+    assert len(window_selects) == len(selects)
+    # every solve after the first on the declared grid is windowed; the
+    # first one there and the one on each of the two check grids are not
+    assert window_selects.count("i") == 3
+    assert windowed.eigenvalues[0] == pytest.approx(reference.eigenvalues[0], abs=1e-10)
+    assert windowed.richardson_error[0] == pytest.approx(reference.richardson_error[0], rel=1e-4)
