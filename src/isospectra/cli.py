@@ -300,31 +300,34 @@ def _run_wavefunction(manifest: RunManifest) -> RunResult:
     branch = prm["branch"]
     energy_out: float | None = None
 
-    if branch == "nonrel":
-        p = _nonrel_params(prm)
-        energy_out = nonrel.energy(n, p).value
-        isotonic = _off_origin(lambda x: nonrel.wavefunction(n, p, x), np.abs(xs))
-        mirror = xs < 0.0
-        if np.any(mirror):
-            m, x_neg = nonrel.derive(p).m, float(xs[mirror][0])
-            sign = nonrel.parity_extend(n, m, 1.0, x_neg)
-            if isinstance(sign, nonrel.NonNormalizable):
-                raise NonNormalizableError(f"no normalizable continuation to x = {x_neg} for m = {m}")
-            isotonic[mirror] *= sign
-        columns = {"isotonic": isotonic}
-        if prm["compare_harmonic"]:
-            columns["harmonic"] = nonrel.harmonic_wavefunction(n, p, xs)
-    elif branch == "spin":
-        dp = _dirac_params(prm, rel.Symmetry.SPIN)
-        energy_out = rel.solve_spin_energy(n, dp).value
-        columns = {
-            "upper": _off_origin(lambda x: rel.spin_upper_spinor(n, dp, energy_out, x), xs),
-            "lower": _off_origin(lambda x: rel.spin_lower_spinor(n, dp, energy_out, x), xs),
-        }
-    else:
-        dp = _dirac_params(prm, rel.Symmetry.PSEUDOSPIN)
-        energy_out = rel.solve_pseudospin_energy(n, dp).value
-        columns = {"lower": _off_origin(lambda x: rel.pseudospin_lower_spinor(n, dp, energy_out, x), xs)}
+    # An overflowing recurrence leaves inf or NaN in its column; the
+    # finiteness check below reports it, so numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if branch == "nonrel":
+            p = _nonrel_params(prm)
+            energy_out = nonrel.energy(n, p).value
+            isotonic = _off_origin(lambda x: nonrel.wavefunction(n, p, x), np.abs(xs))
+            mirror = xs < 0.0
+            if np.any(mirror):
+                m, x_neg = nonrel.derive(p).m, float(xs[mirror][0])
+                sign = nonrel.parity_extend(n, m, 1.0, x_neg)
+                if isinstance(sign, nonrel.NonNormalizable):
+                    raise NonNormalizableError(f"no normalizable continuation to x = {x_neg} for m = {m}")
+                isotonic[mirror] *= sign
+            columns = {"isotonic": isotonic}
+            if prm["compare_harmonic"]:
+                columns["harmonic"] = nonrel.harmonic_wavefunction(n, p, xs)
+        elif branch == "spin":
+            dp = _dirac_params(prm, rel.Symmetry.SPIN)
+            energy_out = rel.solve_spin_energy(n, dp).value
+            columns = {
+                "upper": _off_origin(lambda x: rel.spin_upper_spinor(n, dp, energy_out, x), xs),
+                "lower": _off_origin(lambda x: rel.spin_lower_spinor(n, dp, energy_out, x), xs),
+            }
+        else:
+            dp = _dirac_params(prm, rel.Symmetry.PSEUDOSPIN)
+            energy_out = rel.solve_pseudospin_energy(n, dp).value
+            columns = {"lower": _off_origin(lambda x: rel.pseudospin_lower_spinor(n, dp, energy_out, x), xs)}
 
     for name, values in columns.items():
         if not np.all(np.isfinite(values)):

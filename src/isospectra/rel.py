@@ -118,6 +118,11 @@ class DiracParams:
         """hbar c omega sqrt(2 M), the factor of (2n + 1 + order) in each residual."""
         return self.hbar * self.c * self.omega * math.sqrt(2.0 * self.mass)
 
+    @cached_property
+    def _spinor_memo(self) -> list:
+        """[((sign, E, n), derived, ln N)] of the latest spinor state sampled; see _spinor_state."""
+        return [(None, None, 0.0)]
+
     def potential(self, x):
         """The isotonic well U(x) shared by both branches."""
         x = np.asarray(x, dtype=float)
@@ -352,9 +357,26 @@ def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
     return _solve(n, p, Branch.KLEIN_GORDON, p.rest_energy)
 
 
-def _laguerre_state(n: int, d: SpinDerived, x):
+def _spinor_state(n: int, p: DiracParams, e_value: float, sign: float) -> tuple[SpinDerived, float]:
+    """(derived, ln N) of level n at e_value in the spin (sign +1) or pseudospin (sign -1) equation.
+
+    A quadrature integrand samples one (n, E) thousands of times, so the
+    latest state is kept on p and rebuilt only when (sign, E, n)
+    changes. One slot bounds the memory; it is replaced as a whole, so
+    derived and ln N always belong to the same key.
+    """
+    key = (sign, e_value, n)
+    entry = p._spinor_memo[0]
+    if entry[0] != key:
+        d = _derived(p, e_value, sign)
+        entry = (key, d, _log_norm(n, d.falloff, d.ladder_order))
+        p._spinor_memo[0] = entry
+    return entry[1], entry[2]
+
+
+def _laguerre_state(n: int, d: SpinDerived, ln_norm: float, x):
     """Envelope times L_n^(order)(falloff x^2), unit norm on x > 0: the shape of both normalized components."""
-    _, s, envelope = _envelope(_log_norm(n, d.falloff, d.ladder_order), d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    _, s, envelope = _envelope(ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
     return envelope * laguerre(n, d.ladder_order, s)
 
 
@@ -366,7 +388,7 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     elementwise; scalar in, scalar out.
     """
     n = _check_level(n)
-    return _laguerre_state(n, spin_derived(p, e_value), x)
+    return _laguerre_state(n, *_spinor_state(n, p, e_value, 1.0), x)
 
 
 def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
@@ -381,10 +403,10 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     denom = p.rest_energy + e_value - p.sym_constant
     if abs(denom) < 1e-12:
         raise DegenerateEnergy(f"energy denominator {denom} is on the coupling pole")
-    d = spin_derived(p, e_value)
+    d, ln_norm = _spinor_state(n, p, e_value, 1.0)
     nu = d.falloff
     zeta = d.ladder_order
-    x, s, envelope = _envelope(_log_norm(n, nu, zeta), nu, zeta, x, _SPINOR_DOMAIN)
+    x, s, envelope = _envelope(ln_norm, nu, zeta, x, _SPINOR_DOMAIN)
     bracket = ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
     bracket += laguerre_derivative(n, zeta, s) * 2.0 * nu * x
     return envelope * bracket / denom
@@ -398,7 +420,7 @@ def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     the polynomial weight integral. x > 0 elementwise.
     """
     n = _check_level(n)
-    return _laguerre_state(n, pseudospin_derived(p, e_value), x)
+    return _laguerre_state(n, *_spinor_state(n, p, e_value, -1.0), x)
 
 
 def pseudospin_map_check(n: int, p: DiracParams) -> float:

@@ -2,13 +2,20 @@
 
 Everything goes through cli.main(argv) so the tests exercise the same
 path a shell invocation would, including argparse exits and file
-writing, without paying subprocess startup per case.
+writing, without paying subprocess startup per case. The one exception
+runs ``python -m isospectra`` to see the stderr a shell would see.
 """
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import isospectra
 from isospectra import cli, nonrel
 from isospectra.errors import NonNormalizableError
 
@@ -236,14 +243,31 @@ def test_wavefunction_harmonic_column_is_nonrel_only(capsys):
     capsys.readouterr()
 
 
+OVERFLOW_ARGV = ["wavefunction", "--n", "2000", "--m", "1", "--x-min", "-80", "--x-max", "80", "--points", "5"]
+
+
 def test_wavefunction_overflow_exits_one_naming_the_column(capsys):
-    argv = ["wavefunction", "--n", "2000", "--m", "1", "--x-min", "-80", "--x-max", "80", "--points", "5"]
-    with pytest.warns(RuntimeWarning):
-        code, out, err = run_cli(argv, capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error line reports the overflow; numpy must not warn too
+        code, out, err = run_cli(OVERFLOW_ARGV, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: isotonic column of level n = 2000 has non-finite samples")
     assert "Laguerre recurrence overflows" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--compare-harmonic"]])
+def test_wavefunction_overflow_writes_only_the_error_line(extra):
+    # a real process: in-process, pytest records warnings instead of printing them
+    src = str(pathlib.Path(isospectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "isospectra", *OVERFLOW_ARGV, *extra], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: isotonic column of level n = 2000 has non-finite samples")
 
 
 # --------------------------------------------------------------- potential

@@ -23,6 +23,7 @@ from isospectra.rel import (
     DiracParams,
     Symmetry,
     pseudospin_energy_residual,
+    solve_spin_energy,
     spin_energy_residual,
 )
 
@@ -366,3 +367,94 @@ def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs
     assert window_selects.count("i") == 3
     assert windowed.eigenvalues[0] == pytest.approx(reference.eigenvalues[0], abs=1e-10)
     assert windowed.richardson_error[0] == pytest.approx(reference.richardson_error[0], rel=1e-4)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="below g = 0 the inner wall dominates and the doubled-cutoff re-solve does not bound it (ROADMAP item 3)",
+)
+def test_selfconsistent_estimate_bounds_error_at_negative_coupling():
+    # error 1.65e-3 against an estimate of 8.46e-4 on the default grid
+    p = spin_params(-0.1, 0.0)
+    rep = dirac_selfconsistent(0, p)
+    assert abs(rep.eigenvalues[0] - solve_spin_energy(0, p).value) <= rep.richardson_error[0]
+
+
+# ------------------------------------------------ FD check-grid windows
+
+
+def _index_only_near(monkeypatch):
+    lowest = oracle._tridiag_lowest
+
+    def index_only(v, spacing, kinetic, guesses):
+        return lowest(v, spacing, kinetic, 0, len(guesses) - 1)
+
+    monkeypatch.setattr(oracle, "_tridiag_near", index_only)
+
+
+@pytest.mark.parametrize("g", [-0.1, 0.5, 2.0, 6.0])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+def test_check_grid_windows_equal_index_solve(monkeypatch, g, count):
+    potential = OscillatorParams(g=g).potential
+    guesses = oracle._tridiag_lowest(potential(FAST_GRID.points()), FAST_GRID.spacing, 0.5, 0, count - 1)
+    for check in (FAST_GRID.halved_spacing(), FAST_GRID.doubled_cutoff()):
+        v = potential(check.points())
+        expected = oracle._tridiag_lowest(v, check.spacing, 0.5, 0, count - 1)
+        selects = _record_selects(monkeypatch)
+        got = oracle._tridiag_near(v, check.spacing, 0.5, guesses)
+        monkeypatch.undo()
+        # the windows were certified: value solves only, the last one the Sturm count
+        assert set(selects) == {"v"} and len(selects) >= count + 1
+        assert got.shape == (count,)
+        assert float(np.max(np.abs(got - expected))) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["shifted", "far", "overlapping", "crowded"])
+def test_check_grid_windows_reject_wrong_guesses(monkeypatch, case):
+    potential = OscillatorParams(g=2.0).potential
+    check = FAST_GRID.halved_spacing()
+    v = potential(check.points())
+    # a heavy particle crowds the levels to a spacing of about 6e-4
+    kinetic = 5e-8 if case == "crowded" else 0.5
+    lams = oracle._tridiag_lowest(v, check.spacing, kinetic, 0, 4)
+    guesses = {
+        "shifted": lams[1:4],  # one window per eigenvalue, but eigenvalue 0 lies below them all
+        "far": lams[:3] + 0.9,  # between levels: every window stays empty up to the coarse limit
+        "overlapping": np.array([lams[0], lams[0] + 1e-9, lams[2]]),
+        "crowded": np.array([0.5 * (lams[0] + lams[1]), lams[3], lams[4]]),  # the first window that fills holds several
+    }[case]
+    expected = oracle._tridiag_lowest(v, check.spacing, kinetic, 0, 2)
+    selects = _record_selects(monkeypatch)
+    got = oracle._tridiag_near(v, check.spacing, kinetic, guesses)
+    assert selects[-1] == "i" and selects.count("i") == 1
+    if case == "shifted":
+        assert selects[:-1] == ["v"] * 4  # three windows, then the count that rejects them
+    if case in ("far", "crowded"):
+        # 1e-7 widened tenfold to 1e-3: all empty, or the last one rejected at once
+        assert selects[:-1] == ["v"] * 5
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("g,count", [(0.5, 1), (2.0, 4), (6.0, 6), (-0.05, 2)])
+def test_fd_reports_index_solve_eigenvalues_bit_for_bit(monkeypatch, g, count):
+    potential = OscillatorParams(g=g).potential
+    selects = _record_selects(monkeypatch)
+    windowed = fd_eigenvalues(potential, count, FAST_GRID)
+    assert selects.count("i") == 1  # only the declared grid is solved by index
+    monkeypatch.undo()
+    _index_only_near(monkeypatch)
+    reference = fd_eigenvalues(potential, count, FAST_GRID)
+    assert windowed.eigenvalues == reference.eigenvalues
+    assert windowed.richardson_error == pytest.approx(reference.richardson_error, rel=1e-4)
+
+
+def test_fd_coarse_grid_message_unchanged(monkeypatch):
+    potential = OscillatorParams(g=2.0).potential
+    message = "worst error estimate 1.943e-03 exceeds 1e-03"
+    with pytest.raises(GridTooCoarse) as windowed:
+        fd_eigenvalues(potential, 2, Grid(1e-4, 20.0, 500))
+    _index_only_near(monkeypatch)
+    with pytest.raises(GridTooCoarse) as reference:
+        fd_eigenvalues(potential, 2, Grid(1e-4, 20.0, 500))
+    assert str(windowed.value) == str(reference.value) == message

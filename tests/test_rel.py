@@ -30,6 +30,7 @@ from isospectra.rel import (
     spin_lower_spinor,
     spin_upper_spinor,
 )
+from isospectra.specfun import laguerre, laguerre_derivative
 
 
 def spin_params(g, cs):
@@ -390,3 +391,73 @@ def test_equal_dirac_params_give_identical_results():
     assert p == q and hash(p) == hash(q)
     assert repr(p) == repr(q) == before
     assert "rest_energy" not in before and p != replace(p, c=2.0)
+
+
+# ------------------------------------------------------- spinor state memo
+
+
+def _written_out_spinor(kind, n, p, e, x):
+    """The spinor from spin_derived/pseudospin_derived and the normalization, rebuilt on every call."""
+    d = (pseudospin_derived if kind == "pseudo" else spin_derived)(p, e)
+    nu, zeta = d.falloff, d.ladder_order
+    ln_norm = 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(nu) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
+    if isinstance(x, float):
+        xp, s = math, nu * x * x
+    else:
+        xp, s = np, nu * x**2
+    envelope = xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s)
+    if kind != "lower":
+        return envelope * laguerre(n, zeta, s)
+    bracket = ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
+    bracket += laguerre_derivative(n, zeta, s) * 2.0 * nu * x
+    return envelope * bracket / (p.rest_energy + e - p.sym_constant)
+
+
+_SPINORS = {"upper": spin_upper_spinor, "lower": spin_lower_spinor, "pseudo": pseudospin_lower_spinor}
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else np.asarray(v).tobytes()
+
+
+def test_spinor_memo_is_invisible():
+    p = DiracParams(mass=1.3, omega=0.8, g=2.7, sym_constant=0.6, hbar=1.1, c=1.9)
+    q = pseudo_params(1.4, -0.8)
+    twin = DiracParams(mass=1.3, omega=0.8, g=2.7, sym_constant=0.6, hbar=1.1, c=1.9)
+    before = (repr(p), hash(p))
+    e2, e1 = solve_spin_energy(2, p).value, solve_spin_energy(1, p).value
+    eq = solve_pseudospin_energy(2, q).value
+    xs = np.linspace(0.05, 5.0, 9)
+    # interleave levels, energies, components and branches (one params object serves both
+    # equations at one (n, E)) so every call changes or keeps the state
+    calls = [("upper", 2, p, e2), ("lower", 2, p, e2), ("upper", 1, p, e1), ("upper", 2, p, e1),
+             ("lower", 1, p, e1), ("upper", 2, p, e2), ("pseudo", 2, p, e2), ("upper", 2, p, e2),
+             ("pseudo", 2, q, eq), ("pseudo", 0, q, eq)]
+    for kind, n, params, e in calls + calls[::-1]:
+        for x in (0.7, 2.3, xs):
+            got = _SPINORS[kind](n, params, e, x)
+            assert _bits(got) == _bits(_written_out_spinor(kind, n, params, e, x))
+            if params is p:
+                assert _bits(got) == _bits(_SPINORS[kind](n, twin, e, x))
+    assert len(p._spinor_memo) == 1
+    assert (repr(p), hash(p)) == before and p == twin
+    assert "_spinor_memo" not in repr(p)
+    # replace builds from the fields alone: a new coupling at the same (n, E) is not served stale
+    r = replace(p, g=3.5)
+    assert r != p
+    assert _bits(spin_upper_spinor(2, r, e2, xs)) == _bits(_written_out_spinor("upper", 2, r, e2, xs))
+    assert _bits(spin_upper_spinor(2, r, e2, xs)) != _bits(spin_upper_spinor(2, p, e2, xs))
+    assert replace(p) == p and hash(replace(p)) == hash(p)
+
+
+def test_spinor_memo_keeps_no_failed_state():
+    p = spin_params(2.0, 0.0)
+    e = solve_spin_energy(1, p).value
+    good = spin_upper_spinor(1, p, e, 1.1)
+    for _ in range(2):  # outside the window E + M c^2 - C > 0 each call raises again
+        with pytest.raises(ValueError):
+            spin_upper_spinor(1, p, -5.0, 1.1)
+    assert spin_upper_spinor(1, p, e, 1.1).hex() == good.hex()
+    with pytest.raises(ValueError):
+        spin_upper_spinor(-1, p, e, 1.1)
+    assert spin_lower_spinor(1, p, e, 1.1).hex() == _written_out_spinor("lower", 1, p, e, 1.1).hex()
