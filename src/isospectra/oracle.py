@@ -47,6 +47,10 @@ _EPS = float(np.finfo(float).eps)
 # max(1, |lambda|) and grow by the factor until they reach _COARSE_LIMIT
 _WINDOW_SEED = 1e-7
 _WINDOW_GROWTH = 10.0
+# a value solve drops the rows past the point where the eigenvectors it
+# can find have decayed so far that no eigenvalue moves by more than
+# this times max(1, |top of the interval|)
+_TAIL_BOUND = 1e-30
 
 # fractional-power kinks at an endpoint (x^p, 0<p<1) need ~70 levels
 # before the halved tolerance catches up with the h^(p+1) error decay
@@ -154,6 +158,84 @@ def _bisect(diag: np.ndarray, off: np.ndarray, select: str, select_range, tol: f
     )
 
 
+def _start_clip(v: np.ndarray, pad: float) -> float:
+    """A value above where ``stebz`` may start a value solve of the matrix or of a leading block.
+
+    ``stebz`` clips a value window to the Gershgorin interval of the
+    matrix, widened by a term proportional to its row count. Every
+    leading block that keeps the row of min v[2:-2] (a row with two
+    neighbours, whose Gershgorin bound is that v up to the rounding
+    ``pad`` from ``_rounding_pad``) has its lower Gershgorin end below
+    this value. So a window whose bottom is at or above it starts at
+    that bottom whatever the row count; ``_live_rows`` keeps that row
+    whenever the window's top lies above it. The upper end never binds:
+    the last row that ``_live_rows`` keeps is forbidden at the top, so
+    its Gershgorin bound lies above the top by more than
+    2 kinetic / spacing^2.
+    """
+    return float(np.min(v[2:-2])) + pad
+
+
+def _live_rows(v: np.ndarray, kinetic: float, spacing: float, top: float) -> int:
+    """Number m of leading interior rows that decide every Sturm count at or below ``top``.
+
+    T is the ``_assemble`` matrix of v (walls excluded), T_m its leading
+    m x m block, k = kinetic / spacing^2 and a_i = (v_i - top) / k. Row
+    s is the first after the last row with a_i <= 0, so every row from
+    s on is classically forbidden at ``top``. From s on, c_i is the
+    minimum of a over rows i.. (non-decreasing by construction),
+    rho_i = 1 / (1 + c_i/2 + sqrt(c_i + c_i^2/4)) is the decaying root
+    of rho + 1/rho = 2 + c_i, and Q_i = rho_s rho_(s+1) ... rho_i. The
+    result is the first m > s with
+
+        B_m = Q_m^2 (k / rho_m + (1 + |top - min v|) / (1 - rho_m^2))
+            <= 1e-30 max(1, |top|),
+
+    or every row when there is none (also when the last row is allowed).
+
+    Proof that the counts agree. Let T u = lambda u with ||u|| = 1,
+    lambda <= top, n rows and q_i = u_(i+1) / u_i. Row i reads
+    1/q_(i-1) = 2 + (v_i - lambda)/k - q_i, and (v_i - lambda)/k >= c_i
+    for i >= s. The wall gives q_(n-1) = 0. If 0 <= q_i <= rho_(i+1)
+    <= rho_i, then 1/q_(i-1) >= 2 + c_i - rho_i = 1/rho_i, so induction
+    down to row s gives |u_i| <= rho_i |u_(i-1)| and |u_i| <= Q_i. The
+    step needs rho_(i+1) <= rho_i, which is why c is a suffix minimum:
+    a tail that dips again still gets a valid bound. The weight past
+    the cut is then tau^2 <= Q_m^2 / (1 - rho_m^2) <= B_m.
+
+    Cauchy interlacing gives lambda_j(T) <= lambda_j(T_m). For the other
+    side, cut the eigenvectors of lambda_0..lambda_j (all <= top) to rows
+    [0, m). T_m maps each cut vector to lambda_b times itself plus
+    k u_m e_(m-1), the dropped coupling, with |k u_(m-1) u_m| <=
+    k Q_m^2 / rho_m. Their overlaps differ from the identity by at most
+    tau^2 each, weighted in the Rayleigh quotient by lambda_j - lambda_b
+    <= top - min v. On their span the quotient therefore bounds
+
+        lambda_j(T_m) <= lambda_j(T) + (j + 1) B_m / (1 - (j + 1) B_m).
+
+    So a Sturm count of T_m at any shift up to ``top`` equals the count
+    of T, unless the shift lies within about 1e-29 max(1, |top|) of an
+    eigenvalue, far below the float spacing there. The same holds for
+    LAPACK's float counts: the pivots of rows [0, m) are the same
+    operations in both, and the rounding of a and of the diagonal moves
+    each bound by a relative amount near eps, far inside the margin.
+    """
+    k = kinetic / spacing**2
+    a = (v[1:-1] - top) / k
+    allowed = np.flatnonzero(a <= 0.0)
+    s = int(allowed[-1]) + 1 if allowed.size else 0
+    if s + 1 >= a.size:
+        return a.size
+    tail = np.minimum.accumulate(a[s:][::-1])[::-1]
+    root = np.sqrt(tail + 0.25 * tail * tail)
+    rho = 1.0 / (1.0 + 0.5 * tail + root)
+    spread = 1.0 + abs(top - float(np.min(v[1:-1])))
+    # k / rho + spread / (1 - rho^2), with 1 - rho^2 = 2 rho root
+    log_bound = 2.0 * np.cumsum(np.log(rho)) + np.log((k + spread / (2.0 * root)) / rho)
+    past = np.flatnonzero(log_bound[1:] <= math.log(_TAIL_BOUND * max(1.0, abs(top))))
+    return s + 1 + int(past[0]) if past.size else a.size
+
+
 def _tridiag_lowest(
     v: np.ndarray, spacing: float, kinetic: float, lo: int, hi: int, enclosure: tuple[float, float] | None = None
 ) -> np.ndarray:
@@ -165,13 +247,26 @@ def _tridiag_lowest(
     value, which bisects only the window instead of the whole Gershgorin
     interval. The result is kept only when the window holds exactly one
     eigenvalue; otherwise the index solve runs as without an enclosure.
+
+    The value solve also drops the rows past ``_live_rows`` at the
+    window's top: every eigenvector below that top has decayed there
+    beyond any effect on a Sturm count (the proof is there). When the
+    window starts at or above ``_start_clip``, LAPACK bisects from the
+    window itself whatever the row count, so its midpoints, counts and
+    result are bit-identical to a solve over every row; a window that
+    starts lower keeps every row. The index solve keeps every row too:
+    no top is known before it, and ``stebz`` starts it from the
+    Gershgorin interval, widened by a term proportional to the row
+    count, so a cut would move its results within the tolerance.
     """
     diag, off = _assemble(v, spacing, kinetic)
     if enclosure is not None:
         if lo != hi:
             raise ValueError(f"an enclosure bounds one eigenvalue, got indices {lo}..{hi}")
         pad = _rounding_pad(diag)
-        found = _bisect(diag, off, "v", (enclosure[0] - pad, enclosure[1] + pad))
+        bottom, top = enclosure[0] - pad, enclosure[1] + pad
+        live = _live_rows(v, kinetic, spacing, top) if bottom >= _start_clip(v, pad) else diag.size
+        found = _bisect(diag[:live], off[: live - 1], "v", (bottom, top))
         if found.size == 1:
             return found
     return _bisect(diag, off, "i", (lo, hi))
@@ -190,25 +285,44 @@ def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.nda
     are made. floor is min(v) less the rounding pad, a lower bound of
     the spectrum: the matrix is K + diag(v) with the Dirichlet second
     difference K positive definite. When any condition fails, the index
-    solve of ``_tridiag_lowest`` runs instead.
+    solve of ``_tridiag_lowest`` runs instead, over every row.
+
+    The windows and the count bisect only the rows before ``_live_rows``
+    at the highest top a window can reach: max(guesses) plus 10 times
+    the coarse-grid limit scaled by max(1, |max guess|). Past those rows
+    every eigenvector below that top has decayed beyond any effect on a
+    Sturm count. A window that starts at or above ``_start_clip`` is
+    bisected from itself whatever the row count, so its value is
+    bit-identical to a solve over every row; a window that starts lower
+    keeps every row. The count uses only its size, which the proof
+    covers from any start.
     """
     diag, off = _assemble(v, spacing, kinetic)
+    highest = float(np.max(guesses))
+    live = _live_rows(v, kinetic, spacing, highest + _WINDOW_GROWTH * _COARSE_LIMIT * max(1.0, abs(highest)))
+    pad = _rounding_pad(diag)
+    clip = _start_clip(v, pad)
+
+    def window(guess: float, half: float) -> np.ndarray:
+        rows = live if guess - half >= clip else diag.size
+        return _bisect(diag[:rows], off[: rows - 1], "v", (guess - half, guess + half))
+
     located = []
     top = -math.inf
     for guess in guesses:
         guess = float(guess)
         half = _WINDOW_SEED * max(1.0, abs(guess))
-        found = _bisect(diag, off, "v", (guess - half, guess + half))
+        found = window(guess, half)
         while found.size == 0 and half < _COARSE_LIMIT:
             half *= _WINDOW_GROWTH
-            found = _bisect(diag, off, "v", (guess - half, guess + half))
+            found = window(guess, half)
         if found.size != 1 or guess - half < top:
             break
         located.append(float(found[0]))
         top = guess + half
     else:
-        floor = float(np.min(v[1:-1])) - _rounding_pad(diag)
-        if _bisect(diag, off, "v", (floor, top), tol=2.0 * (top - floor)).size == len(guesses):
+        floor = float(np.min(v[1:-1])) - pad
+        if _bisect(diag[:live], off[: live - 1], "v", (floor, top), tol=2.0 * (top - floor)).size == len(guesses):
             return np.array(located)
     return _bisect(diag, off, "i", (0, len(guesses) - 1))
 
@@ -231,6 +345,21 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     each holds exactly one eigenvalue, and a Sturm count above a proven
     lower bound of the spectrum finds exactly ``count`` eigenvalues up
     to the last window; otherwise that grid takes the index solve.
+
+    Those value solves bisect only the leading rows that an eigenvector
+    below the highest window can reach (``_live_rows``). Past the last
+    classically allowed row such an eigenvector decays at least as fast
+    as a product of the decaying roots of rho + 1/rho = 2 + a, with a the
+    suffix minimum of (V - top) / (hbar^2 / 2M h^2). Cauchy interlacing
+    and the cut eigenvectors then pin every eigenvalue up to the top
+    within about 1e-29 max(1, |top|) of the whole grid's, so every Sturm
+    count, and so every reported value and estimate, is bit-identical.
+    The index solves, here and in every fallback, keep every row: no
+    top is known before them, and LAPACK starts them from an interval
+    that widens with the row count.
+
+    V is sampled on the interior points only: the walls are the
+    Dirichlet boundary, so V may be infinite or undefined there.
     """
     grid = grid if grid is not None else Grid()
     if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
@@ -242,8 +371,11 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     kinetic = hbar**2 / (2.0 * mass)
 
     def sample(g: Grid) -> np.ndarray:
-        v = _evaluate_on(potential, g.points())
-        if not np.all(np.isfinite(v)):
+        # only the interior enters the matrix (see _assemble): a potential
+        # may be infinite, or undefined, at the walls themselves
+        v = np.full(g.n_points, math.nan)
+        v[1:-1] = _evaluate_on(potential, g.points()[1:-1])
+        if not np.all(np.isfinite(v[1:-1])):
             raise ValueError("potential must be finite on the grid interior")
         return v
 
@@ -338,14 +470,23 @@ def scan_roots(f, lo: float, hi: float, steps: int) -> list[float]:
 
     Bisects each bracketing cell to absolute width 1e-12. Roots the
     scan cannot see (even-order touches, pairs inside one cell) are
-    missed by design; callers choose ``steps`` accordingly.
+    missed by design; callers choose ``steps`` accordingly. Raises
+    ValueError at the first sample, in the scan or in a bisection,
+    where f is not finite: a sign change could hide behind it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 2:
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+
+    def sample(x: float) -> float:
+        value = float(f(x))
+        if not math.isfinite(value):
+            raise ValueError(f"f is not finite at x = {x!r}: {value}")
+        return value
+
     xs = np.linspace(lo, hi, steps + 1)
-    fs = [float(f(float(x))) for x in xs]
+    fs = [sample(float(x)) for x in xs]
     roots: list[float] = []
     for i in range(steps):
         f0, f1 = fs[i], fs[i + 1]
@@ -359,7 +500,7 @@ def scan_roots(f, lo: float, hi: float, steps: int) -> list[float]:
                 mid = 0.5 * (a + b)
                 if mid <= a or mid >= b:
                     break
-                fmid = float(f(mid))
+                fmid = sample(mid)
                 if fmid == 0.0:
                     a = b = mid
                     break
@@ -397,6 +538,18 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     index solve. Raises UnphysicalRegime when a sweep's weight puts the
     1/x^2 term below the Hardy bound, 1 + 2 g weight < 0, and
     GridTooCoarse when the error estimate exceeds 1e-3.
+
+    Each windowed solve also bisects only the leading rows that an
+    eigenvector below the window's top can reach (``_live_rows``, which
+    holds the proof: the eigenvector decays past the last classically
+    allowed row at least as a product of decaying roots, and Cauchy
+    interlacing plus the cut eigenvectors pin each eigenvalue to within
+    about 1e-29 max(1, |top|)). The levels and estimates are therefore
+    bit-identical to solves over every row. A window that starts below
+    where LAPACK would start a solve of the cut matrix keeps every row
+    (``_start_clip``), and so does each grid's first solve, an index
+    solve: no top is known before it, and LAPACK starts it from an
+    interval that widens with the row count.
 
     For g < 0 the estimate can understate the error: near the Hardy
     edge the inner wall dominates, and the doubled-cutoff re-solve does

@@ -458,3 +458,150 @@ def test_fd_coarse_grid_message_unchanged(monkeypatch):
     with pytest.raises(GridTooCoarse) as reference:
         fd_eigenvalues(potential, 2, Grid(1e-4, 20.0, 500))
     assert str(windowed.value) == str(reference.value) == message
+
+
+# ------------------------------------------- forbidden-tail row cut
+
+
+def _every_row(monkeypatch):
+    monkeypatch.setattr(oracle, "_live_rows", lambda v, kinetic, spacing, top: v.size - 2)
+
+
+def _record_rows(monkeypatch):
+    solves = []
+    real = oracle.eigh_tridiagonal
+
+    def recording(diag, off, **kwargs):
+        solves.append((kwargs["select"], diag.size))
+        return real(diag, off, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+    return solves
+
+
+def _outcome(run):
+    try:
+        return run()
+    except GridTooCoarse as exc:  # the error's message holds the worst estimate
+        return str(exc)
+
+
+@pytest.mark.parametrize("g", [-0.1, 0.5, 2.0, 6.0])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+def test_row_cut_keeps_fd_report_bit_for_bit(monkeypatch, g, count):
+    # at g = -0.1 this grid is too coarse from count 2 on
+    def run():
+        return fd_eigenvalues(OscillatorParams(g=g).potential, count, FAST_GRID)
+
+    cut = _outcome(run)
+    _every_row(monkeypatch)
+    assert cut == _outcome(run)
+
+
+# in the last case one window starts below where LAPACK would start the cut matrix
+@pytest.mark.parametrize("n,g,cs", [(0, 0.5, 0.0), (1, 2.0, 1.0), (3, 6.0, 2.0), (2, 0.0, 0.5), (0, 6.0, 2.0)])
+def test_row_cut_keeps_selfconsistent_report_bit_for_bit(monkeypatch, n, g, cs):
+    p = spin_params(g, cs)
+    cut = dirac_selfconsistent(n, p, FAST_GRID)
+    _every_row(monkeypatch)
+    assert cut == dirac_selfconsistent(n, p, FAST_GRID)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: fd_eigenvalues(OscillatorParams(g=2.0).potential, 3),
+        lambda: dirac_selfconsistent(1, spin_params(2.0, 1.0)),
+    ],
+    ids=["fd", "selfconsistent"],
+)
+def test_row_cut_shortens_every_value_solve_on_default_grid(monkeypatch, run):
+    solves = _record_rows(monkeypatch)
+    run()
+    cut = list(solves)
+    solves.clear()
+    _every_row(monkeypatch)
+    run()
+    assert [select for select, _ in cut] == [select for select, _ in solves]
+    assert "v" in {select for select, _ in cut}
+    for (select, rows), (_, every) in zip(cut, solves):
+        assert rows < every if select == "v" else rows == every
+
+
+@pytest.mark.parametrize("depth", [60.0, 120.0])
+def test_row_cut_keeps_levels_of_a_second_well_past_the_first(monkeypatch, depth):
+    # depth 60: the forbidden tail dips again near x = 15; depth 120: that
+    # dip holds levels of its own, below the top of the windows
+    isotonic = OscillatorParams(g=2.0).potential
+
+    def potential(x):
+        return isotonic(x) - depth * np.exp(-((x - 15.0) ** 2))
+
+    cut = fd_eigenvalues(potential, 6, FAST_GRID)
+    _every_row(monkeypatch)
+    assert cut == fd_eigenvalues(potential, 6, FAST_GRID)
+
+
+def test_live_rows_keeps_every_row_when_the_last_row_is_allowed():
+    x = FAST_GRID.points()
+    v = 0.5 * x**2 + 1.0 / x**2
+    h = FAST_GRID.spacing
+    assert oracle._live_rows(v, 0.5, h, float(v[-2])) == x.size - 2
+    assert oracle._live_rows(v, 0.5, h, 1e3) == x.size - 2
+    assert oracle._live_rows(v, 0.5, h, 10.0) < x.size - 2
+
+
+def test_window_below_bisection_start_keeps_every_row(monkeypatch):
+    v = _weighted_well(3.0)
+    h = FAST_GRID.spacing
+    lam = oracle._tridiag_lowest(v, h, 1.0, 0, 0)
+    window = (float(np.min(v[1:-1])) - 1.0, float(lam[0]) + 0.5)  # starts below every row's Gershgorin bound
+    solves = _record_rows(monkeypatch)
+    got = oracle._tridiag_lowest(v, h, 1.0, 0, 0, window)
+    assert solves == [("v", FAST_GRID.n_points - 2)]
+    assert abs(float(got[0] - lam[0])) <= 1e-12
+
+
+def test_check_grid_window_below_bisection_start_keeps_every_row(monkeypatch):
+    # a flat floor and a light particle: the ground level sits 4.7e-5 above
+    # min v, so the window that first holds it reaches below min v
+    x = FAST_GRID.points()
+    v = np.where(x < 10.0, 0.0, (x - 10.0) ** 2)
+    h = FAST_GRID.spacing
+    solves = _record_rows(monkeypatch)
+    got = oracle._tridiag_near(v, h, 5e-4, np.array([0.0]))
+    assert [rows for _, rows in solves[:-1]] == [FAST_GRID.n_points - 2] * 4
+    assert solves[-1][1] < FAST_GRID.n_points - 2  # the count needs only its size
+    monkeypatch.undo()
+    _every_row(monkeypatch)
+    assert got.tobytes() == oracle._tridiag_near(v, h, 5e-4, np.array([0.0])).tobytes()
+
+
+# ------------------------------------------------ samples and walls
+
+
+def test_fd_never_samples_the_walls():
+    def array_potential(x):
+        return 0.5 * x**2 + 1.0 / x**2 + 1.0 / (20.0 - x)
+
+    def scalar_potential(x):
+        x = float(x)
+        return 0.5 * x**2 + 1.0 / x**2 + 1.0 / (20.0 - x)
+
+    grid = Grid(1e-4, 20.0, 4000)
+    with np.errstate(divide="raise", invalid="raise"):
+        rep = fd_eigenvalues(array_potential, 3, grid)
+    assert rep == fd_eigenvalues(scalar_potential, 3, grid)
+    # g = 2 isotonic ladder 2.5, 4.5, 6.5 plus about 1/20 from the outer wall term
+    assert rep.eigenvalues == pytest.approx((2.554, 4.556, 6.557), abs=1e-3)
+
+
+def test_scan_rejects_nonfinite_sample_in_the_scan():
+    with pytest.raises(ValueError, match=r"not finite at x = 0\.5"):
+        scan_roots(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 10)
+
+
+def test_scan_rejects_nonfinite_sample_in_a_bisection():
+    # no grid point of the 9-step scan falls in (0.49, 0.51); the first midpoint does
+    with pytest.raises(ValueError, match=r"not finite at x = 0\.5"):
+        scan_roots(lambda x: math.inf if 0.49 < x < 0.51 else x - 0.5, 0.0, 1.0, 9)
