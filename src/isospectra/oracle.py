@@ -43,10 +43,15 @@ _EIG_TOL = 1e-12  # absolute eigenvalue tolerance for the Sturm bisection;
 # the LAPACK default scales with the matrix norm, which the 1/x^2
 # diagonal inflates past any useful accuracy
 _EPS = float(np.finfo(float).eps)
-# value windows around a known eigenvalue open at this fraction of
-# max(1, |lambda|) and grow by the factor until they reach _COARSE_LIMIT
+# a grid's first value window around a known eigenvalue opens at this
+# fraction of max(1, |lambda|); every window grows by the factor until
+# it reaches _COARSE_LIMIT
 _WINDOW_SEED = 1e-7
 _WINDOW_GROWTH = 10.0
+# each later window opens at this multiple of the shift just measured,
+# and no narrower than the floor (the bisection's own spread)
+_SHIFT_MARGIN = 4.0
+_SHIFT_FLOOR = 8.0 * _EIG_TOL
 # a value solve drops the rows past the point where the eigenvectors it
 # can find have decayed so far that no eigenvalue moves by more than
 # this times max(1, |top of the interval|)
@@ -272,20 +277,29 @@ def _tridiag_lowest(
     return _bisect(diag, off, "i", (lo, hi))
 
 
-def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.ndarray) -> np.ndarray:
-    """Eigenvalues 0..len(guesses)-1 of the ``_tridiag_lowest`` operator, each bisected near its guess.
+def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Eigenvalues lo..lo+len(guesses)-1 of the ``_tridiag_lowest`` operator, each bisected near its guess.
 
     Guess e_i (ascending) gets the value window (e_i - d, e_i + d], d
-    opening at 1e-7 max(1, |e_i|) and growing tenfold while the window
-    is empty, up to the 1e-3 coarse-grid limit. The located values are certified
-    to be eigenvalues 0..count-1 when the windows are disjoint, each
-    holds exactly one eigenvalue, and a Sturm count finds exactly count
-    eigenvalues in (floor, top of the last window]. The count runs with
-    a tolerance wider than that interval, so only its endpoint counts
-    are made. floor is min(v) less the rounding pad, a lower bound of
-    the spectrum: the matrix is K + diag(v) with the Dirichlet second
-    difference K positive definite. When any condition fails, the index
-    solve of ``_tridiag_lowest`` runs instead, over every row.
+    growing tenfold while the window is empty, up to the 1e-3 coarse-grid
+    limit. The first window opens at 1e-7 max(1, |e_0|). Each later one
+    opens at the shift just measured: once eigenvalue i is found at
+    |found - e_i|, the window for i + 1 opens at four times that shift,
+    but no narrower than 8 times the bisection tolerance (a zero shift
+    would never grow) and no wider than the coarse-grid limit (so no
+    window passes the top the row cut below is proved for). A check grid shifts neighbouring eigenvalues
+    by similar amounts, so that window usually holds its eigenvalue at
+    once; when it does not, it grows like any other. The located values
+    are certified to be eigenvalues lo..lo+count-1 when the windows are
+    disjoint, each holds exactly one eigenvalue, and a Sturm count finds
+    exactly lo + count eigenvalues in (floor, top of the last window].
+    The count runs with a tolerance wider than that interval, so only
+    its endpoint counts are made. floor is min(v) less the rounding pad,
+    a lower bound of the spectrum: the matrix is K + diag(v) with the
+    Dirichlet second difference K positive definite. The openings only
+    decide how many windows are bisected, never what is accepted. When
+    any condition fails, the index solve (lo, lo+count-1) of
+    ``_tridiag_lowest`` runs instead, over every row.
 
     The windows and the count bisect only the rows before ``_live_rows``
     at the highest top a window can reach: max(guesses) plus 10 times
@@ -309,9 +323,9 @@ def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.nda
 
     located = []
     top = -math.inf
+    half = _WINDOW_SEED * max(1.0, abs(float(guesses[0])))
     for guess in guesses:
         guess = float(guess)
-        half = _WINDOW_SEED * max(1.0, abs(guess))
         found = window(guess, half)
         while found.size == 0 and half < _COARSE_LIMIT:
             half *= _WINDOW_GROWTH
@@ -320,11 +334,34 @@ def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.nda
             break
         located.append(float(found[0]))
         top = guess + half
+        half = min(max(_SHIFT_MARGIN * abs(located[-1] - guess), _SHIFT_FLOOR), _COARSE_LIMIT)
     else:
         floor = float(np.min(v[1:-1])) - pad
-        if _bisect(diag[:live], off[: live - 1], "v", (floor, top), tol=2.0 * (top - floor)).size == len(guesses):
+        if _bisect(diag[:live], off[: live - 1], "v", (floor, top), tol=2.0 * (top - floor)).size == lo + len(guesses):
             return np.array(located)
-    return _bisect(diag, off, "i", (0, len(guesses) - 1))
+    return _bisect(diag, off, "i", (lo, lo + len(guesses) - 1))
+
+
+def _check_grids(grid: Grid) -> tuple[Grid, Grid]:
+    """The halved-spacing and doubled-cutoff check grids of ``grid``."""
+    if not 2.0 * grid.x_min < grid.x_max:
+        raise ValueError(
+            f"the doubled-cutoff check grid needs 2 x_min < x_max, got x_min = {grid.x_min}, x_max = {grid.x_max}"
+        )
+    return grid.halved_spacing(), grid.doubled_cutoff()
+
+
+def _check_grid_error(sample, checks: tuple[Grid, Grid], kinetic: float, values: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Error estimate of eigenvalues lo..lo+len(values)-1, found on the declared grid, from its two check grids.
+
+    ``sample(g)`` is the potential on grid g and ``checks`` comes from
+    ``_check_grids``. Each check grid is solved by ``_tridiag_near``
+    around ``values``; the estimate is 2 |e - e_half| + |e - e_cut|
+    + 1e-10, the half-spacing pair scaled for a second-order scheme with
+    safety plus the wall sensitivity.
+    """
+    half, cut = (_tridiag_near(sample(g), g.spacing, kinetic, values, lo) for g in checks)
+    return _RICHARDSON_SAFETY * np.abs(values - half) + np.abs(values - cut) + _RICHARDSON_FLOOR
 
 
 def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float = 1.0, hbar: float = 1.0) -> OracleReport:
@@ -338,13 +375,19 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     Raises GridTooCoarse when any estimate exceeds 1e-3.
 
     The declared grid is solved by index. The two check grids are
-    solved by value (``_tridiag_near``): each of their eigenvalues is
-    bisected in a small window around the declared grid's value, which
-    locates it to within the 1e-3 limit whenever the grid is fine
-    enough to pass. The set is kept only when the windows are disjoint,
-    each holds exactly one eigenvalue, and a Sturm count above a proven
-    lower bound of the spectrum finds exactly ``count`` eigenvalues up
-    to the last window; otherwise that grid takes the index solve.
+    solved by value (``_check_grid_error``, which ``dirac_selfconsistent``
+    shares): each of their eigenvalues is bisected in a small window
+    around the declared grid's value, which locates it to within the
+    1e-3 limit whenever the grid is fine enough to pass. After a grid's
+    first eigenvalue, each window opens at four times the shift just
+    measured on that grid (about 1e-10 relative on the doubled-cutoff
+    grid) rather than at 1e-7 of the value, and grows tenfold while it
+    is empty. The set is kept only when the windows are disjoint, each
+    holds exactly one eigenvalue, and a Sturm count above a proven lower
+    bound of the spectrum finds exactly ``count`` eigenvalues up to the
+    last window; otherwise that grid takes the index solve. Raises
+    ValueError before any solve when 2 x_min >= x_max, which leaves no
+    doubled-cutoff grid.
 
     Those value solves bisect only the leading rows that an eigenvector
     below the highest window can reach (``_live_rows``). Past the last
@@ -379,11 +422,9 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
             raise ValueError("potential must be finite on the grid interior")
         return v
 
+    checks = _check_grids(grid)
     e_h = _tridiag_lowest(sample(grid), grid.spacing, kinetic, 0, count - 1)
-    half, cut = grid.halved_spacing(), grid.doubled_cutoff()
-    e_half = _tridiag_near(sample(half), half.spacing, kinetic, e_h)
-    e_cut = _tridiag_near(sample(cut), cut.spacing, kinetic, e_h)
-    estimate = _RICHARDSON_SAFETY * np.abs(e_h - e_half) + np.abs(e_h - e_cut) + _RICHARDSON_FLOOR
+    estimate = _check_grid_error(sample, checks, kinetic, e_h)
     if np.any(estimate > _COARSE_LIMIT):
         raise GridTooCoarse(f"worst error estimate {float(np.max(estimate)):.3e} exceeds {_COARSE_LIMIT:.0e}")
     return OracleReport(
@@ -528,8 +569,8 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     Stops when the energy moves by no more than 1e-9, raises
     NoConvergence after 200 sweeps.
 
-    Each solve on a grid after its first is bounded by the one before:
-    the matrix is K + w D, with K the FD form of -d^2/dx^2 (K >= 0)
+    The sweeps run on the declared grid only. Each solve after the first
+    is bounded by the one before: the matrix is K + w D, with K the FD form of -d^2/dx^2 (K >= 0)
     and D = diag(U), so when every interior U > 0 Courant-Fischer puts
     eigenvalue n at weight w' inside [min(1, r), max(1, r)] times its
     value at w, r = w'/w. The eigensolve bisects only that window and
@@ -547,9 +588,27 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     about 1e-29 max(1, |top|)). The levels and estimates are therefore
     bit-identical to solves over every row. A window that starts below
     where LAPACK would start a solve of the cut matrix keeps every row
-    (``_start_clip``), and so does each grid's first solve, an index
-    solve: no top is known before it, and LAPACK starts it from an
+    (``_start_clip``), and so does the first solve, the one index solve
+    of a level: no top is known before it, and LAPACK starts it from an
     interval that widens with the row count.
+
+    The error estimate re-solves eigenvalue n at the converged weight on
+    the halved-spacing and doubled-cutoff grids (``_check_grid_error``,
+    shared with ``fd_eigenvalues``). Each is bisected in a window around
+    the declared grid's lambda_n and certified by a Sturm count that
+    finds exactly n + 1 eigenvalues up to the window's top; otherwise
+    that grid takes the index solve. Raises ValueError before any solve
+    when 2 x_min >= x_max, which leaves no doubled-cutoff grid.
+
+    The eigenvalue's grid error d_lambda feeds back through the weight:
+    the converged level solves E = F(lambda(w(E))), so its error is
+    (dE/dlambda) d_lambda / (1 - s), with dE/dlambda = (hbar c)^2 /
+    (2E - C) and s = lambda_w / (2E - C), lambda_w = d lambda / d w.
+    When every interior U > 0, lambda(w) is concave with lambda(0) >= 0
+    (Courant-Fischer), so 0 <= lambda_w <= lambda / w, and the
+    dispersion gives lambda / w = E - M c^2. The error is therefore at
+    most d_lambda / w, and that is the factor the estimate uses. A well
+    with U <= 0 somewhere keeps (hbar c)^2 / |2E - C|.
 
     For g < 0 the estimate can understate the error: near the Hardy
     edge the inner wall dominates, and the doubled-cutoff re-solve does
@@ -569,26 +628,28 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     hc2 = (p.hbar * p.c) ** 2
     b_coef = 2.0 * mc2 - offset
 
-    wells = {}
-    for g in (grid, grid.halved_spacing(), grid.doubled_cutoff()):
+    def well(g: Grid) -> np.ndarray:
         x = g.points()
-        u = 0.5 * p.mass * p.omega**2 * x**2 + p.g / (2.0 * x**2)
-        wells[g] = (u, bool(np.all(u[1:-1] > 0.0)))
-    last: dict[Grid, tuple[float, float]] = {}  # (weight, eigenvalue) of each grid's latest solve
+        return 0.5 * p.mass * p.omega**2 * x**2 + p.g / (2.0 * x**2)
 
-    def nth_curvature(g: Grid, weight: float) -> float:
+    checks = _check_grids(grid)
+    u = well(grid)
+    positive = bool(np.all(u[1:-1] > 0.0))
+    last: tuple[float, float] | None = None  # (weight, eigenvalue) of the latest solve
+
+    def nth_curvature(weight: float) -> float:
         # -f'' + weight * U(x) f, eigenvalue number n
+        nonlocal last
         under = 1.0 + 2.0 * p.g * weight
         if under < 0.0:
             raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
-        u, positive = wells[g]
         enclosure = None
-        if positive and g in last:
-            w_prev, lam_prev = last[g]
+        if positive and last is not None:
+            w_prev, lam_prev = last
             scaled = weight / w_prev * lam_prev
             enclosure = (min(lam_prev, scaled), max(lam_prev, scaled))
-        lam = float(_tridiag_lowest(weight * u, g.spacing, 1.0, n, n, enclosure)[0])
-        last[g] = (weight, lam)
+        lam = float(_tridiag_lowest(weight * u, grid.spacing, 1.0, n, n, enclosure)[0])
+        last = (weight, lam)
         return lam
 
     e_value = mc2 + p.hbar * p.omega * (2.0 * n + 1.5)
@@ -602,7 +663,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         weight = (mc2 + e_value - offset) / hc2
         if weight <= 0.0:
             raise NoConvergence(f"iteration left the admissible region (weight = {weight})")
-        lam = nth_curvature(grid, weight)
+        lam = nth_curvature(weight)
         disc = b_coef**2 + 4.0 * lam * hc2
         if disc < 0.0:
             raise NoConvergence("dispersion quadratic has no real branch for the grid eigenvalue")
@@ -619,14 +680,13 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         raise NoConvergence("self-consistent sweep budget (200) exhausted")
 
     # Error estimate at the converged coefficient: grid sensitivity of
-    # the eigenvalue, propagated through the dispersion quadratic.
+    # the eigenvalue, propagated through the self-consistent map.
     weight = (mc2 + e_value - offset) / hc2
-    lam_h = nth_curvature(grid, weight)
-    lam_half = nth_curvature(grid.halved_spacing(), weight)
-    lam_cut = nth_curvature(grid.doubled_cutoff(), weight)
-    lam_err = _RICHARDSON_SAFETY * abs(lam_h - lam_half) + abs(lam_h - lam_cut) + _RICHARDSON_FLOOR
-    de_dlam = hc2 / (2.0 * e_value - offset)
-    estimate = lam_err * abs(de_dlam) + _RICHARDSON_FLOOR
+    lam_h = nth_curvature(weight)
+    lam_err = float(_check_grid_error(lambda g: weight * well(g), checks, 1.0, np.array([lam_h]), n)[0])
+    # with every U > 0 the feedback bounds the level's error by lam_err / weight
+    factor = 1.0 / weight if positive else abs(hc2 / (2.0 * e_value - offset))
+    estimate = lam_err * factor + _RICHARDSON_FLOOR
     if estimate > _COARSE_LIMIT:
         raise GridTooCoarse(f"error estimate {estimate:.3e} exceeds {_COARSE_LIMIT:.0e}")
     return OracleReport(
@@ -645,7 +705,8 @@ def ode_residual(f_samples, coefficient, grid: Grid) -> float:
     is normalized by the local magnitude of both sides plus a small
     fraction of their grid-wide peak; the floor keeps isolated points
     where both sides cross zero (classical turning points) from
-    amplifying roundoff into the maximum.
+    amplifying roundoff into the maximum. Raises ValueError at the first
+    stencil centre where the coefficient is not finite.
     """
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 1 or f.size != grid.n_points:
@@ -656,6 +717,10 @@ def ode_residual(f_samples, coefficient, grid: Grid) -> float:
         raise ValueError("samples must be finite")
     x = grid.points()
     c = _evaluate_on(coefficient, x)
+    bad = np.flatnonzero(~np.isfinite(c[2:-2]))
+    if bad.size:
+        first = int(bad[0]) + 2
+        raise ValueError(f"coefficient is not finite at x = {float(x[first])!r}: {float(c[first])}")
     h = grid.spacing
     second = (-f[4:] + 16.0 * f[3:-1] - 30.0 * f[2:-2] + 16.0 * f[1:-3] - f[:-4]) / (12.0 * h**2)
     target = c[2:-2] * f[2:-2]

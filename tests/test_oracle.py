@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,16 @@ def test_ode_residual_rejects_bad_samples():
         ode_residual(bad, lambda x: x, grid)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_ode_residual_rejects_nonfinite_coefficient(bad):
+    grid = Grid(0.3, 3.0, 2001)
+    f = np.exp(-0.5 * grid.points() ** 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"coefficient is not finite at x = 2\.001"):
+            ode_residual(f, lambda x: np.where(x > 2.0, bad, x * x - 1.0), grid)
+
+
 def test_selfconsistent_below_hardy_bound_is_unphysical():
     # the closed-form solver refuses this coupling too; the oracle must not return a level
     with pytest.raises(UnphysicalRegime, match=r"1 \+ 2 g \|energy_weight\| = .* < 0"):
@@ -340,10 +351,13 @@ def test_enclosure_needs_a_single_index():
 
 
 def test_negative_coupling_never_takes_the_window(monkeypatch):
-    selects = _record_selects(monkeypatch)
+    solves = _record_rows(monkeypatch)
     dirac_selfconsistent(0, spin_params(-0.05, 0.0), FAST_GRID)
-    assert len(selects) >= 4
-    assert set(selects) == {"i"}
+    # the declared grid's solves keep every row; the check grids' value
+    # windows are cut, and the halved grid has about twice the rows
+    declared = [select for select, rows in solves if rows == FAST_GRID.n_points - 2]
+    assert len(declared) >= 2
+    assert set(declared) == {"i"}
 
 
 @pytest.mark.parametrize("n,g,cs", [(0, 0.5, 0.0), (1, 2.0, 1.0), (3, 6.0, 2.0), (2, 0.0, 0.5)])
@@ -362,9 +376,9 @@ def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs
     monkeypatch.setattr(oracle, "_tridiag_lowest", index_only)
     reference = dirac_selfconsistent(n, p, FAST_GRID)
     assert len(window_selects) == len(selects)
-    # every solve after the first on the declared grid is windowed; the
-    # first one there and the one on each of the two check grids are not
-    assert window_selects.count("i") == 3
+    # every solve after the first on the declared grid is windowed, and
+    # so is each check grid's solve (``_tridiag_near``)
+    assert window_selects.count("i") == 1
     assert windowed.eigenvalues[0] == pytest.approx(reference.eigenvalues[0], abs=1e-10)
     assert windowed.richardson_error[0] == pytest.approx(reference.richardson_error[0], rel=1e-4)
 
@@ -387,8 +401,8 @@ def test_selfconsistent_estimate_bounds_error_at_negative_coupling():
 def _index_only_near(monkeypatch):
     lowest = oracle._tridiag_lowest
 
-    def index_only(v, spacing, kinetic, guesses):
-        return lowest(v, spacing, kinetic, 0, len(guesses) - 1)
+    def index_only(v, spacing, kinetic, guesses, lo=0):
+        return lowest(v, spacing, kinetic, lo, lo + len(guesses) - 1)
 
     monkeypatch.setattr(oracle, "_tridiag_near", index_only)
 
@@ -458,6 +472,107 @@ def test_fd_coarse_grid_message_unchanged(monkeypatch):
     with pytest.raises(GridTooCoarse) as reference:
         fd_eigenvalues(potential, 2, Grid(1e-4, 20.0, 500))
     assert str(windowed.value) == str(reference.value) == message
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_check_grid_window_at_level_n_equals_index_solve(monkeypatch, n):
+    weight = 3.2
+    guess = oracle._tridiag_lowest(_weighted_well(weight), FAST_GRID.spacing, 1.0, n, n)
+    for check in (FAST_GRID.halved_spacing(), FAST_GRID.doubled_cutoff()):
+        v = _weighted_well(weight, grid=check)
+        expected = oracle._tridiag_lowest(v, check.spacing, 1.0, n, n)
+        selects = _record_selects(monkeypatch)
+        got = oracle._tridiag_near(v, check.spacing, 1.0, guess, lo=n)
+        monkeypatch.undo()
+        assert set(selects) == {"v"}
+        assert got.shape == (1,)
+        assert abs(float(got[0] - expected[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_check_grid_window_at_level_n_rejects_the_next_eigenvalue(monkeypatch, n):
+    check = FAST_GRID.halved_spacing()
+    v = _weighted_well(3.2, grid=check)
+    above = oracle._tridiag_lowest(v, check.spacing, 1.0, n + 1, n + 1)
+    expected = oracle._tridiag_lowest(v, check.spacing, 1.0, n, n)
+    selects = _record_selects(monkeypatch)
+    # the window finds eigenvalue n + 1; the Sturm count then finds n + 2, not n + 1
+    got = oracle._tridiag_near(v, check.spacing, 1.0, above, lo=n)
+    assert selects.count("i") == 1 and selects[-1] == "i"
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n,g,cs", [(0, 0.5, 0.0), (1, 2.0, 1.0), (3, 6.0, 2.0), (2, 0.0, 0.5), (0, -0.05, 0.0)])
+def test_selfconsistent_check_grid_windows_keep_the_report(monkeypatch, n, g, cs):
+    p = spin_params(g, cs)
+    windowed = dirac_selfconsistent(n, p, FAST_GRID)
+    _index_only_near(monkeypatch)
+    reference = dirac_selfconsistent(n, p, FAST_GRID)
+    assert windowed.eigenvalues == reference.eigenvalues
+    assert windowed.richardson_error == pytest.approx(reference.richardson_error, rel=1e-4)
+
+
+def test_fd_cut_grid_windows_open_at_the_measured_shift(monkeypatch):
+    potential = OscillatorParams(g=2.0).potential
+    cut = FAST_GRID.doubled_cutoff()
+    v = potential(cut.points())
+    e_h = oracle._tridiag_lowest(potential(FAST_GRID.points()), FAST_GRID.spacing, 0.5, 0, 5)
+    expected = oracle._tridiag_lowest(v, cut.spacing, 0.5, 0, 5)
+    near = oracle._tridiag_near
+    calls = []
+
+    def recording_near(v, spacing, kinetic, guesses, lo=0):
+        calls.append([])
+        got = near(v, spacing, kinetic, guesses, lo)
+        calls[-1].append(got)
+        return got
+
+    real = oracle.eigh_tridiagonal
+
+    def recording(*args, **kwargs):
+        if calls:
+            calls[-1].append(kwargs["select_range"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_tridiag_near", recording_near)
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+    fd_eigenvalues(potential, 6, FAST_GRID)
+    *windows, count, got = calls[1]  # the doubled-cutoff grid, solved second
+    assert count[0] < float(np.min(v[1:-1]))  # the Sturm count, from below the spectrum
+    assert float(np.max(np.abs(got - expected))) <= 1e-12
+    opening = {}
+    for a, b in windows:  # each guess's first window is the one it opens with
+        i = int(np.argmin(np.abs(e_h - 0.5 * (a + b))))
+        opening.setdefault(i, 0.5 * (b - a))
+    assert sorted(opening) == list(range(6))
+    for i in range(1, 6):
+        assert opening[i] < 1e-7 * abs(e_h[i])
+
+
+@pytest.mark.parametrize("n,g,cs", [(0, 2.0, 2.0), (1, 6.0, 2.0)])
+def test_selfconsistent_estimate_bounds_error_with_feedback(n, g, cs):
+    # the grid error of lambda_n is fed back through the energy-dependent
+    # weight; before the 1/weight factor these read 3.87e-8 > 3.44e-8 and
+    # 1.39e-7 > 1.28e-7
+    p = spin_params(g, cs)
+    rep = dirac_selfconsistent(n, p)
+    assert abs(rep.eigenvalues[0] - solve_spin_energy(n, p).value) <= rep.richardson_error[0]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda grid: fd_eigenvalues(OscillatorParams().potential, 2, grid),
+        lambda grid: dirac_selfconsistent(0, DiracParams(), grid),
+    ],
+    ids=["fd", "selfconsistent"],
+)
+@pytest.mark.parametrize("x_min", [1.0, 1.5])
+def test_oracles_reject_a_grid_without_a_doubled_cutoff(monkeypatch, run, x_min):
+    selects = _record_selects(monkeypatch)
+    with pytest.raises(ValueError, match=r"doubled-cutoff check grid needs 2 x_min < x_max, got x_min = 1\.[05], x_max = 2\.0"):
+        run(Grid(x_min, 2.0, 4000))
+    assert selects == []  # raised before any solve
 
 
 # ------------------------------------------- forbidden-tail row cut
