@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -79,6 +80,25 @@ class RunResult:
     files: dict = field(default_factory=dict)
 
 
+def _finite(text: str) -> float:
+    """argparse type of every float flag: a finite number, else exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type of the scale flags --mass, --omega, --hbar and --c."""
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isospectra",
@@ -88,15 +108,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_physical(sp: argparse.ArgumentParser, with_sym: bool = True) -> None:
-        sp.add_argument("--g", type=float, default=None, help="inverse-square coupling strength (default 2)")
-        sp.add_argument("--m", type=float, default=None, help="barrier index; sets g = m (m + 1)")
-        sp.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
-        sp.add_argument("--omega", type=float, default=1.0, help="oscillator frequency (default 1)")
-        sp.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant (default 1)")
-        sp.add_argument("--c", type=float, default=1.0, help="speed of light (default 1)")
+        sp.add_argument("--g", type=_finite, default=None, help="inverse-square coupling strength (default 2)")
+        sp.add_argument("--m", type=_finite, default=None, help="barrier index; sets g = m (m + 1)")
+        sp.add_argument("--mass", type=_positive, default=1.0, help="particle mass (default 1)")
+        sp.add_argument("--omega", type=_positive, default=1.0, help="oscillator frequency (default 1)")
+        sp.add_argument("--hbar", type=_positive, default=1.0, help="reduced Planck constant (default 1)")
+        sp.add_argument("--c", type=_positive, default=1.0, help="speed of light (default 1)")
         if with_sym:
-            sp.add_argument("--cs", type=float, default=0.0, help="spin-branch symmetry constant (default 0)")
-            sp.add_argument("--cps", type=float, default=0.0, help="pseudospin-branch symmetry constant (default 0)")
+            sp.add_argument("--cs", type=_finite, default=0.0, help="spin-branch symmetry constant (default 0)")
+            sp.add_argument("--cps", type=_finite, default=0.0, help="pseudospin-branch symmetry constant (default 0)")
 
     def add_output(sp: argparse.ArgumentParser, default_format: str = "csv") -> None:
         sp.add_argument("--format", choices=OUTPUT_FORMATS, default=default_format, help="output format")
@@ -111,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     wavefunction = sub.add_parser("wavefunction", help="sampled bound-state wavefunction or spinor components")
     wavefunction.add_argument("--branch", choices=("nonrel", "spin", "pseudospin"), default="nonrel")
     wavefunction.add_argument("--n", type=int, default=0, help="level index (default 0)")
-    wavefunction.add_argument("--x-min", type=float, default=0.0, dest="x_min")
-    wavefunction.add_argument("--x-max", type=float, default=5.0, dest="x_max")
+    wavefunction.add_argument("--x-min", type=_finite, default=0.0, dest="x_min")
+    wavefunction.add_argument("--x-max", type=_finite, default=5.0, dest="x_max")
     wavefunction.add_argument("--points", type=int, default=501)
     wavefunction.add_argument(
         "--compare-harmonic",
@@ -123,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(wavefunction)
 
     potential = sub.add_parser("potential", help="sampled isotonic well with its harmonic companion")
-    potential.add_argument("--x-min", type=float, default=0.05, dest="x_min")
-    potential.add_argument("--x-max", type=float, default=5.0, dest="x_max")
+    potential.add_argument("--x-min", type=_finite, default=0.05, dest="x_min")
+    potential.add_argument("--x-max", type=_finite, default=5.0, dest="x_max")
     potential.add_argument("--points", type=int, default=500)
     add_physical(potential, with_sym=False)
     add_output(potential)
@@ -142,9 +162,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_g(parser: argparse.ArgumentParser, args: argparse.Namespace) -> float:
     if args.g is not None and args.m is not None:
         parser.error("give either --g or --m, not both")
-    if args.m is not None:
-        return args.m * (args.m + 1.0)
-    return args.g if args.g is not None else 2.0
+    if args.m is None:
+        return args.g if args.g is not None else 2.0
+    g = args.m * (args.m + 1.0)
+    if not math.isfinite(g):
+        parser.error(f"--m {args.m} gives g = m (m + 1) beyond the float range")
+    return g
+
+
+def _check_sample_range(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """--points and the interval [--x-min, --x-max] of a sampling command."""
+    if args.points < 2:
+        parser.error("--points must be at least 2")
+    if not args.x_min < args.x_max:
+        parser.error("--x-min must be below --x-max")
+    if not math.isfinite(args.x_max - args.x_min):
+        parser.error("--x-max - --x-min must stay inside the float range")
 
 
 def manifest_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunManifest:
@@ -161,9 +194,6 @@ def manifest_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace
         )
 
     g = _resolve_g(parser, args)
-    for name in ("mass", "omega", "hbar", "c"):
-        if getattr(args, name) <= 0.0:
-            parser.error(f"--{name} must be positive")
     base = {
         "g": g,
         "mass": args.mass,
@@ -182,21 +212,21 @@ def manifest_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace
     if command == "wavefunction":
         if args.n < 0:
             parser.error("--n must be non-negative")
-        if args.points < 2:
-            parser.error("--points must be at least 2")
-        if not args.x_min < args.x_max:
-            parser.error("--x-min must be below --x-max")
+        _check_sample_range(parser, args)
         if args.branch != "nonrel":
             if args.x_min < 0.0:
                 parser.error("spinor components live on x >= 0")
             if args.compare_harmonic:
                 parser.error("--compare-harmonic applies to the nonrel branch only")
         elif args.x_min < 0.0:
-            d = nonrel.derive(nonrel.OscillatorParams(mass=args.mass, omega=args.omega, g=g, hbar=args.hbar))
-            if not (abs(d.m - round(d.m)) <= 1e-9):
-                parser.error(
-                    f"x < 0 requires an integer barrier index for a normalizable continuation (m = {d.m:.6f})"
-                )
+            m = nonrel.derive(_nonrel_params(base)).m
+            # m is NaN where g < -1/4 leaves no ladder at all; the run reports that with exit 1
+            if math.isfinite(m):
+                continued = nonrel.parity_extend(args.n, m, 1.0, args.x_min)
+                if isinstance(continued, nonrel.NonNormalizable):
+                    parser.error(
+                        f"x < 0 requires an integer barrier index for a normalizable continuation (m = {m:.6f})"
+                    )
         params = dict(
             base,
             branch=args.branch,
@@ -211,12 +241,9 @@ def manifest_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace
         return RunManifest(command=command, parameters=params, output_format=args.format)
 
     if command == "potential":
-        if args.points < 2:
-            parser.error("--points must be at least 2")
+        _check_sample_range(parser, args)
         if args.x_min <= 0.0:
             parser.error("--x-min must be positive (the well diverges at the origin)")
-        if not args.x_min < args.x_max:
-            parser.error("--x-min must be below --x-max")
         params = dict(base, x_min=args.x_min, x_max=args.x_max, points=args.points)
         return RunManifest(command=command, parameters=params, output_format=args.format)
 
@@ -236,31 +263,35 @@ def _nonrel_params(prm: dict) -> nonrel.OscillatorParams:
     return nonrel.OscillatorParams(mass=prm["mass"], omega=prm["omega"], g=prm["g"], hbar=prm["hbar"])
 
 
-def _dirac_params(prm: dict, branch: rel.Symmetry) -> rel.DiracParams:
-    sym = prm["cs"] if branch is rel.Symmetry.SPIN else prm["cps"]
-    return rel.DiracParams(
+def _resolve_branch(prm: dict):
+    """(params, level solver, {column: spinor sampler}) of the manifest's branch; nonrel has no spinors.
+
+    Looked up on their modules at each call, so a wrapper bound there sees every call.
+    """
+    if prm["branch"] == "nonrel":
+        return _nonrel_params(prm), nonrel.energy, {}
+    if prm["branch"] == "spin":
+        symmetry, sym, solve = rel.Symmetry.SPIN, prm["cs"], rel.solve_spin_energy
+        spinors = {"upper": rel.spin_upper_spinor, "lower": rel.spin_lower_spinor}
+    else:
+        symmetry, sym, solve = rel.Symmetry.PSEUDOSPIN, prm["cps"], rel.solve_pseudospin_energy
+        spinors = {"lower": rel.pseudospin_lower_spinor}
+    params = rel.DiracParams(
         mass=prm["mass"],
         omega=prm["omega"],
         g=prm["g"],
         sym_constant=sym,
         hbar=prm["hbar"],
         c=prm["c"],
-        branch=branch,
+        branch=symmetry,
     )
+    return params, solve, spinors
 
 
 def _run_spectrum(manifest: RunManifest) -> RunResult:
     prm = manifest.parameters
-    branch = prm["branch"]
-    if branch == "nonrel":
-        p = _nonrel_params(prm)
-        levels = [nonrel.energy(n, p) for n in range(prm["n_max"] + 1)]
-    elif branch == "spin":
-        dp = _dirac_params(prm, rel.Symmetry.SPIN)
-        levels = [rel.solve_spin_energy(n, dp) for n in range(prm["n_max"] + 1)]
-    else:
-        dp = _dirac_params(prm, rel.Symmetry.PSEUDOSPIN)
-        levels = [rel.solve_pseudospin_energy(n, dp) for n in range(prm["n_max"] + 1)]
+    p, solve, _ = _resolve_branch(prm)
+    levels = [solve(n, p) for n in range(prm["n_max"] + 1)]
 
     if manifest.output_format == "csv":
         lines = ["n,energy,residual"]
@@ -282,7 +313,7 @@ def _run_spectrum(manifest: RunManifest) -> RunResult:
                 ],
             }
         )
-    return _deliver(manifest, payload)
+    return _deliver(manifest, payload, 0)
 
 
 def _off_origin(sample, xs: np.ndarray) -> np.ndarray:
@@ -293,19 +324,37 @@ def _off_origin(sample, xs: np.ndarray) -> np.ndarray:
     return values
 
 
+def _samples(manifest: RunManifest, xs: np.ndarray, columns: dict, overflow, head: dict) -> str:
+    """x and the named columns as CSV rows, or as one JSON document: manifest, head keys, samples.
+
+    A column with a non-finite sample raises DivergenceError(overflow(name)). Values are
+    formatted from ``tolist`` floats: the same text as numpy scalars give, in less time.
+    """
+    for name, values in columns.items():
+        if not np.all(np.isfinite(values)):
+            raise DivergenceError(overflow(name))
+    names = ["x", *columns]
+    table = [xs.tolist()] + [values.tolist() for values in columns.values()]
+    if manifest.output_format == "csv":
+        lines = [",".join(names)]
+        for row in zip(*table):
+            lines.append(",".join(_SAMPLE_FMT.format(v) for v in row))
+        return _csv(lines)
+    samples = {name: [float(_SAMPLE_FMT.format(v)) for v in values] for name, values in zip(names, table)}
+    return _json_text({"manifest": manifest.as_dict(), **head, "samples": samples})
+
+
 def _run_wavefunction(manifest: RunManifest) -> RunResult:
     prm = manifest.parameters
     xs = np.linspace(prm["x_min"], prm["x_max"], prm["points"])
     n = prm["n"]
-    branch = prm["branch"]
-    energy_out: float | None = None
+    p, solve, spinors = _resolve_branch(prm)
+    energy = solve(n, p).value
 
     # An overflowing recurrence leaves inf or NaN in its column; the
-    # finiteness check below reports it, so numpy need not warn as well.
+    # sample writer reports it, so numpy need not warn as well.
     with np.errstate(over="ignore", invalid="ignore"):
-        if branch == "nonrel":
-            p = _nonrel_params(prm)
-            energy_out = nonrel.energy(n, p).value
+        if prm["branch"] == "nonrel":
             isotonic = _off_origin(lambda x: nonrel.wavefunction(n, p, x), np.abs(xs))
             mirror = xs < 0.0
             if np.any(mirror):
@@ -317,76 +366,36 @@ def _run_wavefunction(manifest: RunManifest) -> RunResult:
             columns = {"isotonic": isotonic}
             if prm["compare_harmonic"]:
                 columns["harmonic"] = nonrel.harmonic_wavefunction(n, p, xs)
-        elif branch == "spin":
-            dp = _dirac_params(prm, rel.Symmetry.SPIN)
-            energy_out = rel.solve_spin_energy(n, dp).value
-            columns = {
-                "upper": _off_origin(lambda x: rel.spin_upper_spinor(n, dp, energy_out, x), xs),
-                "lower": _off_origin(lambda x: rel.spin_lower_spinor(n, dp, energy_out, x), xs),
-            }
         else:
-            dp = _dirac_params(prm, rel.Symmetry.PSEUDOSPIN)
-            energy_out = rel.solve_pseudospin_energy(n, dp).value
-            columns = {"lower": _off_origin(lambda x: rel.pseudospin_lower_spinor(n, dp, energy_out, x), xs)}
+            columns = {name: _off_origin(lambda x: spinor(n, p, energy, x), xs) for name, spinor in spinors.items()}
 
-    for name, values in columns.items():
-        if not np.all(np.isfinite(values)):
-            polynomial = "Hermite" if name == "harmonic" else "Laguerre"
-            raise DivergenceError(
-                f"{name} column of level n = {n} has non-finite samples: "
-                f"the {polynomial} recurrence overflows the float range at this degree and x"
-            )
-
-    names = ["x"] + list(columns)
-    if manifest.output_format == "csv":
-        lines = [",".join(names)]
-        for i, x in enumerate(xs):
-            row = [_SAMPLE_FMT.format(float(x))] + [_SAMPLE_FMT.format(columns[c][i]) for c in columns]
-            lines.append(",".join(row))
-        payload = _csv(lines)
-    else:
-        payload = _json_text(
-            {
-                "manifest": manifest.as_dict(),
-                "energy": float(_ENERGY_FMT.format(energy_out)),
-                "samples": {
-                    "x": [float(_SAMPLE_FMT.format(float(x))) for x in xs],
-                    **{
-                        c: [float(_SAMPLE_FMT.format(v)) for v in vals]
-                        for c, vals in columns.items()
-                    },
-                },
-            }
+    def overflow(name: str) -> str:
+        polynomial = "Hermite" if name == "harmonic" else "Laguerre"
+        return (
+            f"{name} column of level n = {n} has non-finite samples: "
+            f"the {polynomial} recurrence overflows the float range at this degree and x"
         )
-    return _deliver(manifest, payload)
+
+    head = {"energy": float(_ENERGY_FMT.format(energy))}
+    return _deliver(manifest, _samples(manifest, xs, columns, overflow, head), 0)
 
 
 def _run_potential(manifest: RunManifest) -> RunResult:
     prm = manifest.parameters
     xs = np.linspace(prm["x_min"], prm["x_max"], prm["points"])
     p = _nonrel_params(prm)
-    iso = p.potential(xs)
-    harm = 0.5 * p.mass * p.omega**2 * xs**2
+    # At the ends of the float range x^2 overflows, or underflows to 0 and
+    # g / x^2 is inf or NaN; the sample writer reports the non-finite column.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        columns = {"isotonic": p.potential(xs), "harmonic": 0.5 * p.mass * p.omega**2 * xs**2}
 
-    if manifest.output_format == "csv":
-        lines = ["x,isotonic,harmonic"]
-        for x, vi, vh in zip(xs, iso, harm):
-            lines.append(
-                f"{_SAMPLE_FMT.format(float(x))},{_SAMPLE_FMT.format(float(vi))},{_SAMPLE_FMT.format(float(vh))}"
-            )
-        payload = _csv(lines)
-    else:
-        payload = _json_text(
-            {
-                "manifest": manifest.as_dict(),
-                "samples": {
-                    "x": [float(_SAMPLE_FMT.format(float(v))) for v in xs],
-                    "isotonic": [float(_SAMPLE_FMT.format(float(v))) for v in iso],
-                    "harmonic": [float(_SAMPLE_FMT.format(float(v))) for v in harm],
-                },
-            }
+    def overflow(name: str) -> str:
+        return (
+            f"{name} column has non-finite samples: the well leaves the float range "
+            f"on [{prm['x_min']}, {prm['x_max']}]"
         )
-    return _deliver(manifest, payload)
+
+    return _deliver(manifest, _samples(manifest, xs, columns, overflow, {}), 0)
 
 
 def _table_csv(columns, reference_rows) -> str:
@@ -427,10 +436,7 @@ def _run_validate(manifest: RunManifest) -> RunResult:
         for r in rows:
             lines.append(f"{r.check},{r.value:.6e},{r.bound:.6e},{'true' if r.passed else 'false'}")
         payload = _csv(lines)
-    out = manifest.parameters.get("out")
-    if out:
-        return RunResult(exit_code=0 if ok else 1, stdout=f"wrote {out}\n", files={out: payload})
-    return RunResult(exit_code=0 if ok else 1, stdout=payload)
+    return _deliver(manifest, payload, 0 if ok else 1)
 
 
 _RUNNERS = {
@@ -442,11 +448,12 @@ _RUNNERS = {
 }
 
 
-def _deliver(manifest: RunManifest, payload: str) -> RunResult:
+def _deliver(manifest: RunManifest, payload: str, exit_code: int) -> RunResult:
+    """The payload on stdout, or in the --out file with a one-line note on stdout."""
     out = manifest.parameters.get("out")
     if out:
-        return RunResult(exit_code=0, stdout=f"wrote {out}\n", files={out: payload})
-    return RunResult(exit_code=0, stdout=payload)
+        return RunResult(exit_code=exit_code, stdout=f"wrote {out}\n", files={out: payload})
+    return RunResult(exit_code=exit_code, stdout=payload)
 
 
 def run_manifest(manifest: RunManifest) -> RunResult:

@@ -49,7 +49,6 @@ __all__ = [
 # lower energy bound, then bisection plus one guarded Newton polish.
 _SCAN_SEED = 1e-9
 _SCAN_FACTOR = 1.05
-_UPPER_FACTOR = 1e3
 _BISECT_MAX = 200
 _BISECT_TOL = 1e-12
 
@@ -242,17 +241,16 @@ def klein_gordon_residual(e_value: float, n: int, p: DiracParams) -> float:
     return energy_residual(e_value, n, p, 1.0, 0.0)
 
 
-def _find_root(f, df, lower: float, upper: float) -> tuple[float, float]:
+def _find_root(f, df, lower: float) -> tuple[float, float]:
     """Bracket the first sign change above ``lower`` and refine it.
 
     Scans E = lower + offset with the offset growing geometrically from
     a tiny seed (the bound itself is usually a domain edge), bisects to
     absolute width 1e-12, then attempts a single Newton polish kept
     only if it stays inside the bracket and reduces the residual.
-    Raises NoRootInRange if no sign change is found below ``upper``.
+    Raises NoRootInRange if E leaves the float range before the sign
+    changes.
     """
-    if not lower < upper:
-        raise NoRootInRange(f"empty search window [{lower}, {upper}]")
     offset = _SCAN_SEED
     e_prev = lower + offset
     f_prev = f(e_prev)
@@ -261,8 +259,8 @@ def _find_root(f, df, lower: float, upper: float) -> tuple[float, float]:
     while True:
         offset *= _SCAN_FACTOR
         e_cur = lower + offset
-        if e_cur > upper:
-            raise NoRootInRange(f"no sign change of the residual in ({lower}, {upper}]")
+        if not math.isfinite(e_cur):
+            raise NoRootInRange(f"no sign change of the residual in ({lower}, {e_prev}]: E leaves the float range")
         f_cur = f(e_cur)
         if f_cur == 0.0:
             return e_cur, 0.0
@@ -298,7 +296,7 @@ def _find_root(f, df, lower: float, upper: float) -> tuple[float, float]:
 
 
 def _solve(n: int, p: DiracParams, branch: Branch, lower: float) -> EnergyLevel:
-    """The n-th root of energy_residual above ``lower``, capped at 1e3 M c^2.
+    """The n-th root of energy_residual above ``lower``.
 
     The branch fixes (s, C) once per solve. A root that lands on the
     window edge w = 0 is no level: the binding gap is then below the
@@ -310,7 +308,6 @@ def _solve(n: int, p: DiracParams, branch: Branch, lower: float) -> EnergyLevel:
         lambda e: energy_residual(e, n, p, sign, offset),
         lambda e: _residual_derivative(e, p, sign, offset),
         lower,
-        _UPPER_FACTOR * p.rest_energy,
     )
     if e_value + sign * p.rest_energy - offset <= 0.0:
         raise NoRootInRange(
@@ -324,8 +321,7 @@ def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
     """Energy of the n-th spin-branch level by bracketed root solving.
 
     The admissible window opens at max(M c^2, sym_constant - M c^2),
-    below which the reduced equation loses its bound character, and is
-    capped at 1e3 M c^2.
+    below which the reduced equation loses its bound character.
     """
     n = _check_level(n)
     if p.branch is not Symmetry.SPIN:
@@ -337,7 +333,7 @@ def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
     """Energy of the n-th pseudospin-branch level by bracketed root solving.
 
     The window opens at M c^2 + sym_constant (which may be deeply
-    negative) and is capped at 1e3 M c^2.
+    negative).
     """
     n = _check_level(n)
     if p.branch is not Symmetry.PSEUDOSPIN:

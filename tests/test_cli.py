@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 import isospectra
-from isospectra import cli, nonrel
+from isospectra import cli, nonrel, validate
 from isospectra.errors import NonNormalizableError
 
 
@@ -121,6 +121,28 @@ def test_spectrum_bad_flags_exit_two(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--mass", "nan"], "argument --mass: must be finite, got 'nan'"),
+        (["spectrum", "--g", "inf"], "argument --g: must be finite, got 'inf'"),
+        (["spectrum", "--branch", "spin", "--cs", "nan"], "argument --cs: must be finite, got 'nan'"),
+        (["spectrum", "--branch", "pseudospin", "--cps=-inf"], "argument --cps: must be finite, got '-inf'"),
+        (["spectrum", "--c", "inf"], "argument --c: must be finite, got 'inf'"),
+        (["spectrum", "--hbar", "0"], "argument --hbar: must be positive, got '0'"),
+        (["potential", "--x-max", "inf"], "argument --x-max: must be finite, got 'inf'"),
+        (["wavefunction", "--x-max", "inf"], "argument --x-max: must be finite, got 'inf'"),
+        (["wavefunction", "--x-min=-1e308", "--x-max", "1e308"], "--x-max - --x-min must stay inside the float range"),
+        (["wavefunction", "--m", "1e200", "--x-min", "-1"], "--m 1e+200 gives g = m (m + 1) beyond the float range"),
+    ],
+)
+def test_nonfinite_flags_exit_two(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_spectrum_unphysical_coupling_exits_one(capsys):
     code, out, err = run_cli(["spectrum", "--g", "-0.3"], capsys)
     assert code == 1
@@ -212,6 +234,14 @@ def test_wavefunction_fractional_barrier_blocks_negative_axis(capsys):
     capsys.readouterr()
 
 
+def test_wavefunction_negative_axis_below_the_hardy_bound_exits_one(capsys):
+    # g = -0.3 has no barrier index at all; the run, not the parser, says why
+    code, out, err = run_cli(["wavefunction", "--g", "-0.3", "--x-min", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: alpha = -0.3 < -1/4 admits no bound spectrum\n"
+
+
 def test_wavefunction_spin_spinor_columns(capsys):
     code, out, _ = run_cli(
         ["wavefunction", "--branch", "spin", "--g", "2", "--cs", "0",
@@ -288,11 +318,55 @@ def test_potential_diverges_then_merges(capsys):
     assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
 
 
+@pytest.mark.parametrize(
+    "bounds", [["--x-max", "1e160"], ["--x-min", "1e-170", "--x-max", "1"]], ids=["overflow", "underflow"]
+)
+def test_potential_beyond_the_float_range_writes_only_the_error_line(bounds):
+    # a real process: in-process, pytest records warnings instead of printing them
+    src = str(pathlib.Path(isospectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "isospectra", "potential", *bounds, "--points", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: isotonic column has non-finite samples")
+    assert "the well leaves the float range" in lines[0]
+
+
 def test_potential_rejects_origin(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["potential", "--x-min", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------- sample json
+
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        (["wavefunction", "--m", "1", "--compare-harmonic", "--x-min", "-2", "--x-max", "3", "--points", "6"],
+         ["manifest", "energy", "samples"]),
+        (["wavefunction", "--branch", "spin", "--g", "6", "--cs", "2", "--x-max", "3", "--points", "6"],
+         ["manifest", "energy", "samples"]),
+        (["potential", "--g", "2", "--x-min", "0.1", "--x-max", "3", "--points", "6"], ["manifest", "samples"]),
+    ],
+)
+def test_sample_json_matches_csv(argv, head, capsys):
+    code, csv_out, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(json_out)
+    assert list(doc) == head
+    assert doc["manifest"]["command"] == argv[0]
+    header, rows = csv_rows(csv_out)
+    assert list(doc["samples"]) == header
+    for i, name in enumerate(header):
+        assert doc["samples"][name] == [float(r[i]) for r in rows]
 
 
 # ---------------------------------------------------------- reproduce-tables
@@ -340,6 +414,15 @@ def test_validate_csv_format(capsys):
     header, rows = csv_rows(out)
     assert header == ["check", "value", "bound", "pass"]
     assert all(r[3] == "true" for r in rows)
+
+
+def test_validate_failing_row_exits_one_and_still_writes_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(validate, "run_suites", lambda names: [validate.CheckResult("forced", 2.0, 1.0, False)])
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(["validate", "--suite", "identities", "--out", str(target)], capsys)
+    assert code == 1
+    assert out == f"wrote {target}\n"
+    assert json.loads(target.read_text()) == [{"check": "forced", "value": 2.0, "bound": 1.0, "pass": False}]
 
 
 def test_validate_rejects_unknown_suite(capsys):

@@ -31,6 +31,7 @@ from isospectra.rel import (
     spin_upper_spinor,
 )
 from isospectra.specfun import laguerre, laguerre_derivative
+from isospectra.validate import nu_klein_gordon_level
 
 
 def spin_params(g, cs):
@@ -89,9 +90,19 @@ def test_solver_rejects_wrong_branch():
         solve_pseudospin_energy(0, spin_params(2.0, 0.0))
 
 
-def test_no_root_in_window():
-    with pytest.raises(NoRootInRange):
-        solve_spin_energy(0, spin_params(1e12, 0.0))
+def test_levels_far_above_the_rest_energy_match_the_nu_route():
+    """The scan has no cap at 1e3 M c^2: these levels lie at 1e3 to 1e6 M c^2."""
+    for params in ({"g": 1e12}, {"g": 1e6}, {"omega": 1e4}):
+        p = DiracParams(branch=Symmetry.SPIN, **params)
+        for n in (0, 3):
+            assert solve_spin_energy(n, p).value == pytest.approx(nu_klein_gordon_level(n, p), rel=1e-12)
+
+
+def test_scan_that_leaves_the_float_range_raises_no_root():
+    # 2 g w / (hbar c)^2 overflows long before the level near E = 1e150, so the residual never turns positive
+    message = r"no sign change of the residual in \(1\.0, .*\]: E leaves the float range"
+    with pytest.raises(NoRootInRange, match=message):
+        solve_spin_energy(0, spin_params(1e300, 0.0))
 
 
 @pytest.mark.parametrize("params", [{"c": 1e4}, {"mass": 1e8}])
