@@ -25,7 +25,7 @@ __all__ = ["RunManifest", "RunResult", "build_parser", "run_manifest", "main"]
 OUTPUT_FORMATS = ("csv", "json")
 
 _ENERGY_FMT = "{:.7f}"  # fixed 7 decimals for energies
-_SAMPLE_FMT = "{:.12g}"  # 12 significant digits for coordinates and samples
+_SAMPLE_FMT = "%.12g"  # 12 significant digits for coordinates and samples
 _RESIDUAL_FMT = "{:.3e}"
 
 
@@ -327,21 +327,38 @@ def _off_origin(sample, xs: np.ndarray) -> np.ndarray:
 def _samples(manifest: RunManifest, xs: np.ndarray, columns: dict, overflow, head: dict) -> str:
     """x and the named columns as CSV rows, or as one JSON document: manifest, head keys, samples.
 
-    A column with a non-finite sample raises DivergenceError(overflow(name)). Values are
-    formatted from ``tolist`` floats: the same text as numpy scalars give, in less time.
+    A column with a non-finite sample raises DivergenceError(overflow(name)). The CSV
+    body is one %-format of a row template over all values.
     """
     for name, values in columns.items():
         if not np.all(np.isfinite(values)):
             raise DivergenceError(overflow(name))
     names = ["x", *columns]
-    table = [xs.tolist()] + [values.tolist() for values in columns.values()]
+    arrays = [xs, *columns.values()]
     if manifest.output_format == "csv":
-        lines = [",".join(names)]
-        for row in zip(*table):
-            lines.append(",".join(_SAMPLE_FMT.format(v) for v in row))
-        return _csv(lines)
-    samples = {name: [float(_SAMPLE_FMT.format(v)) for v in values] for name, values in zip(names, table)}
-    return _json_text({"manifest": manifest.as_dict(), **head, "samples": samples})
+        row = ",".join([_SAMPLE_FMT] * len(arrays)) + "\n"
+        body = (row * len(xs)) % tuple(np.column_stack(arrays).ravel().tolist())
+        return ",".join(names) + "\n" + body
+    document = _json_text({"manifest": manifest.as_dict(), **head})
+    return document[: -len("\n}\n")] + _json_samples(names, arrays) + "\n}\n"
+
+
+def _json_samples(names: list, arrays: list) -> str:
+    """The ``"samples"`` member of a sample document, as json.dumps(indent=2) writes it.
+
+    Each value is rounded to 12 significant digits, by one %-format per column, and
+    written by float.__repr__, the repr json uses for a finite float.
+    """
+    members = []
+    for name, values in zip(names, arrays):
+        values = values.tolist()
+        if values:
+            rounded = map(float, (((_SAMPLE_FMT + " ") * len(values)) % tuple(values)).split())
+            items = "[\n      " + ",\n      ".join(map(float.__repr__, rounded)) + "\n    ]"
+        else:
+            items = "[]"
+        members.append(f"    {json.dumps(name)}: {items}")
+    return ',\n  "samples": {\n' + ",\n".join(members) + "\n  }"
 
 
 def _run_wavefunction(manifest: RunManifest) -> RunResult:
@@ -468,9 +485,8 @@ def run_manifest(manifest: RunManifest) -> RunResult:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    manifest = manifest_from_args(parser, args)
     try:
-        result = run_manifest(manifest)
+        result = run_manifest(manifest_from_args(parser, args))
     except (SpectraError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ class NoConvergence(SpectraError):
 
 
 class DivergenceError(SpectraError):
-    """Series summation diverged or failed to converge in the term budget."""
+    """A series or a scale left the float range, or a series failed to converge in its term budget."""
 
 
 class GridTooCoarse(SpectraError):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnphysicalRegime
+from .errors import DivergenceError, UnphysicalRegime
 from .specfun import hermite, laguerre, log_gamma
 
 __all__ = [
@@ -88,7 +88,10 @@ class OscillatorParams:
     def potential(self, x):
         """U(x) on x > 0."""
         x = np.asarray(x, dtype=float)
-        return 0.5 * self.mass * self.omega**2 * x**2 + self.g / (2.0 * x**2)
+        well = 0.5 * self.mass * _square(self.omega, "omega") * x**2
+        if self.g == 0.0:
+            return well  # no barrier: g / (2 x^2) would be 0/0 where x^2 underflows to 0
+        return well + self.g / (2.0 * x**2)
 
     # Constants of the parameter set, computed on first use and kept on the
     # instance. They are not fields, so ==, hash, repr and
@@ -153,6 +156,22 @@ class EnergyLevel:
             raise ValueError(f"residual must be non-negative, got {self.residual}")
 
 
+def _in_float_range(value: float, scale: str) -> float:
+    """value, a scale built from the parameters; DivergenceError names the scale if it is not finite."""
+    if not math.isfinite(value):
+        raise DivergenceError(f"the scale {scale} leaves the float range")
+    return value
+
+
+def _square(value: float, name: str) -> float:
+    """value^2 by _in_float_range; float ** raises OverflowError where * gives inf."""
+    try:
+        squared = value**2
+    except OverflowError:
+        squared = math.inf
+    return _in_float_range(squared, f"{name}^2 = ({value})^2")
+
+
 def derive(p: OscillatorParams) -> DerivedNonrel:
     """Compute the derived combinations for a parameter set.
 
@@ -160,7 +179,7 @@ def derive(p: OscillatorParams) -> DerivedNonrel:
     coupling) come back as NaN and the regime classifier says why.
     """
     beta = p.mass * p.omega / p.hbar
-    alpha = p.mass * p.g / p.hbar**2
+    alpha = p.mass * p.g / _square(p.hbar, "hbar")
     xi = 0.5 * math.sqrt(1.0 + 4.0 * alpha) if 1.0 + 4.0 * alpha >= 0.0 else math.nan
     m = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * p.g)) if 1.0 + 4.0 * p.g >= 0.0 else math.nan
     return DerivedNonrel(beta=beta, alpha=alpha, xi=xi, m=m)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
 from .rel import DiracParams, Symmetry
@@ -143,6 +142,17 @@ def _assemble(v: np.ndarray, spacing: float, kinetic: float) -> tuple[np.ndarray
     """
     k = kinetic / spacing**2
     return 2.0 * k + v[1:-1], np.full(v.size - 3, -k)
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """scipy.linalg.eigh_tridiagonal, imported on the first call.
+
+    Importing scipy.linalg takes longer than a whole level solve, and of
+    the package only the grid oracles need it.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(*args, **kwargs)
 
 
 def _rounding_pad(diag: np.ndarray) -> float:

@@ -20,7 +20,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateEnergy, NoRootInRange, UnphysicalRegime
-from .nonrel import Branch, EnergyLevel, OscillatorParams, _check_level, _envelope, _log_norm, energy as nonrel_energy
+from .nonrel import (
+    Branch,
+    EnergyLevel,
+    OscillatorParams,
+    _check_level,
+    _envelope,
+    _log_norm,
+    _in_float_range,
+    _square,
+    energy as nonrel_energy,
+)
 from .nu import HypergeometricForm, nu_eigencondition, nu_reduce
 from .specfun import laguerre, laguerre_derivative
 
@@ -105,17 +115,18 @@ class DiracParams:
 
     @cached_property
     def rest_energy(self) -> float:
-        return self.mass * self.c**2
+        return _in_float_range(self.mass * _square(self.c, "c"), "M c^2")
 
     @cached_property
     def _hc2(self) -> float:
         """(hbar c)^2, the denominator of every energy weight."""
-        return (self.hbar * self.c) ** 2
+        return _square(self.hbar * self.c, "(hbar c)")
 
     @cached_property
     def _level_scale(self) -> float:
         """hbar c omega sqrt(2 M), the factor of (2n + 1 + order) in each residual."""
-        return self.hbar * self.c * self.omega * math.sqrt(2.0 * self.mass)
+        scale = self.hbar * self.c * self.omega * math.sqrt(2.0 * self.mass)
+        return _in_float_range(scale, "hbar c omega sqrt(2 M)")
 
     @cached_property
     def _spinor_memo(self) -> list:
@@ -124,8 +135,7 @@ class DiracParams:
 
     def potential(self, x):
         """The isotonic well U(x) shared by both branches."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.mass * self.omega**2 * x**2 + self.g / (2.0 * x**2)
+        return OscillatorParams(mass=self.mass, omega=self.omega, g=self.g).potential(x)
 
 
 @dataclass(frozen=True)
@@ -178,7 +188,7 @@ def _derived(p: DiracParams, e_value: float, sign: float) -> SpinDerived:
         energy_weight=weight,
         constant_term=weight * (p.rest_energy - sign * e_value),
         singular_coeff=0.5 * p.g * weight,
-        falloff=math.sqrt(0.5 * p.mass * p.omega**2 * magnitude),
+        falloff=math.sqrt(0.5 * p.mass * _square(p.omega, "omega") * magnitude),
         ladder_order=0.5 * math.sqrt(under),
     )
 
@@ -203,7 +213,8 @@ def energy_residual(e_value: float, n: int, p: DiracParams, sign: float, offset:
     increasing in E on the admissible side w >= 0, which the root scan
     relies on.
     """
-    n = _check_level(n)
+    if type(n) is not int or n < 0:  # _check_level's fast path inline: a level solve calls this ~500 times
+        n = _check_level(n)
     mc2 = sign * p.rest_energy
     w = e_value + mc2 - offset
     if w < 0.0:
@@ -241,39 +252,48 @@ def klein_gordon_residual(e_value: float, n: int, p: DiracParams) -> float:
     return energy_residual(e_value, n, p, 1.0, 0.0)
 
 
-def _find_root(f, df, lower: float) -> tuple[float, float]:
-    """Bracket the first sign change above ``lower`` and refine it.
+def _find_root(n: int, p: DiracParams, sign: float, offset: float, lower: float) -> tuple[float, float]:
+    """Bracket the first sign change of energy_residual(., n, p, sign, offset) above ``lower`` and refine it.
 
-    Scans E = lower + offset with the offset growing geometrically from
-    a tiny seed (the bound itself is usually a domain edge), bisects to
+    Scans E = lower + rise with the rise growing geometrically from a
+    tiny seed (the bound itself is usually a domain edge), or takes
+    [lower, lower + seed] when the sign already changed there; bisects to
     absolute width 1e-12, then attempts a single Newton polish kept
     only if it stays inside the bracket and reduces the residual.
     Raises NoRootInRange if E leaves the float range before the sign
-    changes.
+    changes. The residual is called by its module name at each
+    evaluation, so a wrapper bound there sees every one.
     """
-    offset = _SCAN_SEED
-    e_prev = lower + offset
-    f_prev = f(e_prev)
-    if f_prev == 0.0:
-        return e_prev, 0.0
-    while True:
-        offset *= _SCAN_FACTOR
-        e_cur = lower + offset
-        if not math.isfinite(e_cur):
-            raise NoRootInRange(f"no sign change of the residual in ({lower}, {e_prev}]: E leaves the float range")
-        f_cur = f(e_cur)
-        if f_cur == 0.0:
-            return e_cur, 0.0
-        if f_prev * f_cur < 0.0:
-            break
-        e_prev, f_prev = e_cur, f_cur
+    rise = _SCAN_SEED
+    e_cur = lower + rise
+    f_cur = energy_residual(e_cur, n, p, sign, offset)
+    if f_cur == 0.0:
+        return e_cur, 0.0
+    if f_cur > 0.0:
+        # The residual at ``lower`` itself is strictly negative: there either
+        # E - s M c^2 = 0 or w = 0, which leaves only the ladder term
+        # -hbar c omega sqrt(2M) (2n + 1 + order) < 0. So the level sits in
+        # [lower, lower + seed]; the bisection reads only the sign of f_prev.
+        e_prev, f_prev = lower, -1.0
+    else:
+        while True:
+            e_prev, f_prev = e_cur, f_cur
+            rise *= _SCAN_FACTOR
+            e_cur = lower + rise
+            if not math.isfinite(e_cur):
+                raise NoRootInRange(f"no sign change of the residual in ({lower}, {e_prev}]: E leaves the float range")
+            f_cur = energy_residual(e_cur, n, p, sign, offset)
+            if f_cur == 0.0:
+                return e_cur, 0.0
+            if f_prev * f_cur < 0.0:
+                break
 
     a, b, fa = e_prev, e_cur, f_prev
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break  # spacing exhausted, interval is one ulp wide
-        fm = f(mid)
+        fm = energy_residual(mid, n, p, sign, offset)
         if fm == 0.0:
             return mid, 0.0
         if fa * fm < 0.0:
@@ -284,12 +304,12 @@ def _find_root(f, df, lower: float) -> tuple[float, float]:
             break
 
     best = 0.5 * (a + b)
-    f_best = f(best)
-    slope = df(best)
+    f_best = energy_residual(best, n, p, sign, offset)
+    slope = _residual_derivative(best, p, sign, offset)
     if slope != 0.0 and math.isfinite(slope):
         polished = best - f_best / slope
         if a < polished < b:
-            f_pol = f(polished)
+            f_pol = energy_residual(polished, n, p, sign, offset)
             if abs(f_pol) < abs(f_best):
                 best, f_best = polished, f_pol
     return best, abs(f_best)
@@ -304,11 +324,7 @@ def _solve(n: int, p: DiracParams, branch: Branch, lower: float) -> EnergyLevel:
     """
     sign = -1.0 if branch is Branch.DIRAC_PSEUDOSPIN else 1.0
     offset = 0.0 if branch is Branch.KLEIN_GORDON else p.sym_constant
-    e_value, res = _find_root(
-        lambda e: energy_residual(e, n, p, sign, offset),
-        lambda e: _residual_derivative(e, p, sign, offset),
-        lower,
-    )
+    e_value, res = _find_root(n, p, sign, offset, lower)
     if e_value + sign * p.rest_energy - offset <= 0.0:
         raise NoRootInRange(
             f"level {n} sits on the window edge E = {e_value}: the binding gap is below "

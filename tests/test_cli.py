@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import isospectra
@@ -336,6 +337,25 @@ def test_potential_beyond_the_float_range_writes_only_the_error_line(bounds):
     assert "the well leaves the float range" in lines[0]
 
 
+def test_potential_scale_beyond_the_float_range_exits_one(capsys):
+    code, out, err = run_cli(["potential", "--mass", "1e300", "--omega", "1e300", "--points", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: the scale omega^2 = (1e+300)^2 leaves the float range\n"
+
+
+def test_scale_beyond_the_float_range_in_the_parser_checks_exits_one(capsys):
+    # the x < 0 check derives the barrier index from the parameters before the run starts
+    code, out, err = run_cli(["wavefunction", "--hbar", "1e300", "--x-min", "-1", "--points", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: the scale hbar^2 = (1e+300)^2 leaves the float range\n"
+
+
+def test_potential_without_barrier_samples_where_x_squared_underflows(capsys):
+    code, out, err = run_cli(["potential", "--g", "0", "--x-min", "1e-170", "--x-max", "1", "--points", "3"], capsys)
+    assert code == 0 and err == ""
+    assert out == "x,isotonic,harmonic\n1e-170,0,0\n0.5,0.125,0.125\n1,0.5,0.5\n"
+
+
 def test_potential_rejects_origin(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["potential", "--x-min", "0"])
@@ -367,6 +387,49 @@ def test_sample_json_matches_csv(argv, head, capsys):
     assert list(doc["samples"]) == header
     for i, name in enumerate(header):
         assert doc["samples"][name] == [float(r[i]) for r in rows]
+
+
+def _old_samples(manifest, xs, columns, head):
+    """The sample writer as first written, one format call per value: the reference for _samples."""
+    names = ["x", *columns]
+    table = [xs.tolist()] + [values.tolist() for values in columns.values()]
+    if manifest.output_format == "csv":
+        lines = [",".join(names)]
+        for row in zip(*table):
+            lines.append(",".join("{:.12g}".format(v) for v in row))
+        return "\n".join(lines) + "\n"
+    samples = {name: [float("{:.12g}".format(v)) for v in values] for name, values in zip(names, table)}
+    return json.dumps({"manifest": manifest.as_dict(), **head, "samples": samples}, indent=2, sort_keys=False) + "\n"
+
+
+EDGE_SAMPLES = [
+    -0.0, 5e-324, 1e-5, 1e16, 1e300, 100.0, 1234567890123.0,
+    # on or next to a rounding boundary at 12 significant digits
+    123456789012.5, 123456789013.5, 999999999999.5, 0.1234567890125, 9.9999999999995, 1.0000000000005e-7,
+    -2.5000000000005, 1e15 + 0.5, 0.5, -1.7976931348623157e308, 2.2250738585072014e-308, 1.0, -123.456,
+]
+
+
+def _random_samples(count, seed):
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], count)
+    return signs * rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-300, 300, count)
+
+
+@pytest.mark.parametrize("output_format", cli.OUTPUT_FORMATS)
+@pytest.mark.parametrize(
+    "names, head",
+    [(["isotonic"], {}), (["upper", "lower"], {"energy": 1.5}), (["isotonic", "harmonic"], {})],
+    ids=["two-columns", "three-columns-energy", "three-columns"],
+)
+@pytest.mark.parametrize("length", [0, 1, len(EDGE_SAMPLES), 500])
+def test_sample_writer_matches_one_format_per_value(output_format, names, head, length):
+    manifest = cli.RunManifest(command="potential", parameters={"points": length}, output_format=output_format)
+    pool = np.concatenate([EDGE_SAMPLES, -np.array(EDGE_SAMPLES), _random_samples(1500, 7)])
+    columns = {name: np.roll(pool, 17 * k)[:length] for k, name in enumerate(names, start=1)}
+    xs = pool[:length]
+    expected = _old_samples(manifest, xs, columns, head)
+    assert cli._samples(manifest, xs, columns, lambda name: name, head) == expected
 
 
 # ---------------------------------------------------------- reproduce-tables
@@ -463,3 +526,29 @@ def test_run_manifest_rejects_unknown_command():
     bogus = cli.RunManifest(command="frobnicate", parameters={}, output_format="csv")
     with pytest.raises(ValueError, match="unknown command"):
         cli.run_manifest(bogus)
+
+
+# ------------------------------------------------------------- cold start
+
+def test_sampling_and_level_commands_never_import_scipy(tmp_path):
+    # a fresh interpreter: this one has imported scipy for other tests
+    src = str(pathlib.Path(isospectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = """
+import sys
+import isospectra
+import isospectra.cli as cli
+for argv in (
+    ["spectrum", "--branch", "spin", "--n-max", "2"],
+    ["spectrum", "--branch", "pseudospin", "--n-max", "2", "--format", "json"],
+    ["wavefunction", "--branch", "nonrel", "--m", "1", "--x-min", "-2", "--compare-harmonic", "--points", "9"],
+    ["wavefunction", "--branch", "spin", "--points", "9", "--format", "json"],
+    ["potential", "--points", "9"],
+    ["reproduce-tables", "--out", sys.argv[1]],
+):
+    assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -7,7 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from isospectra.errors import UnphysicalRegime
+from isospectra.errors import DivergenceError, UnphysicalRegime
 from isospectra.nonrel import (
     NON_NORMALIZABLE,
     Branch,
@@ -112,6 +112,18 @@ def test_potential_shape():
     assert p.potential(1.0) == pytest.approx(0.5 * 2 * 9 + 2.0, abs=1e-14)
     xs = np.array([0.5, 1.0, 2.0])
     assert p.potential(xs).shape == (3,)
+
+
+def test_potential_without_barrier_is_finite_where_x_squared_underflows():
+    assert OscillatorParams(g=0.0).potential(1e-170) == 0.0
+    assert OscillatorParams(g=0.0, omega=2.0).potential(np.array([0.0, 1e-170, 1.0])).tolist() == [0.0, 0.0, 2.0]
+
+
+def test_scale_beyond_the_float_range_is_named():
+    with pytest.raises(DivergenceError, match=r"^the scale omega\^2 = \(1e\+300\)\^2 leaves the float range$"):
+        OscillatorParams(omega=1e300).potential(1.0)
+    with pytest.raises(DivergenceError, match=r"^the scale hbar\^2 = \(1e\+300\)\^2 leaves the float range$"):
+        energy(0, OscillatorParams(hbar=1e300))
 
 
 def test_wavefunction_rejects_nonpositive_x():

@@ -7,7 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isospectra.errors import DegenerateEnergy, NoRootInRange, UnphysicalRegime
+from isospectra import rel
+from isospectra.errors import DegenerateEnergy, DivergenceError, NoRootInRange, UnphysicalRegime
 from isospectra.golden import TABLE1_REFERENCE, TABLE2_REFERENCE
 from isospectra.nonrel import Branch, OscillatorParams, wavefunction
 from isospectra.oracle import quadrature
@@ -16,6 +17,7 @@ from isospectra.rel import (
     PseudospinDerived,
     SpinDerived,
     Symmetry,
+    energy_residual,
     klein_gordon_energy,
     klein_gordon_residual,
     nonrel_limit_check,
@@ -67,6 +69,22 @@ def test_rest_energy_and_potential():
     assert p.potential(1.0) == pytest.approx(0.5 * 2.0 + 1.0, abs=1e-14)
 
 
+def test_potential_without_barrier_is_finite_where_x_squared_underflows():
+    assert DiracParams(g=0.0).potential(1e-170) == 0.0
+    assert DiracParams(g=0.0, omega=2.0).potential(np.array([0.0, 1e-170, 1.0])).tolist() == [0.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "params, scale",
+    [({"hbar": 1e300}, r"\(hbar c\)\^2"), ({"c": 1e200}, r"c\^2"), ({"mass": 1e300, "c": 1e10}, r"M c\^2"),
+     ({"mass": 1e300, "omega": 1e300}, r"hbar c omega sqrt\(2 M\)")],
+    ids=["hbar-c", "c", "rest-energy", "level-scale"],
+)
+def test_scale_beyond_the_float_range_is_named(params, scale):
+    with pytest.raises(DivergenceError, match=f"the scale {scale}.* leaves the float range"):
+        solve_spin_energy(0, DiracParams(**params))
+
+
 def test_solved_levels_frozen():
     assert solve_spin_energy(10, spin_params(6.0, 2.0)).value == pytest.approx(12.29516582288588, abs=1e-12)
     assert solve_spin_energy(3, spin_params(2.0, 0.0)).value == pytest.approx(6.142812911615233, abs=1e-12)
@@ -103,6 +121,38 @@ def test_scan_that_leaves_the_float_range_raises_no_root():
     message = r"no sign change of the residual in \(1\.0, .*\]: E leaves the float range"
     with pytest.raises(NoRootInRange, match=message):
         solve_spin_energy(0, spin_params(1e300, 0.0))
+
+
+@pytest.mark.parametrize(
+    "solve, params",
+    [
+        # two decades requests of the CLI benchmark: the level lies one or two ulps above M c^2 ~ 2.4e6
+        (solve_pseudospin_energy, {"mass": 0.05864278126393717, "omega": 0.04290499066231338,
+                                   "c": 6405.940596764526, "g": 83866.52633884647}),
+        (solve_pseudospin_energy, {"mass": 0.05266314337292571, "omega": 0.04326613896866815,
+                                   "c": 7243.793894198538, "g": 117300.62850529575}),
+        (solve_spin_energy, {"mass": 1e-300}),
+    ],
+)
+def test_level_closer_to_the_window_edge_than_the_first_step_is_bisected(solve, params, monkeypatch):
+    """The residual is positive at the scan's first point, so the level lies between the edge and it."""
+    branch = Symmetry.SPIN if solve is solve_spin_energy else Symmetry.PSEUDOSPIN
+    p = DiracParams(branch=branch, **params)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return energy_residual(*args)
+
+    monkeypatch.setattr(rel, "energy_residual", counted)
+    e_value = solve(0, p).value
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 100
+    sign = 1.0 if branch is Symmetry.SPIN else -1.0
+    # the final bracket is 1e-12 wide, or one ulp where the float spacing of E is wider
+    below = max(p.rest_energy, min(e_value - 1e-12, math.nextafter(e_value, -math.inf)))
+    above = max(e_value + 1e-12, math.nextafter(e_value, math.inf))
+    assert energy_residual(below, 0, p, sign, 0.0) <= 0.0 <= energy_residual(above, 0, p, sign, 0.0)
 
 
 @pytest.mark.parametrize("params", [{"c": 1e4}, {"mass": 1e8}])
