@@ -38,6 +38,9 @@ __all__ = [
     "oscillator3d_radial",
 ]
 
+_WAVEFUNCTION_DOMAIN = "wavefunction is defined on finite x > 0; use parity_extend for the mirror side"
+_HARMONIC_DOMAIN = "harmonic wavefunction is defined on finite x"
+
 
 class Branch(enum.Enum):
     """Which wave equation an energy level belongs to."""
@@ -212,6 +215,12 @@ def _check_level(n) -> int:
     return int(n)
 
 
+def _check_orbital(l) -> int:
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
+        raise ValueError(f"orbital index must be a non-negative integer, got {l!r}")
+    return int(l)
+
+
 def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     """Closed-form level E_n = hbar omega (2n + 1 + (1/2) sqrt(1 + 4 alpha)).
 
@@ -222,28 +231,6 @@ def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     d = p._ladder
     value = p.hbar * p.omega * (2.0 * n + 1.0 + d.xi)
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
-
-
-def _sample(x, beta: float, where: str | None = None):
-    """The math module and x as a float for scalar x, numpy and a float array otherwise.
-
-    Returned with s = beta x^2, computed as (beta x) x for a float and
-    beta (x^2) for an array: the two round differently in the last
-    bit, and scalar and array samples each keep their own values. This
-    is the one scalar/array fork of the wavefunctions; scalar
-    quadrature integrands call it thousands of times per integral,
-    hence the isinstance short cut. When ``where`` is given, x must be
-    > 0 elementwise and ValueError(where) is raised otherwise.
-    """
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if where is not None and x <= 0.0:
-            raise ValueError(where)
-        return math, x, beta * x * x
-    x = np.asarray(x, dtype=float)
-    if where is not None and np.any(x <= 0.0):
-        raise ValueError(where)
-    return np, x, beta * x**2
 
 
 def _log_norm(n: int, beta: float, zeta: float) -> float:
@@ -279,12 +266,32 @@ def _stored_log_norm(p: OscillatorParams, n: int, zeta: float | None) -> float:
 def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
     """N x^(1/2 + zeta) exp(-beta x^2 / 2), the envelope of every Laguerre state here.
 
-    ln_norm is ln N (``_log_norm``). Returns (x, s, envelope): x as
-    converted by ``_sample`` and s = beta x^2. Raises ValueError(where)
-    unless x > 0 elementwise.
+    ln_norm is ln N (``_log_norm``). Returns (x, s, envelope): x as a
+    float for scalar x and as a float array otherwise, and s = beta x^2.
+    Raises ValueError(where) unless x is finite and > 0 elementwise.
+
+    A scalar is computed with math, with s = (beta x) x; an array with
+    numpy, with s = beta (x^2). The two round differently in the last
+    bit, and scalar and array samples each keep their own values. A
+    scalar s that overflows raises DivergenceError; an array keeps it,
+    and its caller reports the column that holds it. The states a
+    quadrature samples repeat the scalar branch inline for a float x in
+    the domain (their direct path), so they call this only for other x,
+    and every error is raised here.
     """
-    xp, x, s = _sample(x, beta, where)
-    return x, s, xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s)
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not 0.0 < x < math.inf:
+            raise ValueError(where)
+        s = beta * x * x
+        if s == math.inf:
+            raise DivergenceError(f"the scale beta x^2 = {beta} * ({x})^2 leaves the float range")
+        return x, s, math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s)
+    x = np.asarray(x, dtype=float)
+    if not np.all((x > 0.0) & (x < math.inf)):
+        raise ValueError(where)
+    s = beta * x**2
+    return x, s, np.exp(ln_norm + (0.5 + zeta) * np.log(x) - 0.5 * s)
 
 
 def wavefunction(n: int, p: OscillatorParams, x):
@@ -292,18 +299,21 @@ def wavefunction(n: int, p: OscillatorParams, x):
 
     psi_n(x) = N x^(1/2 + xi) exp(-beta x^2 / 2) L_n^(xi)(beta x^2)
     with N chosen so the square integrates to one; the prefactor is
-    assembled in log space so large n stays finite. x must be > 0
-    elementwise; scalar in, scalar out.
+    assembled in log space so large n stays finite. x must be finite
+    and > 0 elementwise; a float x gives a float, and raises
+    DivergenceError where the Laguerre recurrence overflows.
     """
-    n = _check_level(n)
+    if type(n) is not int or n < 0:  # _check_level's fast path inline: a quadrature calls this ~10^5 times
+        n = _check_level(n)
     d = p._ladder
-    _, s, envelope = _envelope(
-        _stored_log_norm(p, n, d.xi),
-        d.beta,
-        d.xi,
-        x,
-        "wavefunction is defined on x > 0; use parity_extend for the mirror side",
-    )
+    ln_norm = p._log_norms.get((n, d.xi))
+    if ln_norm is None:
+        ln_norm = _stored_log_norm(p, n, d.xi)
+    if isinstance(x, float) and 0.0 < x < math.inf:  # the direct path of _envelope
+        s = d.beta * x * x
+        if s < math.inf:
+            return math.exp(ln_norm + (0.5 + d.xi) * math.log(x) - 0.5 * s) * laguerre(n, d.xi, s)
+    _, s, envelope = _envelope(ln_norm, d.beta, d.xi, x, _WAVEFUNCTION_DOMAIN)
     return envelope * laguerre(n, d.xi, s)
 
 
@@ -334,12 +344,30 @@ def harmonic_energy(n: int, p: OscillatorParams) -> float:
 
 
 def harmonic_wavefunction(n: int, p: OscillatorParams, x):
-    """Normalized full-line harmonic eigenfunction, for side-by-side plots."""
-    n = _check_level(n)
+    """Normalized full-line harmonic eigenfunction, for side-by-side plots.
+
+    x must be finite elementwise. Scalar and array x are computed as in
+    ``_envelope``; a float x gives a float, and raises DivergenceError
+    where the Hermite recurrence overflows.
+    """
+    if type(n) is not int or n < 0:
+        n = _check_level(n)
+    ln_norm = p._log_norms.get((n, None))
+    if ln_norm is None:
+        ln_norm = _stored_log_norm(p, n, None)
     beta = p.mass * p.omega / p.hbar
-    ln_norm = _stored_log_norm(p, n, None)
-    xp, x, s = _sample(x, beta)
-    return xp.exp(ln_norm - 0.5 * s) * hermite(n, math.sqrt(beta) * x)
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if not -math.inf < x < math.inf:
+            raise ValueError(_HARMONIC_DOMAIN)
+        s = beta * x * x
+        if s == math.inf:
+            raise DivergenceError(f"the scale beta x^2 = {beta} * ({x})^2 leaves the float range")
+        return math.exp(ln_norm - 0.5 * s) * hermite(n, math.sqrt(beta) * x)
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(_HARMONIC_DOMAIN)
+    return np.exp(ln_norm - 0.5 * beta * x**2) * hermite(n, math.sqrt(beta) * x)
 
 
 def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
@@ -350,18 +378,28 @@ def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
     off the integers.
     """
     n = _check_level(n)
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise ValueError(f"orbital index must be a non-negative integer, got {l!r}")
+    l = _check_orbital(l)
     return p.hbar * p.omega * (2.0 * n + l + 1.5)
 
 
 def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
-    """Reduced radial eigenfunction u_nl(r) = r R_nl(r), unit norm on r > 0."""
-    n = _check_level(n)
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise ValueError(f"orbital index must be a non-negative integer, got {l!r}")
+    """Reduced radial eigenfunction u_nl(r) = r R_nl(r), unit norm on r > 0.
+
+    r must be finite and > 0 elementwise; a float r gives a float, and
+    raises DivergenceError where the Laguerre recurrence overflows.
+    """
+    if type(n) is not int or n < 0:
+        n = _check_level(n)
+    if type(l) is not int or l < 0:
+        l = _check_orbital(l)
     zeta = l + 0.5
-    _, s, envelope = _envelope(
-        _stored_log_norm(p, n, zeta), p.mass * p.omega / p.hbar, zeta, r, "radial coordinate must be positive"
-    )
+    ln_norm = p._log_norms.get((n, zeta))
+    if ln_norm is None:
+        ln_norm = _stored_log_norm(p, n, zeta)
+    beta = p.mass * p.omega / p.hbar
+    if isinstance(r, float) and 0.0 < r < math.inf:  # the direct path of _envelope
+        s = beta * r * r
+        if s < math.inf:
+            return math.exp(ln_norm + (0.5 + zeta) * math.log(r) - 0.5 * s) * laguerre(n, zeta, s)
+    _, s, envelope = _envelope(ln_norm, beta, zeta, r, "radial coordinate must be finite and positive")
     return envelope * laguerre(n, zeta, s)

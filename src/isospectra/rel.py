@@ -62,7 +62,7 @@ _SCAN_FACTOR = 1.05
 _BISECT_MAX = 200
 _BISECT_TOL = 1e-12
 
-_SPINOR_DOMAIN = "spinor components are defined on x > 0"
+_SPINOR_DOMAIN = "spinor components are defined on finite x > 0"
 
 
 class Symmetry(enum.Enum):
@@ -176,6 +176,8 @@ def _derived(p: DiracParams, e_value: float, sign: float) -> SpinDerived:
     The magnitude of the energy weight is (E + sign M c^2 - sym_constant)
     / (hbar c)^2 and must be positive; the weight itself carries the sign.
     """
+    if not math.isfinite(e_value):
+        raise ValueError(f"energy must be finite, got {e_value}")
     w = e_value + sign * p.rest_energy - p.sym_constant
     if w <= 0.0:
         raise ValueError(f"E {'+' if sign > 0.0 else '-'} M c^2 - sym_constant = {w} must be positive")
@@ -386,21 +388,23 @@ def _spinor_state(n: int, p: DiracParams, e_value: float, sign: float) -> tuple[
     return entry[1], entry[2]
 
 
-def _laguerre_state(n: int, d: SpinDerived, ln_norm: float, x):
-    """Envelope times L_n^(order)(falloff x^2), unit norm on x > 0: the shape of both normalized components."""
-    _, s, envelope = _envelope(ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
-    return envelope * laguerre(n, d.ladder_order, s)
-
-
 def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     """Normalized upper spinor component of the spin branch at energy e_value.
 
     Same polynomial-times-Gaussian shape as the nonrelativistic
-    eigenfunction, with the energy-dependent falloff and order. x > 0
-    elementwise; scalar in, scalar out.
+    eigenfunction, with the energy-dependent falloff and order. x must
+    be finite and > 0 elementwise; a float x gives a float, and raises
+    DivergenceError where the Laguerre recurrence overflows.
     """
-    n = _check_level(n)
-    return _laguerre_state(n, *_spinor_state(n, p, e_value, 1.0), x)
+    if type(n) is not int or n < 0:
+        n = _check_level(n)
+    d, ln_norm = _spinor_state(n, p, e_value, 1.0)
+    if isinstance(x, float) and 0.0 < x < math.inf:  # the direct path of _envelope
+        s = d.falloff * x * x
+        if s < math.inf:
+            return math.exp(ln_norm + (0.5 + d.ladder_order) * math.log(x) - 0.5 * s) * laguerre(n, d.ladder_order, s)
+    _, s, envelope = _envelope(ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    return envelope * laguerre(n, d.ladder_order, s)
 
 
 def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
@@ -409,9 +413,11 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     Obtained from the upper component through the first-order coupling,
     so it inherits the upper component's normalization divided by the
     energy denominator M c^2 + E - sym_constant. Raises DegenerateEnergy
-    when that denominator vanishes (the coupling has a pole there).
+    when that denominator vanishes (the coupling has a pole there). x as
+    in ``spin_upper_spinor``.
     """
-    n = _check_level(n)
+    if type(n) is not int or n < 0:
+        n = _check_level(n)
     denom = p.rest_energy + e_value - p.sym_constant
     if abs(denom) < 1e-12:
         raise DegenerateEnergy(f"energy denominator {denom} is on the coupling pole")
@@ -429,10 +435,17 @@ def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
 
     Written in the manifestly real form built from the magnitude of the
     (negative) energy weight, with the closed-form normalization from
-    the polynomial weight integral. x > 0 elementwise.
+    the polynomial weight integral. x as in ``spin_upper_spinor``.
     """
-    n = _check_level(n)
-    return _laguerre_state(n, *_spinor_state(n, p, e_value, -1.0), x)
+    if type(n) is not int or n < 0:
+        n = _check_level(n)
+    d, ln_norm = _spinor_state(n, p, e_value, -1.0)
+    if isinstance(x, float) and 0.0 < x < math.inf:  # the direct path of _envelope
+        s = d.falloff * x * x
+        if s < math.inf:
+            return math.exp(ln_norm + (0.5 + d.ladder_order) * math.log(x) - 0.5 * s) * laguerre(n, d.ladder_order, s)
+    _, s, envelope = _envelope(ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
+    return envelope * laguerre(n, d.ladder_order, s)
 
 
 def pseudospin_map_check(n: int, p: DiracParams) -> float:

@@ -3,13 +3,17 @@
 Associated Laguerre and Hermite polynomials are evaluated by their
 three-term recurrences and the confluent hypergeometric function by
 direct series summation, so the bound-state wavefunctions depend on
-nothing heavier than numpy. Normalization constants elsewhere go
-through ``log_gamma`` to keep factorial ratios in log space.
+nothing heavier than numpy. The Laguerre recurrence coefficients of
+each (degree, order) are computed once and kept in a bounded cache, as
+a quadrature samples one state thousands of times. Normalization
+constants elsewhere go through ``log_gamma`` to keep factorial ratios
+in log space.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +33,12 @@ __all__ = [
 _SERIES_RTOL = 1e-15
 _SERIES_MAX_TERMS = 1000
 
+# (degree, order) pairs whose Laguerre recurrence coefficients are kept. A
+# quadrature integrand samples one to three states thousands of times; an
+# array call samples its state once. A degree-n entry holds n - 1 float
+# triples, so the bound also bounds the memory.
+_LAGUERRE_CACHE_SIZE = 16
+
 
 def _check_degree(n: int) -> int:
     if type(n) is int and n >= 0:
@@ -40,6 +50,18 @@ def _check_degree(n: int) -> int:
     return int(n)
 
 
+@lru_cache(maxsize=_LAGUERRE_CACHE_SIZE)
+def _laguerre_steps(n: int, alpha: float) -> tuple:
+    """((2k+1+alpha, k+alpha, k+1) for k = 1 .. n-1): the coefficients of laguerre's recurrence.
+
+    alpha must be a float: np.float64 hashes and compares equal to it, so
+    a numpy key would fill the entry with numpy scalars. Each coefficient
+    is formed as the recurrence formed it in place, so cached and uncached
+    sums agree bit for bit.
+    """
+    return tuple((2 * k + 1 + alpha, k + alpha, float(k + 1)) for k in range(1, n))
+
+
 def laguerre(n: int, alpha: float, z):
     """Associated Laguerre polynomial L_n^(alpha)(z).
 
@@ -48,25 +70,36 @@ def laguerre(n: int, alpha: float, z):
         (k+1) L_{k+1} = (2k+1+alpha-z) L_k - (k+alpha) L_{k-1},
 
     which is stable on the domain the wavefunctions use (z >= 0,
-    alpha > -1). Accepts scalar or array z and matches the input shape.
+    alpha > -1). Accepts scalar or array z and matches the input shape;
+    a scalar z gives a float. alpha must be finite and a scalar z finite,
+    else ValueError; a scalar result that leaves the float range raises
+    DivergenceError. An array z may hold +inf where a scale such as
+    beta x^2 overflowed upstream: those entries come back inf or NaN, for
+    the caller to report with its column.
     """
-    n = _check_degree(n)
-    if alpha <= -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
-    if isinstance(z, float) or np.ndim(z) == 0:
-        # scalar fast path; the quadrature oracle hits this millions of times
-        z, prev = float(z), 1.0
-        negative = z < 0.0
+    if type(n) is not int or n < 0:  # _check_degree's fast path inline: a quadrature calls this ~10^5 times
+        n = _check_degree(n)
+    alpha = float(alpha)
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and exceed -1, got {alpha}")
+    scalar = isinstance(z, float) or np.ndim(z) == 0
+    if scalar:
+        z = float(z)
+        if not 0.0 <= z < math.inf:
+            raise ValueError(f"argument must be finite and non-negative, got {z}")
+        prev = 1.0
     else:
         z = np.asarray(z, dtype=float)
-        prev, negative = np.ones_like(z), np.any(z < 0.0)
-    if negative:
-        raise ValueError("argument must be non-negative")
+        if not np.all(z >= 0.0):
+            raise ValueError("argument must be non-negative and not NaN")
+        prev = np.ones_like(z)
     if n == 0:
         return prev
     cur = 1.0 + alpha - z
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - z) * cur - (k + alpha) * prev) / (k + 1)
+    for a, b, c in _laguerre_steps(n, alpha):
+        prev, cur = cur, ((a - z) * cur - b * prev) / c
+    if scalar and not -math.inf < cur < math.inf:
+        raise DivergenceError(f"the Laguerre recurrence overflows the float range at n = {n}, alpha = {alpha}, z = {z}")
     return cur
 
 
@@ -133,19 +166,32 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
 def hermite(n: int, y):
     """Physicists' Hermite polynomial H_n(y).
 
-    Upward recurrence H_{k+1} = 2 y H_k - 2 k H_{k-1}. Scalar or array y.
+    Upward recurrence H_{k+1} = 2 y H_k - 2 k H_{k-1}. Scalar or array y;
+    a scalar y gives a float, must be finite (ValueError) and raises
+    DivergenceError where the result leaves the float range. Array
+    entries must not be NaN; +inf gives non-finite entries, as in
+    ``laguerre``.
     """
-    n = _check_degree(n)
-    if isinstance(y, float) or np.ndim(y) == 0:
-        y, prev = float(y), 1.0
+    if type(n) is not int or n < 0:
+        n = _check_degree(n)
+    scalar = isinstance(y, float) or np.ndim(y) == 0
+    if scalar:
+        y = float(y)
+        if not -math.inf < y < math.inf:
+            raise ValueError(f"argument must be finite, got {y}")
+        prev = 1.0
     else:
         y = np.asarray(y, dtype=float)
+        if np.isnan(y).any():
+            raise ValueError("argument must not be NaN")
         prev = np.ones_like(y)
     if n == 0:
         return prev
     cur = 2.0 * y
     for k in range(1, n):
         prev, cur = cur, 2.0 * y * cur - 2.0 * k * prev
+    if scalar and not -math.inf < cur < math.inf:
+        raise DivergenceError(f"the Hermite recurrence overflows the float range at n = {n}, y = {y}")
     return cur
 
 

@@ -309,3 +309,66 @@ def test_level_check_accepts_numpy_integers():
     n = np.int64(3)
     assert wavefunction(n, p, 1.3) == wavefunction(3, p, 1.3)
     assert energy(n, p).n == 3 and type(energy(n, p).n) is int
+
+
+_NON_FINITE_X = [math.nan, math.inf, -math.inf, np.array([1.0, math.inf]), np.array([math.nan, 1.0])]
+
+
+@pytest.mark.parametrize("x", _NON_FINITE_X)
+def test_wavefunction_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match=r"^wavefunction is defined on finite x > 0"):
+        wavefunction(3, OscillatorParams(), x)
+
+
+@pytest.mark.parametrize("x", _NON_FINITE_X)
+def test_radial_state_rejects_non_finite_r(x):
+    with pytest.raises(ValueError, match="^radial coordinate must be finite and positive$"):
+        oscillator3d_radial(3, 1, OscillatorParams(), x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.array([-1.0, math.inf]), np.array([math.nan])])
+def test_harmonic_state_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="^harmonic wavefunction is defined on finite x$"):
+        harmonic_wavefunction(3, OscillatorParams(), x)
+
+
+def test_wavefunction_overflow_raises_for_a_scalar_and_is_reported_in_an_array():
+    p = OscillatorParams(g=2.0)
+    with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
+        wavefunction(2000, p, 40.0)
+    with pytest.raises(DivergenceError, match=r"^the scale beta x\^2 = 1.0 \* \(1e\+200\)\^2 leaves the float range$"):
+        wavefunction(0, p, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = wavefunction(2000, p, np.array([40.0]))
+    assert not np.isfinite(column).any()  # the CLI reports the column by name
+
+
+def test_radial_state_overflow_raises_for_a_scalar():
+    p = OscillatorParams()
+    with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
+        oscillator3d_radial(2000, 1, p, 40.0)
+    with pytest.raises(DivergenceError, match=r"^the scale beta x\^2 .* leaves the float range$"):
+        oscillator3d_radial(0, 1, p, 1e200)
+
+
+def test_harmonic_state_overflow_raises_for_a_scalar():
+    p = OscillatorParams()
+    with pytest.raises(DivergenceError, match="^the Hermite recurrence overflows the float range at n = 400"):
+        harmonic_wavefunction(400, p, 30.0)
+    with pytest.raises(DivergenceError, match=r"^the scale beta x\^2 .* leaves the float range$"):
+        harmonic_wavefunction(0, p, -1e200)
+
+
+def test_scalar_states_return_floats():
+    p, x = OscillatorParams(), np.float64(1.3)
+    for value in (wavefunction(3, p, x), oscillator3d_radial(2, np.int64(1), p, x), harmonic_wavefunction(3, p, x)):
+        assert type(value) is float
+
+
+def test_direct_scalar_path_matches_the_envelope_bit_for_bit():
+    # a float takes each state's inline path, a 0-d array the scalar branch of _envelope
+    p = OscillatorParams(mass=1.3, omega=0.7, g=2.7, hbar=1.1)
+    for x in (1e-3, 0.37, 1.3, 4.1, 9.0):
+        for n in (0, 1, 5, 12):
+            for fn, args in ((wavefunction, (n, p)), (oscillator3d_radial, (n, 2, p))):
+                assert fn(*args, x).hex() == fn(*args, np.array(x)).hex()

@@ -522,3 +522,47 @@ def test_spinor_memo_keeps_no_failed_state():
     with pytest.raises(ValueError):
         spin_upper_spinor(-1, p, e, 1.1)
     assert spin_lower_spinor(1, p, e, 1.1).hex() == _written_out_spinor("lower", 1, p, e, 1.1).hex()
+
+
+_SPINOR_BRANCHES = [(spin_upper_spinor, Symmetry.SPIN), (spin_lower_spinor, Symmetry.SPIN), (pseudospin_lower_spinor, Symmetry.PSEUDOSPIN)]
+
+
+def _level(n, symmetry):
+    p = DiracParams(g=2.0, branch=symmetry)
+    solve = solve_spin_energy if symmetry is Symmetry.SPIN else solve_pseudospin_energy
+    return p, solve(n, p).value
+
+
+@pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
+@pytest.mark.parametrize("x", [math.nan, math.inf, np.array([1.0, math.inf]), np.array([math.nan])])
+def test_spinors_reject_non_finite_x(spinor, symmetry, x):
+    p, e = _level(1, symmetry)
+    with pytest.raises(ValueError, match="^spinor components are defined on finite x > 0$"):
+        spinor(1, p, e, x)
+
+
+@pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
+def test_spinor_overflow_raises_for_a_scalar_and_is_reported_in_an_array(spinor, symmetry):
+    p, e = _level(2000, symmetry)
+    with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
+        spinor(2000, p, e, 40.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = spinor(2000, p, e, np.array([40.0]))
+    assert not np.isfinite(column).any()
+
+
+@pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
+@pytest.mark.parametrize("e_value", [math.nan, math.inf])
+def test_spinors_reject_a_non_finite_energy(spinor, symmetry, e_value):
+    p = DiracParams(g=2.0, branch=symmetry)
+    with pytest.raises(ValueError, match=f"^energy must be finite, got {e_value}$"):
+        spinor(1, p, e_value, 1.0)
+
+
+def test_direct_scalar_path_matches_the_envelope_bit_for_bit():
+    # a float takes each spinor's inline path, a 0-d array the scalar branch of nonrel._envelope
+    for spinor, symmetry in _SPINOR_BRANCHES:
+        for n in (0, 3):
+            p, e = _level(n, symmetry)
+            for x in (1e-3, 0.37, 1.3, 4.1):
+                assert spinor(n, p, e, x).hex() == spinor(n, p, e, np.array(x)).hex()

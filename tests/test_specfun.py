@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isospectra import specfun
 from isospectra.errors import DivergenceError
 from isospectra.oracle import quadrature
 from isospectra.specfun import (
@@ -190,3 +191,103 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma(0.0)
     with pytest.raises(ValueError):
         log_gamma(-2.5)
+
+
+def _reference_laguerre(n, alpha, z):
+    """The recurrence as it was written before its coefficients were cached, for a bit-for-bit reference."""
+    if np.ndim(z) == 0:
+        z, prev = float(z), 1.0
+    else:
+        z = np.asarray(z, dtype=float)
+        prev = np.ones_like(z)
+    if n == 0:
+        return prev
+    cur = 1.0 + alpha - z
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - z) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
+_REFERENCE_ZS = [0.0, 5e-324, 1e-300, 1e-8, 0.37, 1.0, 3.7, 25.0, 140.0, 1e3]
+
+
+@pytest.mark.parametrize("alpha", [-0.999, 0.0, 0.5, 2.5, 7.25])
+def test_laguerre_matches_the_uncached_recurrence_bit_for_bit(alpha):
+    zs = np.array(_REFERENCE_ZS)
+    for n in range(61):
+        for z in _REFERENCE_ZS:
+            got, want = laguerre(n, alpha, z), _reference_laguerre(n, alpha, z)
+            assert type(got) is float and got.hex() == want.hex(), (n, z)
+        assert laguerre(n, alpha, zs).tobytes() == _reference_laguerre(n, alpha, zs).tobytes(), n
+
+
+def test_laguerre_derivative_matches_the_uncached_recurrence_bit_for_bit():
+    zs = np.array(_REFERENCE_ZS)
+    for alpha in (-0.999, 0.5, 7.25):
+        assert laguerre_derivative(0, alpha, 3.7) == 0.0
+        assert laguerre_derivative(0, alpha, zs).tobytes() == np.zeros_like(zs).tobytes()
+        for n in range(1, 40):
+            want = -_reference_laguerre(n - 1, alpha + 1.0, zs)
+            assert laguerre_derivative(n, alpha, zs).tobytes() == want.tobytes()
+            assert laguerre_derivative(n, alpha, 3.7).hex() == float(-_reference_laguerre(n - 1, alpha + 1.0, 3.7)).hex()
+
+
+def test_laguerre_coefficient_cache_stays_at_its_bound():
+    for k in range(10_000):
+        laguerre(4, 0.5 + k * 1e-3, 1.3)
+    info = specfun._laguerre_steps.cache_info()
+    assert info.maxsize == specfun._LAGUERRE_CACHE_SIZE
+    assert info.currsize == specfun._LAGUERRE_CACHE_SIZE
+
+
+def test_scalar_laguerre_is_a_float_after_a_numpy_order_was_cached():
+    alpha = 0.8125  # not used elsewhere, so the numpy call below makes the entry
+    first = laguerre(6, np.float64(alpha), 1.5)
+    assert type(first) is float
+    assert type(laguerre(6, alpha, 1.5)) is float and laguerre(6, alpha, 1.5) == first
+    assert type(laguerre(6, np.float64(alpha), np.float64(1.5))) is float
+    assert all(type(c) is float for step in specfun._laguerre_steps(6, alpha) for c in step)
+
+
+@pytest.mark.parametrize(
+    "alpha,z,message",
+    [
+        (math.nan, 1.0, "alpha must be finite and exceed -1, got nan"),
+        (math.inf, 1.0, "alpha must be finite and exceed -1, got inf"),
+        (0.5, math.inf, "argument must be finite and non-negative, got inf"),
+        (0.5, math.nan, "argument must be finite and non-negative, got nan"),
+        (0.5, np.array([1.0, math.nan]), "argument must be non-negative and not NaN"),
+    ],
+)
+def test_laguerre_rejects_non_finite_arguments(alpha, z, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        laguerre(3, alpha, z)
+
+
+def test_laguerre_overflow_raises_for_a_scalar_and_stays_in_an_array():
+    with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
+        laguerre(2000, 0.5, 1600.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = laguerre(2000, 0.5, np.array([1.0, 1600.0]))
+    assert math.isfinite(column[0]) and not math.isfinite(column[1])
+
+
+@pytest.mark.parametrize(
+    "y,message",
+    [
+        (math.nan, "argument must be finite, got nan"),
+        (-math.inf, "argument must be finite, got -inf"),
+        (np.array([0.5, math.nan]), "argument must not be NaN"),
+    ],
+)
+def test_hermite_rejects_non_finite_arguments(y, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        hermite(3, y)
+
+
+def test_hermite_overflow_raises_for_a_scalar_and_stays_in_an_array():
+    with pytest.raises(DivergenceError, match="^the Hermite recurrence overflows the float range at n = 400, y = 30.0$"):
+        hermite(400, 30.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column = hermite(200, np.array([0.5, 1e3]))
+    assert math.isfinite(column[0]) and not math.isfinite(column[1])
