@@ -5,10 +5,16 @@ output format); ``run_manifest`` is a pure function from that manifest
 to output text, so identical invocations produce identical bytes and
 the manifest can be logged or replayed. ``main`` only parses flags,
 runs the manifest and touches the filesystem.
+
+The argument parser is built on the first ``build_parser()`` call and
+shared by every later request of the process; parsing never changes it,
+so no state carries from one request to the next. Callers must not add
+arguments to it.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -99,7 +105,14 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared for the life of the process.
+
+    Parsing reads the parser and never modifies it, and argparse reads the
+    terminal width when it formats help, so one parser serves every
+    request. Callers must not add arguments or subparsers to it.
+    """
     parser = argparse.ArgumentParser(
         prog="isospectra",
         description="Bound-state ladders and wavefunctions of the isotonic oscillator "
@@ -487,7 +500,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         result = run_manifest(manifest_from_args(parser, args))
-    except (SpectraError, ValueError, ArithmeticError) as exc:
+    except (SpectraError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path, content in result.files.items():

@@ -175,6 +175,14 @@ def _square(value: float, name: str) -> float:
     return _in_float_range(squared, f"{name}^2 = ({value})^2")
 
 
+def _divisor_square(value: float, name: str) -> float:
+    """_square(value, name) for a square that is divided by; DivergenceError names it if it underflows to 0."""
+    squared = _square(value, name)
+    if squared == 0.0:
+        raise DivergenceError(f"the scale {name}^2 = ({value})^2 underflows to 0")
+    return squared
+
+
 def derive(p: OscillatorParams) -> DerivedNonrel:
     """Compute the derived combinations for a parameter set.
 
@@ -182,7 +190,7 @@ def derive(p: OscillatorParams) -> DerivedNonrel:
     coupling) come back as NaN and the regime classifier says why.
     """
     beta = p.mass * p.omega / p.hbar
-    alpha = p.mass * p.g / _square(p.hbar, "hbar")
+    alpha = p.mass * p.g / _divisor_square(p.hbar, "hbar")
     xi = 0.5 * math.sqrt(1.0 + 4.0 * alpha) if 1.0 + 4.0 * alpha >= 0.0 else math.nan
     m = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * p.g)) if 1.0 + 4.0 * p.g >= 0.0 else math.nan
     return DerivedNonrel(beta=beta, alpha=alpha, xi=xi, m=m)

@@ -25,6 +25,7 @@ from .nonrel import (
     EnergyLevel,
     OscillatorParams,
     _check_level,
+    _divisor_square,
     _envelope,
     _log_norm,
     _in_float_range,
@@ -120,7 +121,7 @@ class DiracParams:
     @cached_property
     def _hc2(self) -> float:
         """(hbar c)^2, the denominator of every energy weight."""
-        return _square(self.hbar * self.c, "(hbar c)")
+        return _divisor_square(self.hbar * self.c, "(hbar c)")
 
     @cached_property
     def _level_scale(self) -> float:

@@ -5,6 +5,8 @@ path a shell invocation would, including argparse exits and file
 writing, without paying subprocess startup per case. The one exception
 runs ``python -m isospectra`` to see the stderr a shell would see.
 """
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -350,6 +352,46 @@ def test_scale_beyond_the_float_range_in_the_parser_checks_exits_one(capsys):
     assert err == "error: the scale hbar^2 = (1e+300)^2 leaves the float range\n"
 
 
+@pytest.mark.parametrize(
+    "argv, scale",
+    [
+        (["spectrum", "--branch", "spin", "--c", "1e-300"], "(hbar c)^2 = (1e-300)^2"),
+        (["spectrum", "--branch", "pseudospin", "--hbar", "1e-170"], "(hbar c)^2 = (1e-170)^2"),
+        (["spectrum", "--hbar", "1e-300"], "hbar^2 = (1e-300)^2"),
+        (["wavefunction", "--hbar", "1e-300", "--points", "3"], "hbar^2 = (1e-300)^2"),
+        (["wavefunction", "--hbar", "1e-300", "--x-min", "-1", "--points", "3"], "hbar^2 = (1e-300)^2"),
+    ],
+    ids=["spin-c", "pseudospin-hbar", "nonrel-spectrum", "nonrel-wavefunction", "parser-checks"],
+)
+def test_divisor_scale_that_underflows_to_zero_exits_one(argv, scale, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: the scale {scale} underflows to 0\n"
+
+
+def test_well_scale_that_underflows_still_samples(capsys):
+    # omega^2 only multiplies, so its underflow to 0 leaves a finite well
+    code, out, err = run_cli(["potential", "--omega", "1e-200", "--points", "3"], capsys)
+    assert code == 0 and err == ""
+    assert out == "x,isotonic,harmonic\n0.05,400,0\n2.525,0.156847367905,0\n5,0.04,0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wavefunction", "--points", "100000000000000"],
+        ["wavefunction", "--branch", "spin", "--points", "100000000000000"],
+        ["potential", "--points", "100000000000000"],
+    ],
+    ids=["wavefunction", "wavefunction-spin", "potential"],
+)
+def test_sample_request_beyond_memory_exits_one(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_potential_without_barrier_samples_where_x_squared_underflows(capsys):
     code, out, err = run_cli(["potential", "--g", "0", "--x-min", "1e-170", "--x-max", "1", "--points", "3"], capsys)
     assert code == 0 and err == ""
@@ -526,6 +568,75 @@ def test_run_manifest_rejects_unknown_command():
     bogus = cli.RunManifest(command="frobnicate", parameters={}, output_format="csv")
     with pytest.raises(ValueError, match="unknown command"):
         cli.run_manifest(bogus)
+
+
+# ------------------------------------------------------------ shared parser
+
+def _help(parser, command):
+    """What ``isospectra [command] --help`` prints through parser."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), pytest.raises(SystemExit) as exc:
+        parser.parse_args([*command, "--help"])
+    assert exc.value.code == 0
+    return buffer.getvalue()
+
+
+def test_parser_is_built_once_and_shared():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_flag_between_requests(capsys):
+    assert run_cli(["spectrum", "--branch", "spin", "--g", "6", "--cs", "2", "--n-max", "1"], capsys)[0] == 0
+    args = cli.build_parser().parse_args(["spectrum"])
+    assert args.g is None and args.cs == 0.0 and args.branch == "nonrel" and args.n_max == 10
+
+
+def test_shared_parser_gives_the_same_output_around_a_rejected_request(capsys):
+    argv = ["wavefunction", "--branch", "spin", "--g", "6", "--cs", "2", "--points", "7", "--format", "json"]
+    code, first, _ = run_cli(argv, capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["wavefunction", "--g", "2", "--m", "1", "--points", "9", "--x-min", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(argv, capsys) == (0, first, "")
+
+
+@pytest.mark.parametrize("command", [[], ["spectrum"], ["wavefunction"], ["potential"], ["reproduce-tables"], ["validate"]])
+@pytest.mark.parametrize("columns", [None, "60"])
+def test_shared_parser_help_matches_a_fresh_parser(command, columns, monkeypatch):
+    shared = cli.build_parser()
+    # the width is read when help is formatted, not when the parser was built
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    text = _help(shared, command)
+    assert text.startswith("usage: isospectra")
+    assert text == _help(cli.build_parser.__wrapped__(), command)
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a fresh interpreter: this one has built the parser already
+    src = str(pathlib.Path(isospectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import isospectra.cli as cli
+print(len(built))
+cli.build_parser()
+cli.build_parser()
+print(len(built))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0", "6"]
 
 
 # ------------------------------------------------------------- cold start

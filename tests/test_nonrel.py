@@ -126,6 +126,14 @@ def test_scale_beyond_the_float_range_is_named():
         energy(0, OscillatorParams(hbar=1e300))
 
 
+def test_hbar_squared_that_underflows_to_zero_is_named():
+    p = OscillatorParams(hbar=1e-300)
+    message = r"^the scale hbar\^2 = \(1e-300\)\^2 underflows to 0$"
+    for call in (lambda: derive(p), lambda: energy(0, p), lambda: wavefunction(0, p, 1.0)):
+        with pytest.raises(DivergenceError, match=message):
+            call()
+
+
 def test_wavefunction_rejects_nonpositive_x():
     p = OscillatorParams()
     with pytest.raises(ValueError):

@@ -85,6 +85,18 @@ def test_scale_beyond_the_float_range_is_named(params, scale):
         solve_spin_energy(0, DiracParams(**params))
 
 
+@pytest.mark.parametrize(
+    "params, scale",
+    [({"hbar": 1e-170}, "1e-170"), ({"c": 1e-300}, "1e-300"), ({"hbar": 1e-200, "c": 1e-10}, "1e-210")],
+    ids=["hbar", "c", "product"],
+)
+def test_hbar_c_squared_that_underflows_to_zero_is_named(params, scale):
+    message = rf"^the scale \(hbar c\)\^2 = \({scale}\)\^2 underflows to 0$"
+    for solve, branch in ((solve_spin_energy, Symmetry.SPIN), (solve_pseudospin_energy, Symmetry.PSEUDOSPIN)):
+        with pytest.raises(DivergenceError, match=message):
+            solve(0, DiracParams(branch=branch, **params))
+
+
 def test_solved_levels_frozen():
     assert solve_spin_energy(10, spin_params(6.0, 2.0)).value == pytest.approx(12.29516582288588, abs=1e-12)
     assert solve_spin_energy(3, spin_params(2.0, 0.0)).value == pytest.approx(6.142812911615233, abs=1e-12)
