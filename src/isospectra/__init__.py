@@ -60,6 +60,7 @@ from .rel import (
     pseudospin_energy_residual,
     pseudospin_lower_spinor,
     pseudospin_map_check,
+    solve_levels,
     solve_pseudospin_energy,
     solve_spin_energy,
     spin_derived,
@@ -116,6 +117,7 @@ __all__ = [
     "pseudospin_energy_residual",
     "solve_spin_energy",
     "solve_pseudospin_energy",
+    "solve_levels",
     "spin_upper_spinor",
     "spin_lower_spinor",
     "pseudospin_lower_spinor",

@@ -304,7 +304,10 @@ def _resolve_branch(prm: dict):
 def _run_spectrum(manifest: RunManifest) -> RunResult:
     prm = manifest.parameters
     p, solve, _ = _resolve_branch(prm)
-    levels = [solve(n, p) for n in range(prm["n_max"] + 1)]
+    if prm["branch"] == "nonrel":
+        levels = [solve(n, p) for n in range(prm["n_max"] + 1)]
+    else:
+        levels = rel.solve_levels(prm["n_max"], p)  # one scan for the whole ladder
 
     if manifest.output_format == "csv":
         lines = ["n,energy,residual"]

@@ -190,7 +190,7 @@ def derive(p: OscillatorParams) -> DerivedNonrel:
     coupling) come back as NaN and the regime classifier says why.
     """
     beta = p.mass * p.omega / p.hbar
-    alpha = p.mass * p.g / _divisor_square(p.hbar, "hbar")
+    alpha = _in_float_range(p.mass * p.g / _divisor_square(p.hbar, "hbar"), "alpha = M g / hbar^2")
     xi = 0.5 * math.sqrt(1.0 + 4.0 * alpha) if 1.0 + 4.0 * alpha >= 0.0 else math.nan
     m = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * p.g)) if 1.0 + 4.0 * p.g >= 0.0 else math.nan
     return DerivedNonrel(beta=beta, alpha=alpha, xi=xi, m=m)

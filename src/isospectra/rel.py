@@ -9,6 +9,16 @@ component has the isotonic shape with an energy-dependent coupling,
 so the levels are roots of a transcendental residual rather than a
 plain closed form. Root solving, spinor components and the
 consistency maps between the branches all live here.
+
+The levels of one branch are solved from one shared scan: a walk up a
+geometric ladder of energies above the window edge calls the residual
+of the lowest level not yet bracketed, bisects that level where its
+residual changes sign, and calls the next level at the same ladder
+point. It relies on the residual decreasing in n at fixed E, so a
+ladder of levels 0..n_max (``solve_levels``) costs about one scan plus
+one bisection per level instead of one scan per level. The bisection
+still stops at an absolute width of 1e-12, whatever the size of the
+level, so a level far below 1e-12 (mass=1e-300) keeps no correct digit.
 """
 from __future__ import annotations
 
@@ -19,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateEnergy, NoRootInRange, UnphysicalRegime
+from .errors import DegenerateEnergy, DivergenceError, NoRootInRange, UnphysicalRegime
 from .nonrel import (
     Branch,
     EnergyLevel,
@@ -47,6 +57,7 @@ __all__ = [
     "pseudospin_energy_residual",
     "solve_spin_energy",
     "solve_pseudospin_energy",
+    "solve_levels",
     "spin_upper_spinor",
     "spin_lower_spinor",
     "pseudospin_lower_spinor",
@@ -56,8 +67,9 @@ __all__ = [
     "nonrel_limit_check",
 ]
 
-# Root bracketing: geometric ladder of offsets above the admissible
-# lower energy bound, then bisection plus one guarded Newton polish.
+# Root bracketing: one geometric ladder of offsets above the admissible
+# lower energy bound, shared by the levels of a solve, then bisection plus
+# one guarded Newton polish per level.
 _SCAN_SEED = 1e-9
 _SCAN_FACTOR = 1.05
 _BISECT_MAX = 200
@@ -213,8 +225,8 @@ def energy_residual(e_value: float, n: int, p: DiracParams, sign: float, offset:
     with w = E + s M c^2 - C and order = (1/2) sqrt(1 + 2 g w / (hbar c)^2).
     (s, C) = (sign, offset) is (+1, sym_constant) for spin, (-1,
     sym_constant) for pseudospin and (+1, 0) for Klein-Gordon. Strictly
-    increasing in E on the admissible side w >= 0, which the root scan
-    relies on.
+    increasing in E on the admissible side w >= 0, and decreasing in n at
+    fixed E; the shared root scan relies on both.
     """
     if type(n) is not int or n < 0:  # _check_level's fast path inline: a level solve calls this ~500 times
         n = _check_level(n)
@@ -255,43 +267,73 @@ def klein_gordon_residual(e_value: float, n: int, p: DiracParams) -> float:
     return energy_residual(e_value, n, p, 1.0, 0.0)
 
 
-def _find_root(n: int, p: DiracParams, sign: float, offset: float, lower: float) -> tuple[float, float]:
-    """Bracket the first sign change of energy_residual(., n, p, sign, offset) above ``lower`` and refine it.
+def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: float) -> list[EnergyLevel]:
+    """Levels first..last of energy_residual above ``lower``, from one shared scan.
 
-    Scans E = lower + rise with the rise growing geometrically from a
-    tiny seed (the bound itself is usually a domain edge), or takes
-    [lower, lower + seed] when the sign already changed there; bisects to
-    absolute width 1e-12, then attempts a single Newton polish kept
-    only if it stays inside the bracket and reduces the residual.
-    Raises NoRootInRange if E leaves the float range before the sign
-    changes. The residual is called by its module name at each
-    evaluation, so a wrapper bound there sees every one.
+    Walks the ladder E = lower + rise, the rise growing geometrically from
+    a tiny seed (the bound itself is usually a domain edge), and calls the
+    residual of the lowest level not yet bracketed. Where that residual
+    goes from negative to non-negative, the level's root lies between the
+    previous ladder point (or ``lower``) and this one: it is bisected to
+    absolute width 1e-12, whatever the size of the level, and given a
+    single Newton polish kept only if it stays inside the bracket and
+    reduces the residual. The next level is then called at the same
+    ladder point.
+
+    At fixed E the residual decreases in n, in floats too (only the term
+    2n + 1 + order changes, and rounding keeps its order), so each level
+    is negative at every ladder point below the one where the level under
+    it changed sign. Each level thus gets the bracket, value and residual
+    of a scan of its own, and a one-level range makes exactly the calls of
+    one. The branch fixes (s, C) once. Raises at the lowest failing level,
+    as a loop over single levels would: NoRootInRange when E leaves the
+    float range before the sign changes, or when a root lands on the
+    window edge w = 0 (the binding gap is then below the float spacing of
+    E, which happens when M c^2 dwarfs hbar omega); DivergenceError when
+    2 g w / (hbar c)^2 leaves the float range first. That point of the
+    ladder is the same for every level, and no level lies above it. The
+    residual is called by its module name at each evaluation, so a
+    wrapper bound there sees every one.
     """
+    sign = -1.0 if branch is Branch.DIRAC_PSEUDOSPIN else 1.0
+    offset = 0.0 if branch is Branch.KLEIN_GORDON else p.sym_constant
+    levels = []
+    n = first
     rise = _SCAN_SEED
+    # The residual at ``lower`` itself is strictly negative: there either
+    # E - s M c^2 = 0 or w = 0, which leaves only the ladder term
+    # -hbar c omega sqrt(2M) (2n + 1 + order) < 0. So a level that is
+    # already non-negative at the first point sits in [lower, lower + seed].
+    e_prev, f_prev = lower, -1.0
     e_cur = lower + rise
-    f_cur = energy_residual(e_cur, n, p, sign, offset)
-    if f_cur == 0.0:
-        return e_cur, 0.0
-    if f_cur > 0.0:
-        # The residual at ``lower`` itself is strictly negative: there either
-        # E - s M c^2 = 0 or w = 0, which leaves only the ladder term
-        # -hbar c omega sqrt(2M) (2n + 1 + order) < 0. So the level sits in
-        # [lower, lower + seed]; the bisection reads only the sign of f_prev.
-        e_prev, f_prev = lower, -1.0
-    else:
-        while True:
-            e_prev, f_prev = e_cur, f_cur
-            rise *= _SCAN_FACTOR
-            e_cur = lower + rise
-            if not math.isfinite(e_cur):
-                raise NoRootInRange(f"no sign change of the residual in ({lower}, {e_prev}]: E leaves the float range")
-            f_cur = energy_residual(e_cur, n, p, sign, offset)
-            if f_cur == 0.0:
-                return e_cur, 0.0
-            if f_prev * f_cur < 0.0:
-                break
+    while True:
+        f_cur = energy_residual(e_cur, n, p, sign, offset)
+        if f_prev < 0.0 <= f_cur:
+            e_value, res = (e_cur, 0.0) if f_cur == 0.0 else _refine(n, p, sign, offset, e_prev, e_cur, f_prev)
+            if e_value + sign * p.rest_energy - offset <= 0.0:
+                raise NoRootInRange(
+                    f"level {n} sits on the window edge E = {e_value}: the binding gap is below "
+                    f"the float resolution {math.ulp(e_value)} of E at M c^2 = {p.rest_energy}"
+                )
+            levels.append(EnergyLevel(n=n, value=e_value, branch=branch, residual=res))
+            if n == last:
+                return levels
+            n += 1  # below level n - 1 at e_prev, so negative there too: f_prev keeps its sign
+            continue
+        if not f_cur > -math.inf and 2.0 * p.g * (e_cur + sign * p.rest_energy - offset) / p._hc2 == math.inf:
+            # g > 0, so the coupling only grows with E: the residual stays -inf or NaN from here on
+            raise DivergenceError(
+                f"the scale 2 g w / (hbar c)^2 leaves the float range at E = {e_cur}, before level {n} changes sign"
+            )
+        e_prev, f_prev = e_cur, f_cur
+        rise *= _SCAN_FACTOR
+        e_cur = lower + rise
+        if not math.isfinite(e_cur):
+            raise NoRootInRange(f"no sign change of the residual in ({lower}, {e_prev}]: E leaves the float range")
 
-    a, b, fa = e_prev, e_cur, f_prev
+
+def _refine(n: int, p: DiracParams, sign: float, offset: float, a: float, b: float, fa: float) -> tuple[float, float]:
+    """(E, |residual|) of level n bisected in [a, b], where its residual goes from fa < 0 to >= 0."""
     for _ in range(_BISECT_MAX):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -299,7 +341,7 @@ def _find_root(n: int, p: DiracParams, sign: float, offset: float, lower: float)
         fm = energy_residual(mid, n, p, sign, offset)
         if fm == 0.0:
             return mid, 0.0
-        if fa * fm < 0.0:
+        if fa < 0.0 < fm or fm < 0.0 < fa:  # opposite signs; a product fa * fm can underflow to 0
             b = mid
         else:
             a, fa = mid, fm
@@ -318,22 +360,11 @@ def _find_root(n: int, p: DiracParams, sign: float, offset: float, lower: float)
     return best, abs(f_best)
 
 
-def _solve(n: int, p: DiracParams, branch: Branch, lower: float) -> EnergyLevel:
-    """The n-th root of energy_residual above ``lower``.
-
-    The branch fixes (s, C) once per solve. A root that lands on the
-    window edge w = 0 is no level: the binding gap is then below the
-    float spacing of E, which happens when M c^2 dwarfs hbar omega.
-    """
-    sign = -1.0 if branch is Branch.DIRAC_PSEUDOSPIN else 1.0
-    offset = 0.0 if branch is Branch.KLEIN_GORDON else p.sym_constant
-    e_value, res = _find_root(n, p, sign, offset, lower)
-    if e_value + sign * p.rest_energy - offset <= 0.0:
-        raise NoRootInRange(
-            f"level {n} sits on the window edge E = {e_value}: the binding gap is below "
-            f"the float resolution {math.ulp(e_value)} of E at M c^2 = {p.rest_energy}"
-        )
-    return EnergyLevel(n=n, value=e_value, branch=branch, residual=res)
+def _dirac_window(p: DiracParams) -> tuple[Branch, float]:
+    """(branch, lower edge of the admissible window) of p's Dirac branch."""
+    if p.branch is Symmetry.SPIN:
+        return Branch.DIRAC_SPIN, max(p.rest_energy, p.sym_constant - p.rest_energy)
+    return Branch.DIRAC_PSEUDOSPIN, p.rest_energy + p.sym_constant
 
 
 def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -345,7 +376,7 @@ def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
     n = _check_level(n)
     if p.branch is not Symmetry.SPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
-    return _solve(n, p, Branch.DIRAC_SPIN, max(p.rest_energy, p.sym_constant - p.rest_energy))
+    return _solve_levels(n, n, p, *_dirac_window(p))[0]
 
 
 def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -357,7 +388,20 @@ def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
     n = _check_level(n)
     if p.branch is not Symmetry.PSEUDOSPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
-    return _solve(n, p, Branch.DIRAC_PSEUDOSPIN, p.rest_energy + p.sym_constant)
+    return _solve_levels(n, n, p, *_dirac_window(p))[0]
+
+
+def solve_levels(n_max: int, p: DiracParams) -> list[EnergyLevel]:
+    """Levels 0..n_max of p's branch (p.branch), solved from one shared scan.
+
+    Equal, level for level and bit for bit, to solve_spin_energy or
+    solve_pseudospin_energy at each n: the scan that brackets level n
+    goes on from there for level n + 1, since at fixed E the residual
+    decreases in n. Raises what the first failing level would raise on
+    its own. The bisection still stops at an absolute width of 1e-12.
+    """
+    n_max = _check_level(n_max)
+    return _solve_levels(0, n_max, p, *_dirac_window(p))
 
 
 def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -369,7 +413,7 @@ def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
     n = _check_level(n)
     if p.sym_constant != 0.0:
         raise ValueError("Klein-Gordon branch has no symmetry constant; set sym_constant = 0")
-    return _solve(n, p, Branch.KLEIN_GORDON, p.rest_energy)
+    return _solve_levels(n, n, p, Branch.KLEIN_GORDON, p.rest_energy)[0]
 
 
 def _spinor_state(n: int, p: DiracParams, e_value: float, sign: float) -> tuple[SpinDerived, float]:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import isospectra
-from isospectra import cli, nonrel, validate
+from isospectra import cli, nonrel, rel, validate
 from isospectra.errors import NonNormalizableError
 
 
@@ -165,6 +165,50 @@ def test_spectrum_gap_below_float_resolution_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: level 0 sits on the window edge") and "below the float resolution" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--branch", "spin", "--n-max", "40"],
+        ["spectrum", "--branch", "pseudospin", "--n-max", "40"],
+        ["spectrum", "--branch", "spin", "--g", "6", "--cs", "2", "--c", "10", "--n-max", "40"],
+        ["spectrum", "--branch", "pseudospin", "--g", "50", "--cps", "-13", "--c", "100", "--n-max", "40"],
+    ],
+    ids=["spin", "pseudospin", "spin-g6-cs2-c10", "pseudospin-g50-cps13-c100"],
+)
+def test_spectrum_from_one_scan_equals_the_per_level_solves(argv, fmt, monkeypatch, capsys):
+    argv = [*argv, "--format", fmt]
+    shared = run_cli(argv, capsys)
+    solve = {rel.Symmetry.SPIN: rel.solve_spin_energy, rel.Symmetry.PSEUDOSPIN: rel.solve_pseudospin_energy}
+    monkeypatch.setattr(rel, "solve_levels", lambda n_max, p: [solve[p.branch](n, p) for n in range(n_max + 1)])
+    assert run_cli(argv, capsys) == shared
+    assert shared[0] == 0 and len(shared[1].splitlines()) > 41
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--hbar", "1e-160"], "the scale alpha = M g / hbar^2 leaves the float range"),
+        (["wavefunction", "--hbar", "1e-160"], "the scale alpha = M g / hbar^2 leaves the float range"),
+        (["spectrum", "--mass", "1e300", "--g", "1e300"], "the scale alpha = M g / hbar^2 leaves the float range"),
+        (["spectrum", "--branch", "spin", "--hbar", "1e-160"],
+         "the scale 2 g w / (hbar c)^2 leaves the float range at E = 1.000000001, before level 0 changes sign"),
+        (["spectrum", "--branch", "pseudospin", "--hbar", "1e-160", "--n-max", "3"],
+         "the scale 2 g w / (hbar c)^2 leaves the float range at E = 1.000000001, before level 0 changes sign"),
+        (["spectrum", "--branch", "pseudospin", "--g", "1e300"],
+         "the scale 2 g w / (hbar c)^2 leaves the float range at E = 93891993.41707033, before level 0 changes sign"),
+        (["wavefunction", "--branch", "spin", "--g", "1e300"],
+         "the scale 2 g w / (hbar c)^2 leaves the float range at E = 93891993.41707033, before level 0 changes sign"),
+    ],
+    ids=["nonrel-spectrum-hbar", "nonrel-wavefunction-hbar", "nonrel-mass-g",
+         "spin-hbar", "pseudospin-hbar", "pseudospin-g", "spin-wavefunction-g"],
+)
+def test_overflowing_coupling_scale_exits_one_and_is_named(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_arithmetic_error_exits_one_without_traceback(monkeypatch, capsys):

@@ -134,6 +134,16 @@ def test_hbar_squared_that_underflows_to_zero_is_named():
             call()
 
 
+@pytest.mark.parametrize("params", [{"hbar": 1e-160}, {"mass": 1e300, "g": 1e300}], ids=["subnormal-hbar2", "huge-mass-g"])
+def test_alpha_beyond_the_float_range_is_named(params):
+    # hbar^2 = 1e-320 is subnormal, not 0, so only alpha = M g / hbar^2 overflows
+    p = OscillatorParams(**params)
+    message = r"^the scale alpha = M g / hbar\^2 leaves the float range$"
+    for call in (lambda: derive(p), lambda: energy(0, p), lambda: wavefunction(0, p, 1.0)):
+        with pytest.raises(DivergenceError, match=message):
+            call()
+
+
 def test_wavefunction_rejects_nonpositive_x():
     p = OscillatorParams()
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,31 @@ def spin_params(g, cs):
 
 def pseudo_params(g, cps):
     return DiracParams(g=g, sym_constant=cps, branch=Symmetry.PSEUDOSPIN)
+
+
+_SOLVERS = {Symmetry.SPIN: solve_spin_energy, Symmetry.PSEUDOSPIN: solve_pseudospin_energy}
+
+
+def _outcome(call):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def _residual_calls(monkeypatch, call):
+    """(_outcome(call), the arguments of every energy_residual call it made)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return energy_residual(*args)
+
+    monkeypatch.setattr(rel, "energy_residual", counted)
+    outcome = _outcome(call)
+    monkeypatch.undo()
+    return outcome, calls
 
 
 def test_params_fill_kappa_by_branch():
@@ -128,11 +154,46 @@ def test_levels_far_above_the_rest_energy_match_the_nu_route():
             assert solve_spin_energy(n, p).value == pytest.approx(nu_klein_gordon_level(n, p), rel=1e-12)
 
 
-def test_scan_that_leaves_the_float_range_raises_no_root():
-    # 2 g w / (hbar c)^2 overflows long before the level near E = 1e150, so the residual never turns positive
-    message = r"no sign change of the residual in \(1\.0, .*\]: E leaves the float range"
-    with pytest.raises(NoRootInRange, match=message):
-        solve_spin_energy(0, spin_params(1e300, 0.0))
+@pytest.mark.parametrize(
+    "params",
+    [
+        # 2 g w / (hbar c)^2 overflows long before the level near E = 1e150, so the residual never turns positive
+        {"g": 1e300},
+        # (hbar c)^2 = 1e-320 is subnormal, so the coupling overflows at the scan's first point
+        {"hbar": 1e-160},
+    ],
+    ids=["huge-g", "subnormal-hbar-c-squared"],
+)
+def test_scan_whose_coupling_overflows_names_the_scale(params, monkeypatch):
+    message = r"the scale 2 g w / \(hbar c\)\^2 leaves the float range at E = .*, before level 0 changes sign"
+    for branch, solve in _SOLVERS.items():
+        p = DiracParams(branch=branch, **params)
+        for call in (lambda: solve(0, p), lambda: rel.solve_levels(5, p)):
+            (error, text), calls = _residual_calls(monkeypatch, call)
+            assert error is DivergenceError and re.fullmatch(message, text)
+            # the scan stops at the first point where the residual is -inf, some 15,000 points
+            # before E leaves the float range
+            assert energy_residual(*calls[-1]) == -math.inf
+            assert all(energy_residual(*args) > -math.inf for args in calls[:-1])
+            assert len(calls) < 1000
+
+
+@pytest.mark.parametrize(
+    "params, error, message",
+    [
+        # hbar c omega sqrt(2 M) = 1.4e308 is finite, (2n + 1 + order) times it is not, but it does not stop the scan
+        ({"omega": 1e308, "g": 0.0}, NoRootInRange,
+         r"no sign change of the residual in \(1\.0, .*\]: E leaves the float range"),
+        # at g < 0 the scan goes on until 1 + 2 g |energy_weight| turns negative
+        ({"omega": 1e308, "g": -1e-300}, UnphysicalRegime, r"1 \+ 2 g \|energy_weight\| = .* < 0"),
+    ],
+    ids=["ladder-term", "negative-coupling"],
+)
+def test_residual_that_is_minus_inf_below_a_finite_coupling_does_not_stop_the_scan(params, error, message):
+    p = DiracParams(**params)
+    assert spin_energy_residual(1.5, 0, p) == -math.inf
+    with pytest.raises(error, match=message):
+        solve_spin_energy(0, p)
 
 
 @pytest.mark.parametrize(
@@ -578,3 +639,70 @@ def test_direct_scalar_path_matches_the_envelope_bit_for_bit():
             p, e = _level(n, symmetry)
             for x in (1e-3, 0.37, 1.3, 4.1):
                 assert spinor(n, p, e, x).hex() == spinor(n, p, e, np.array(x)).hex()
+
+
+# ------------------------------------------------------- one scan per ladder
+
+def _per_level(n_max, p):
+    return _outcome(lambda: [_SOLVERS[p.branch](n, p) for n in range(n_max + 1)])
+
+
+@pytest.mark.parametrize("c", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("g", [-0.1, 0.5, 2.0, 6.0, 50.0])
+@pytest.mark.parametrize(
+    "branch, sym_constant",
+    [(Symmetry.SPIN, 0.0), (Symmetry.SPIN, 2.0),
+     (Symmetry.PSEUDOSPIN, 0.0), (Symmetry.PSEUDOSPIN, -2.0), (Symmetry.PSEUDOSPIN, -13.0)],
+)
+def test_ladder_equals_the_per_level_solves(branch, sym_constant, g, c):
+    # EnergyLevel equality compares value and residual bit for bit; a failing ladder must fail alike
+    p = DiracParams(g=g, sym_constant=sym_constant, c=c, branch=branch)
+    expected = _per_level(40, p)
+    assert _outcome(lambda: rel.solve_levels(40, p)) == expected
+    for n_max in (0, 1, 7):
+        assert _outcome(lambda: rel.solve_levels(n_max, p)) == _per_level(n_max, p)
+
+
+@pytest.mark.parametrize(
+    "params, n_max, error, message",
+    [
+        # a decades request of the CLI benchmark (seed 1): level 0 closes on the window edge
+        ({"branch": Symmetry.PSEUDOSPIN, "mass": 1376.864025586473, "omega": 0.14903781914789113,
+          "c": 748.269756662249, "g": 6255.1267599406565}, 29, NoRootInRange, "level 0 sits on the window edge "),
+        ({"branch": Symmetry.SPIN, "g": -0.2}, 40, UnphysicalRegime, "1 + 2 g |energy_weight| = "),
+    ],
+    ids=["window-edge", "unphysical"],
+)
+def test_ladder_raises_what_the_per_level_loop_raises(params, n_max, error, message):
+    p = DiracParams(**params)
+    expected = _per_level(n_max, p)
+    assert expected[0] is error and expected[1].startswith(message)
+    assert _outcome(lambda: rel.solve_levels(n_max, p)) == expected
+
+
+def test_ladder_takes_the_branch_from_the_params_and_checks_n_max():
+    for branch, solve in _SOLVERS.items():
+        assert rel.solve_levels(2, DiracParams(branch=branch))[2] == solve(2, DiracParams(branch=branch))
+    for n_max in (-1, 1.5):
+        with pytest.raises(ValueError):
+            rel.solve_levels(n_max, DiracParams())
+
+
+@pytest.mark.parametrize(
+    "branch, params",
+    [(Symmetry.SPIN, {}), (Symmetry.SPIN, {"g": 6.0, "sym_constant": 2.0, "c": 10.0}),
+     (Symmetry.PSEUDOSPIN, {}), (Symmetry.PSEUDOSPIN, {"g": 6.0, "sym_constant": -2.0, "c": 10.0}),
+     (Symmetry.PSEUDOSPIN, {"g": 0.5, "c": 100.0})],
+)
+def test_one_level_ladder_makes_the_calls_of_one_solve(branch, params, monkeypatch):
+    p = DiracParams(branch=branch, **params)
+    single = _residual_calls(monkeypatch, lambda: _SOLVERS[branch](0, p))
+    ladder = _residual_calls(monkeypatch, lambda: rel.solve_levels(0, p))
+    assert ladder[0] == [single[0]] and ladder[1] == single[1]
+
+
+def test_ladder_of_twenty_levels_makes_a_fifth_of_the_per_level_calls(monkeypatch):
+    p = DiracParams()
+    shared = _residual_calls(monkeypatch, lambda: rel.solve_levels(20, p))[1]
+    looped = _residual_calls(monkeypatch, lambda: [solve_spin_energy(n, p) for n in range(21)])[1]
+    assert 5 * len(shared) <= len(looped)
