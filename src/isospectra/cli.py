@@ -440,8 +440,7 @@ def _table_csv(columns, reference_rows) -> str:
 
 def _run_reproduce_tables(manifest: RunManifest) -> RunResult:
     out_dir = manifest.parameters["out"]
-    computed1 = golden.compute_table1()
-    computed2 = golden.compute_table2()
+    computed1, computed2 = golden.compute_tables()
     dev1 = golden.max_deviation(computed1, golden.TABLE1_REFERENCE)
     dev2 = golden.max_deviation(computed2, golden.TABLE2_REFERENCE)
     bound = 5e-7

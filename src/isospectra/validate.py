@@ -375,8 +375,9 @@ def suite_oracle() -> list[CheckResult]:
 # --------------------------------------------------------------- tables
 
 def suite_tables() -> list[CheckResult]:
-    dev1 = golden.max_deviation(golden.compute_table1(), golden.TABLE1_REFERENCE)
-    dev2 = golden.max_deviation(golden.compute_table2(), golden.TABLE2_REFERENCE)
+    computed1, computed2 = golden.compute_tables()
+    dev1 = golden.max_deviation(computed1, golden.TABLE1_REFERENCE)
+    dev2 = golden.max_deviation(computed2, golden.TABLE2_REFERENCE)
     return [
         _at_most("table1-deviation", dev1, 5e-7),
         _at_most("table2-deviation", dev2, 5e-7),

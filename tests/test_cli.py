@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import isospectra
-from isospectra import cli, nonrel, rel, validate
+from isospectra import cli, golden, nonrel, rel, validate
 from isospectra.errors import NonNormalizableError
 
 
@@ -209,6 +209,13 @@ def test_overflowing_coupling_scale_exits_one_and_is_named(argv, message, capsys
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_level_whose_residual_overflows_exits_one_and_is_named(capsys):
+    code, out, err = run_cli(["spectrum", "--branch", "pseudospin", "--cps=-1e300", "--n-max", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: level 0 has residual inf at E = ") and err.count("\n") == 1
+    assert "w = E - M c^2 - C cancels C = -1e+300 near the window edge" in err
 
 
 def test_arithmetic_error_exits_one_without_traceback(monkeypatch, capsys):
@@ -542,6 +549,24 @@ def test_reproduce_tables_is_bytewise_deterministic(tmp_path, capsys):
     run_cli(["reproduce-tables", "--out", str(second)], capsys)
     for name in ("table1.csv", "table2.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_reproduce_tables_makes_a_fifth_of_the_per_cell_residual_calls(tmp_path, monkeypatch, capsys):
+    energy_residual = rel.energy_residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return energy_residual(*args)
+
+    monkeypatch.setattr(rel, "energy_residual", counted)
+    code, _, _ = run_cli(["reproduce-tables", "--out", str(tmp_path)], capsys)
+    request = len(calls)
+    calls.clear()
+    golden.compute_table1()
+    golden.compute_table2()
+    assert code == 0
+    assert 5 * request <= len(calls)
 
 
 # ----------------------------------------------------------------- validate
