@@ -359,18 +359,39 @@ def _samples(manifest: RunManifest, xs: np.ndarray, columns: dict, overflow, hea
     return document[: -len("\n}\n")] + _json_samples(names, arrays) + "\n}\n"
 
 
+def _json_number(token: str) -> str:
+    """repr(float(token)), the JSON number json.dumps writes, for a %.12g token spelled otherwise."""
+    return repr(float(token)) if "e" in token else token + ".0"
+
+
 def _json_samples(names: list, arrays: list) -> str:
     """The ``"samples"`` member of a sample document, as json.dumps(indent=2) writes it.
 
-    Each value is rounded to 12 significant digits, by one %-format per column, and
-    written by float.__repr__, the repr json uses for a finite float.
+    Each value is rounded to 12 significant digits, by one %-format per column,
+    and json writes the rounded float by float.__repr__, the shortest decimal
+    that reads back as the same double. A decimal of at most DBL_DIG = 15
+    significant digits names exactly one normal double, and no shorter decimal
+    names that double too, so repr gives the digits of the %.12g token itself;
+    the tokens go into the document as they are. Only the spelling can differ,
+    and those tokens go through ``_json_number``: a positional integer (no "."
+    and no "e") lacks repr's ".0", so -0 becomes -0.0; an exponent e+12 to
+    e+15 is positional in repr, which uses exponents from 1e16 on; and an
+    exponent of -308 and below may be subnormal, which keeps fewer than 12
+    digits, so its repr can be shorter.
     """
     members = []
     for name, values in zip(names, arrays):
         values = values.tolist()
         if values:
-            rounded = map(float, (((_SAMPLE_FMT + " ") * len(values)) % tuple(values)).split())
-            items = "[\n      " + ",\n      ".join(map(float.__repr__, rounded)) + "\n    ]"
+            tokens = [
+                _json_number(t)
+                if ("." not in t and "e" not in t)
+                or (t[-4:-1] == "e+1" and t[-1] in "2345")
+                or (t[-5:-2] == "e-3" and t[-2:] >= "08")
+                else t
+                for t in (((_SAMPLE_FMT + " ") * len(values)) % tuple(values)).split()
+            ]
+            items = "[\n      " + ",\n      ".join(tokens) + "\n    ]"
         else:
             items = "[]"
         members.append(f"    {json.dumps(name)}: {items}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -356,7 +356,11 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
 
     x must be finite elementwise. Scalar and array x are computed as in
     ``_envelope``; a float x gives a float, and raises DivergenceError
-    where the Hermite recurrence overflows.
+    where beta x^2 overflows. N exp(-beta x^2 / 2) H_n(sqrt(beta) x) is
+    formed from the plain Hermite recurrence; where H_n leaves the float
+    range (every x from n = 280 on) the sample comes from the recurrence
+    of the normalized Hermite functions instead (``_scaled_harmonic``),
+    so samples where H_n is finite keep their values.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
@@ -371,11 +375,68 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
         s = beta * x * x
         if s == math.inf:
             raise DivergenceError(f"the scale beta x^2 = {beta} * ({x})^2 leaves the float range")
-        return math.exp(ln_norm - 0.5 * s) * hermite(n, math.sqrt(beta) * x)
+        try:
+            return math.exp(ln_norm - 0.5 * s) * hermite(n, math.sqrt(beta) * x)
+        except DivergenceError:
+            return _scaled_harmonic(n, beta, math.sqrt(beta) * x)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(_HARMONIC_DOMAIN)
-    return np.exp(ln_norm - 0.5 * beta * x**2) * hermite(n, math.sqrt(beta) * x)
+    y = math.sqrt(beta) * x
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing samples are replaced below
+        h = hermite(n, y)
+        values = np.exp(ln_norm - 0.5 * beta * x**2) * h
+    overflow = ~np.isfinite(h)
+    if overflow.any():
+        values[overflow] = _scaled_harmonic(n, beta, y[overflow])
+    return values
+
+
+# h_k and h_(k-1) are divided by this exact power of two whenever |h_k|
+# reaches it, so the rescaling rounds nothing. One step multiplies
+# max(|h_k|, |h_(k-1)|) by at most sqrt(2) |y| + 1, so h stays finite for
+# every y whose square does.
+_HERMITE_RESCALE = 2.0**500
+
+
+@lru_cache(maxsize=16)
+def _hermite_function_steps(n: int) -> tuple:
+    """((sqrt(2 / (k+1)), sqrt(k / (k+1))) for k = 1 .. n-1): the coefficients of _scaled_harmonic."""
+    return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(1, n))
+
+
+def _scaled_harmonic(n: int, beta: float, y):
+    """The harmonic state at y = sqrt(beta) x, by the recurrence of the normalized Hermite functions.
+
+    The state is (beta / pi)^(1/4) exp(-y^2 / 2) h_n(y), with h_0 = 1,
+    h_1 = sqrt(2) y and h_(k+1) = sqrt(2 / (k+1)) y h_k - sqrt(k / (k+1)) h_(k-1).
+    Where h_k outgrows 2^500 it is scaled down and the power of two goes
+    into a running log scale, as ``_envelope`` carries ln N, so neither h_n
+    nor the Gaussian leaves the float range on the way; the product is
+    formed once, at the end. A float y gives a float, an array an array.
+    """
+    prev, cur = 1.0 + 0.0 * y, math.sqrt(2.0) * y
+    if n == 0:
+        cur = prev
+    steps = _hermite_function_steps(n)
+    if isinstance(y, float):
+        rescales = 0
+        for a, b in steps:
+            prev, cur = cur, a * y * cur - b * prev
+            if not -_HERMITE_RESCALE < cur < _HERMITE_RESCALE:
+                prev, cur, rescales = prev / _HERMITE_RESCALE, cur / _HERMITE_RESCALE, rescales + 1
+        exp = math.exp
+    else:
+        rescales = np.zeros_like(y)
+        for a, b in steps:
+            prev, cur = cur, a * y * cur - b * prev
+            big = np.abs(cur) >= _HERMITE_RESCALE
+            if big.any():
+                prev[big] /= _HERMITE_RESCALE
+                cur[big] /= _HERMITE_RESCALE
+                rescales[big] += 1.0
+        exp = np.exp
+    return cur * exp(_harmonic_log_norm(0, beta) - 0.5 * y * y + rescales * (500.0 * math.log(2.0)))
 
 
 def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:

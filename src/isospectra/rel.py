@@ -290,10 +290,14 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
     one. The branch fixes (s, C) once. Raises at the lowest failing level,
     as a loop over single levels would: NoRootInRange when E leaves the
     float range before the sign changes, or when a root lands on the
-    window edge w = 0 (the binding gap is then below the float spacing of
-    E, which happens when M c^2 dwarfs hbar omega); DivergenceError when
-    2 g w / (hbar c)^2 leaves the float range first. That point of the
-    ladder is the same for every level, and no level lies above it. Also
+    window edge, where w = 0 or the binding E - s M c^2 rounds to 0 (the
+    binding gap is then below the float spacing of E, which happens when
+    M c^2 dwarfs hbar omega); DivergenceError when 2 g w / (hbar c)^2
+    leaves the float range first. That point of the ladder is the same
+    for every level, and no level lies above it. DivergenceError too when
+    the ladder term hbar c omega sqrt(2 M) (2n + 1 + order) of the level
+    is inf at a ladder point with g >= 0, where order only grows with E,
+    or when hbar c omega sqrt(2 M) (2n + 1) alone is inf. Also
     DivergenceError when the bisection ends on a non-finite residual: a
     symmetry constant C so large that w cancels near the window edge
     (pseudospin C = -1e300) leaves a bracket across which (E - s M c^2)
@@ -315,7 +319,7 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
         f_cur = energy_residual(e_cur, n, p, sign, offset)
         if f_prev < 0.0 <= f_cur:
             e_value, res = (e_cur, 0.0) if f_cur == 0.0 else _refine(n, p, sign, offset, e_prev, e_cur, f_prev)
-            if e_value + sign * p.rest_energy - offset <= 0.0:
+            if e_value - sign * p.rest_energy == 0.0 or e_value + sign * p.rest_energy - offset <= 0.0:
                 raise NoRootInRange(
                     f"level {n} sits on the window edge E = {e_value}: the binding gap is below "
                     f"the float resolution {math.ulp(e_value)} of E at M c^2 = {p.rest_energy}"
@@ -332,11 +336,22 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
                 return levels
             n += 1  # below level n - 1 at e_prev, so negative there too: f_prev keeps its sign
             continue
-        if not f_cur > -math.inf and 2.0 * p.g * (e_cur + sign * p.rest_energy - offset) / p._hc2 == math.inf:
-            # g > 0, so the coupling only grows with E: the residual stays -inf or NaN from here on
-            raise DivergenceError(
-                f"the scale 2 g w / (hbar c)^2 leaves the float range at E = {e_cur}, before level {n} changes sign"
-            )
+        if not f_cur > -math.inf:
+            coupling = 2.0 * p.g * (e_cur + sign * p.rest_energy - offset) / p._hc2
+            if coupling == math.inf:
+                # g > 0, so the coupling only grows with E: the residual stays -inf or NaN from here on
+                raise DivergenceError(
+                    f"the scale 2 g w / (hbar c)^2 leaves the float range at E = {e_cur}, before level {n} changes sign"
+                )
+            order = 0.5 * math.sqrt(1.0 + coupling)
+            if p._level_scale * (2.0 * n + 1.0 + order) == math.inf and (
+                p.g >= 0.0 or p._level_scale * (2.0 * n + 1.0) == math.inf
+            ):
+                # the order grows with E for g >= 0 and is never below 0: the term stays inf from here on
+                raise DivergenceError(
+                    f"the ladder term hbar c omega sqrt(2 M) (2n + 1 + order) = {p._level_scale} * "
+                    f"({2 * n + 1} + {order}) leaves the float range at E = {e_cur}, before level {n} changes sign"
+                )
         e_prev, f_prev = e_cur, f_cur
         rise *= _SCAN_FACTOR
         e_cur = lower + rise

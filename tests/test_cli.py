@@ -17,6 +17,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isospectra
 from isospectra import cli, golden, nonrel, rel, validate
@@ -167,6 +169,14 @@ def test_spectrum_gap_below_float_resolution_exits_one(capsys):
     assert err.startswith("error: level 0 sits on the window edge") and "below the float resolution" in err
 
 
+def test_spin_spectrum_whose_binding_rounds_to_zero_exits_one(capsys):
+    # the binding (about 1e150) is below the float spacing of M c^2 = 1e300: E - M c^2 rounds to 0
+    code, out, err = run_cli(["spectrum", "--branch", "spin", "--mass", "1e300"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: level 0 sits on the window edge E = 1e+300") and "below the float resolution" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "argv",
@@ -201,9 +211,15 @@ def test_spectrum_from_one_scan_equals_the_per_level_solves(argv, fmt, monkeypat
          "the scale 2 g w / (hbar c)^2 leaves the float range at E = 93891993.41707033, before level 0 changes sign"),
         (["wavefunction", "--branch", "spin", "--g", "1e300"],
          "the scale 2 g w / (hbar c)^2 leaves the float range at E = 93891993.41707033, before level 0 changes sign"),
+        (["spectrum", "--branch", "spin", "--omega", "1e308", "--g", "0", "--n-max", "0"],
+         "the ladder term hbar c omega sqrt(2 M) (2n + 1 + order) = 1.4142135623730951e+308 * (1 + 0.5) "
+         "leaves the float range at E = 1.000000001, before level 0 changes sign"),
+        (["spectrum", "--branch", "spin", "--omega", "1e308", "--g", "2", "--n-max", "0"],
+         "the ladder term hbar c omega sqrt(2 M) (2n + 1 + order) = 1.4142135623730951e+308 * (1 + 1.5000000003333334) "
+         "leaves the float range at E = 1.000000001, before level 0 changes sign"),
     ],
     ids=["nonrel-spectrum-hbar", "nonrel-wavefunction-hbar", "nonrel-mass-g",
-         "spin-hbar", "pseudospin-hbar", "pseudospin-g", "spin-wavefunction-g"],
+         "spin-hbar", "pseudospin-hbar", "pseudospin-g", "spin-wavefunction-g", "spin-ladder-term-g0", "spin-ladder-term-g2"],
 )
 def test_overflowing_coupling_scale_exits_one_and_is_named(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -256,6 +272,20 @@ def test_wavefunction_samples_use_twelve_significant_digits(capsys):
     _, rows = csv_rows(out)
     assert rows[1][0] == "0.333333333333"
     assert rows[2][0] == "0.666666666667"
+
+
+def test_wavefunction_harmonic_column_beyond_the_plain_hermite_range(capsys):
+    # H_300 leaves the float range at every x; the normalized Hermite functions do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["wavefunction", "--compare-harmonic", "--n", "300", "--m", "1", "--points", "5"], capsys)
+    assert code == 0 and err == ""
+    header, rows = csv_rows(out)
+    assert header == ["x", "isotonic", "harmonic"] and len(rows) == 5
+    harmonic = [float(r[2]) for r in rows]
+    expected = nonrel.harmonic_wavefunction(300, nonrel.OscillatorParams(), np.linspace(0.0, 5.0, 5))
+    assert harmonic == [float(f"{v:.12g}") for v in expected]
+    assert 0.1 < max(map(abs, harmonic)) < 1.0
 
 
 def test_wavefunction_even_barrier_extends_to_negative_axis(capsys):
@@ -500,6 +530,8 @@ EDGE_SAMPLES = [
     # on or next to a rounding boundary at 12 significant digits
     123456789012.5, 123456789013.5, 999999999999.5, 0.1234567890125, 9.9999999999995, 1.0000000000005e-7,
     -2.5000000000005, 1e15 + 0.5, 0.5, -1.7976931348623157e308, 2.2250738585072014e-308, 1.0, -123.456,
+    # tokens that repr would spell otherwise: 1e+12 (rounded up), e+12 to e+15, a subnormal
+    999999999999.7, 2.5e12, 9.9999999999999e15, -5.026051367e-315, 1e-4, 123456789012.4,
 ]
 
 
@@ -515,7 +547,7 @@ def _random_samples(count, seed):
     [(["isotonic"], {}), (["upper", "lower"], {"energy": 1.5}), (["isotonic", "harmonic"], {})],
     ids=["two-columns", "three-columns-energy", "three-columns"],
 )
-@pytest.mark.parametrize("length", [0, 1, len(EDGE_SAMPLES), 500])
+@pytest.mark.parametrize("length", [0, 1, 20, 500])  # 500 holds every edge sample, of both signs
 def test_sample_writer_matches_one_format_per_value(output_format, names, head, length):
     manifest = cli.RunManifest(command="potential", parameters={"points": length}, output_format=output_format)
     pool = np.concatenate([EDGE_SAMPLES, -np.array(EDGE_SAMPLES), _random_samples(1500, 7)])
@@ -523,6 +555,31 @@ def test_sample_writer_matches_one_format_per_value(output_format, names, head, 
     xs = pool[:length]
     expected = _old_samples(manifest, xs, columns, head)
     assert cli._samples(manifest, xs, columns, lambda name: name, head) == expected
+
+
+def _signed(values):
+    return st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]), values)
+
+
+_SAMPLE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e12, 1e16]),
+    _signed(st.floats(min_value=0.0, max_value=2.3e-308)),  # subnormals
+    _signed(st.integers(min_value=0, max_value=10**17).map(float)),  # whole numbers
+    _signed(st.floats(min_value=9.999e11, max_value=1.00001e12)),  # just below and at 1e12
+    _signed(st.floats(min_value=9.999e15, max_value=1.00001e16)),  # just below and at 1e16
+)
+
+
+@given(st.lists(_SAMPLE_VALUES, max_size=40), st.lists(_SAMPLE_VALUES, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_json_samples_write_the_rounded_floats_as_json_dumps_does(first, second):
+    names = ["x", "isotonic"]
+    rounded = [[float(cli._SAMPLE_FMT % v) for v in column] for column in (first, second)]
+    reference = json.dumps({"energy": 0, "samples": dict(zip(names, rounded))}, indent=2)
+    head, tail = '{\n  "energy": 0', "\n}"
+    assert reference.startswith(head) and reference.endswith(tail)
+    assert cli._json_samples(names, [np.array(first), np.array(second)]) == reference[len(head):-len(tail)]
 
 
 # ---------------------------------------------------------- reproduce-tables

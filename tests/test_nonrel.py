@@ -14,6 +14,8 @@ from isospectra.nonrel import (
     EnergyLevel,
     OscillatorParams,
     Regime,
+    _scaled_harmonic,
+    _stored_log_norm,
     classify_regime,
     derive,
     energy,
@@ -25,7 +27,7 @@ from isospectra.nonrel import (
     wavefunction,
 )
 from isospectra.oracle import quadrature
-from isospectra.specfun import laguerre
+from isospectra.specfun import hermite, laguerre
 
 
 def test_energy_ladder_natural_units():
@@ -371,10 +373,43 @@ def test_radial_state_overflow_raises_for_a_scalar():
 
 def test_harmonic_state_overflow_raises_for_a_scalar():
     p = OscillatorParams()
-    with pytest.raises(DivergenceError, match="^the Hermite recurrence overflows the float range at n = 400"):
-        harmonic_wavefunction(400, p, 30.0)
     with pytest.raises(DivergenceError, match=r"^the scale beta x\^2 .* leaves the float range$"):
         harmonic_wavefunction(0, p, -1e200)
+
+
+def test_harmonic_state_beyond_the_plain_hermite_range_has_unit_norm():
+    # H_300(y) leaves the float range at every y, so every sample comes from the scaled recurrence
+    p = OscillatorParams(mass=1.3, omega=0.8, hbar=1.1)
+    val = 2.0 * quadrature(lambda x: harmonic_wavefunction(300, p, x) ** 2, 0.0, math.inf, tol=1e-8)
+    assert val == pytest.approx(1.0, abs=1e-9)
+    # H_400 overflows at x = 30 for a scalar x too; the state there, just past the turning point, is finite
+    scalar = harmonic_wavefunction(400, p, 30.0)
+    assert 0.0 < abs(scalar) < 0.1
+    assert harmonic_wavefunction(400, p, np.array([30.0]))[0] == pytest.approx(scalar, rel=1e-12)
+
+
+def test_scaled_harmonic_recurrence_matches_the_plain_one_where_both_are_finite():
+    p = OscillatorParams(mass=1.3, omega=0.8, hbar=1.1)
+    beta = p.mass * p.omega / p.hbar
+    x = np.linspace(-30.0, 30.0, 1201)
+    plain = harmonic_wavefunction(250, p, x)  # H_250 is finite on this grid: the plain path
+    peak = np.max(np.abs(plain))
+    assert np.max(np.abs(_scaled_harmonic(250, beta, math.sqrt(beta) * x) - plain)) <= 1e-12 * peak
+    for n in (0, 1, 7):
+        assert np.max(np.abs(_scaled_harmonic(n, beta, math.sqrt(beta) * x) - harmonic_wavefunction(n, p, x))) < 1e-14
+
+
+def test_harmonic_state_keeps_its_plain_samples_where_the_hermite_recurrence_is_finite():
+    p = OscillatorParams()
+    x = np.linspace(-60.0, 60.0, 241)  # H_250 overflows beyond |x| of about 40, and only there
+    beta = p.mass * p.omega / p.hbar
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = hermite(250, math.sqrt(beta) * x)
+        plain = np.exp(_stored_log_norm(p, 250, None) - 0.5 * beta * x**2) * h
+    finite = np.isfinite(h)
+    assert 0 < finite.sum() < len(x)
+    values = harmonic_wavefunction(250, p, x)
+    assert np.array_equal(values[finite], plain[finite]) and np.all(np.isfinite(values))
 
 
 def test_scalar_states_return_floats():

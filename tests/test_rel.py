@@ -192,15 +192,47 @@ def test_level_whose_residual_overflows_across_its_bracket_is_named(monkeypatch)
 
 
 @pytest.mark.parametrize(
+    "n, g, term",
+    [
+        # hbar c omega sqrt(2 M) = 1.4e308 is finite, (2n + 1 + order) times it is not; for g >= 0 it only grows
+        (0, 0.0, r"1 \+ 0\.5"),
+        (0, 2.0, r"1 \+ 1\.50*\d*"),
+        # (2n + 1) times the scale alone overflows: the term stays inf whatever g does to the order
+        (1, -0.1, r"3 \+ 0\.\d+"),
+    ],
+    ids=["g0", "g2", "g-negative-n1"],
+)
+def test_scan_whose_ladder_term_overflows_names_the_scale(n, g, term, monkeypatch):
+    p = DiracParams(omega=1e308, g=g)
+    message = (r"the ladder term hbar c omega sqrt\(2 M\) \(2n \+ 1 \+ order\) = 1\.4142135623730951e\+308 \* "
+               rf"\({term}\) leaves the float range at E = 1\.000000001, before level {n} changes sign")
+    solves = [lambda: solve_spin_energy(n, p), lambda: klein_gordon_energy(n, p)]
+    if n == 0:
+        solves.append(lambda: rel.solve_levels(2, p))  # a ladder raises at its lowest level, as that level alone does
+    for solve in solves:
+        (error, text), calls = _residual_calls(monkeypatch, solve)
+        assert error is DivergenceError and re.fullmatch(message, text), text
+        assert len(calls) <= 3  # not the ~15,000 points of a scan to the end of the float range
+
+
+@pytest.mark.parametrize("solve", [solve_spin_energy, klein_gordon_energy], ids=["spin", "klein-gordon"])
+def test_level_whose_binding_rounds_to_zero_sits_on_the_window_edge(solve):
+    # M c^2 = 1e300 has a float spacing of 1.5e284, far above the binding (about 1e150): the bisection
+    # closes on E = M c^2 itself, where the residual is -hbar c omega sqrt(2M) (1 + order) = -2e300
+    message = (r"level 0 sits on the window edge E = 1e\+300: the binding gap is below the float resolution "
+               r"1\.487016908477783e\+284 of E at M c\^2 = 1e\+300")
+    with pytest.raises(NoRootInRange, match=f"^{message}$"):
+        solve(0, DiracParams(mass=1e300))
+
+
+@pytest.mark.parametrize(
     "params, error, message",
     [
-        # hbar c omega sqrt(2 M) = 1.4e308 is finite, (2n + 1 + order) times it is not, but it does not stop the scan
-        ({"omega": 1e308, "g": 0.0}, NoRootInRange,
-         r"no sign change of the residual in \(1\.0, .*\]: E leaves the float range"),
-        # at g < 0 the scan goes on until 1 + 2 g |energy_weight| turns negative
+        # hbar c omega sqrt(2 M) = 1.4e308 and (2n + 1) times it are finite, (2n + 1 + order) times it is not;
+        # at g < 0 the order can shrink back, so the scan goes on until 1 + 2 g |energy_weight| turns negative
         ({"omega": 1e308, "g": -1e-300}, UnphysicalRegime, r"1 \+ 2 g \|energy_weight\| = .* < 0"),
     ],
-    ids=["ladder-term", "negative-coupling"],
+    ids=["negative-coupling"],
 )
 def test_residual_that_is_minus_inf_below_a_finite_coupling_does_not_stop_the_scan(params, error, message):
     p = DiracParams(**params)
