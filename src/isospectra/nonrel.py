@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceError, UnphysicalRegime
-from .specfun import hermite, laguerre, log_gamma
+from .specfun import hermite, laguerre
 
 __all__ = [
     "Branch",
@@ -96,9 +96,9 @@ class OscillatorParams:
             return well  # no barrier: g / (2 x^2) would be 0/0 where x^2 underflows to 0
         return well + self.g / (2.0 * x**2)
 
-    # Constants of the parameter set, computed on first use and kept on the
-    # instance. They are not fields, so ==, hash, repr and
-    # dataclasses.replace see only the four parameters above.
+    # The ladder is computed on first use and kept on the instance; it is
+    # not a field, so ==, hash, repr and dataclasses.replace see only the
+    # four parameters above. ln N is cached by value in _log_norm instead.
 
     @cached_property
     def _ladder(self) -> DerivedNonrel:
@@ -111,11 +111,6 @@ class OscillatorParams:
         if classify_regime(d.alpha) is Regime.UNPHYSICAL:
             raise UnphysicalRegime(f"alpha = {d.alpha} < -1/4 admits no bound spectrum")
         return d
-
-    @cached_property
-    def _log_norms(self) -> dict:
-        """ln N of each state sampled so far, by (level, envelope order); see _stored_log_norm."""
-        return {}
 
 
 @dataclass(frozen=True)
@@ -241,34 +236,24 @@ def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
 
 
+@lru_cache(maxsize=16)
 def _log_norm(n: int, beta: float, zeta: float) -> float:
     """ln N for the envelope N x^(1/2 + zeta) exp(-beta x^2 / 2) of level n.
 
     With this N, the envelope times L_n^(zeta)(beta x^2) has unit norm
-    on x > 0. N is assembled in log space so large n stays finite.
+    on x > 0. N is assembled in log space so large n stays finite. A
+    quadrature samples one state thousands of times, so the latest
+    constants are cached by value. This calls math.lgamma, not the public
+    ``specfun.log_gamma``, so a cache hit skips no call that a counting
+    wrapper of the public functions would see.
     """
-    return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + log_gamma(n + 1.0) - log_gamma(n + zeta + 1.0))
+    return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
 
 
+@lru_cache(maxsize=16)
 def _harmonic_log_norm(n: int, beta: float) -> float:
-    """ln N of the full-line harmonic state N exp(-beta x^2 / 2) H_n(sqrt(beta) x)."""
-    return 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - log_gamma(n + 1.0))
-
-
-def _stored_log_norm(p: OscillatorParams, n: int, zeta: float | None) -> float:
-    """ln N of level n of p, computed on the first call and kept on p.
-
-    zeta is the Laguerre order of an envelope state (``_log_norm``);
-    None selects the harmonic state. Every state here has
-    beta = M omega / hbar, so (n, zeta) names one constant of p.
-    """
-    key = (n, zeta)
-    ln_norm = p._log_norms.get(key)
-    if ln_norm is None:
-        beta = p.mass * p.omega / p.hbar
-        ln_norm = _harmonic_log_norm(n, beta) if zeta is None else _log_norm(n, beta, zeta)
-        p._log_norms[key] = ln_norm
-    return ln_norm
+    """ln N of the full-line harmonic state N exp(-beta x^2 / 2) H_n(sqrt(beta) x), cached as ``_log_norm``."""
+    return 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - math.lgamma(n + 1.0))
 
 
 def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
@@ -282,10 +267,9 @@ def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
     numpy, with s = beta (x^2). The two round differently in the last
     bit, and scalar and array samples each keep their own values. A
     scalar s that overflows raises DivergenceError; an array keeps it,
-    and its caller reports the column that holds it. The states a
-    quadrature samples repeat the scalar branch inline for a float x in
-    the domain (their direct path), so they call this only for other x,
-    and every error is raised here.
+    and its caller reports the column that holds it. ``_laguerre_state``
+    repeats the scalar branch for a float x in the domain, so it calls
+    this only for other x, and every error is raised here.
     """
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
@@ -302,6 +286,23 @@ def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
     return x, s, np.exp(ln_norm + (0.5 + zeta) * np.log(x) - 0.5 * s)
 
 
+def _laguerre_state(n: int, ln_norm: float, beta: float, zeta: float, x, where: str):
+    """N x^(1/2 + zeta) exp(-beta x^2 / 2) L_n^(zeta)(beta x^2): every Laguerre state here.
+
+    The Schroedinger state, the 3d radial state and the two spinor
+    components each differ only in (beta, zeta, ln N). A float x in the
+    domain takes the scalar branch of ``_envelope`` inline, as a
+    quadrature calls this ~10^5 times per integral; every other x, and
+    every error, goes through ``_envelope``.
+    """
+    if isinstance(x, float) and 0.0 < x < math.inf:
+        s = beta * x * x
+        if s < math.inf:
+            return math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s) * laguerre(n, zeta, s)
+    _, s, envelope = _envelope(ln_norm, beta, zeta, x, where)
+    return envelope * laguerre(n, zeta, s)
+
+
 def wavefunction(n: int, p: OscillatorParams, x):
     """Normalized n-th eigenfunction on the half line.
 
@@ -314,15 +315,7 @@ def wavefunction(n: int, p: OscillatorParams, x):
     if type(n) is not int or n < 0:  # _check_level's fast path inline: a quadrature calls this ~10^5 times
         n = _check_level(n)
     d = p._ladder
-    ln_norm = p._log_norms.get((n, d.xi))
-    if ln_norm is None:
-        ln_norm = _stored_log_norm(p, n, d.xi)
-    if isinstance(x, float) and 0.0 < x < math.inf:  # the direct path of _envelope
-        s = d.beta * x * x
-        if s < math.inf:
-            return math.exp(ln_norm + (0.5 + d.xi) * math.log(x) - 0.5 * s) * laguerre(n, d.xi, s)
-    _, s, envelope = _envelope(ln_norm, d.beta, d.xi, x, _WAVEFUNCTION_DOMAIN)
-    return envelope * laguerre(n, d.xi, s)
+    return _laguerre_state(n, _log_norm(n, d.beta, d.xi), d.beta, d.xi, x, _WAVEFUNCTION_DOMAIN)
 
 
 def parity_extend(n: int, m: float, psi_pos: float, x: float):
@@ -364,10 +357,8 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
-    ln_norm = p._log_norms.get((n, None))
-    if ln_norm is None:
-        ln_norm = _stored_log_norm(p, n, None)
     beta = p.mass * p.omega / p.hbar
+    ln_norm = _harmonic_log_norm(n, beta)
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
         if not -math.inf < x < math.inf:
@@ -462,13 +453,5 @@ def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
     if type(l) is not int or l < 0:
         l = _check_orbital(l)
     zeta = l + 0.5
-    ln_norm = p._log_norms.get((n, zeta))
-    if ln_norm is None:
-        ln_norm = _stored_log_norm(p, n, zeta)
     beta = p.mass * p.omega / p.hbar
-    if isinstance(r, float) and 0.0 < r < math.inf:  # the direct path of _envelope
-        s = beta * r * r
-        if s < math.inf:
-            return math.exp(ln_norm + (0.5 + zeta) * math.log(r) - 0.5 * s) * laguerre(n, zeta, s)
-    _, s, envelope = _envelope(ln_norm, beta, zeta, r, "radial coordinate must be finite and positive")
-    return envelope * laguerre(n, zeta, s)
+    return _laguerre_state(n, _log_norm(n, beta, zeta), beta, zeta, r, "radial coordinate must be finite and positive")

@@ -39,8 +39,9 @@ from .nonrel import (
     _check_level,
     _divisor_square,
     _envelope,
-    _log_norm,
     _in_float_range,
+    _laguerre_state,
+    _log_norm,
     _square,
     energy as nonrel_energy,
 )
@@ -145,7 +146,13 @@ class DiracParams:
 
     @cached_property
     def _spinor_memo(self) -> list:
-        """[((sign, E, n), derived, ln N)] of the latest spinor state sampled; see _spinor_state."""
+        """[((sign, E, n), derived, ln N)] of the latest spinor state sampled; see _spinor_state.
+
+        It stays on p, not in an lru_cache: the state it keeps is the
+        energy-dependent ``_derived`` of p, and a cache keyed by a
+        DiracParams would hash its eight fields on every sample, which
+        costs more than the sample.
+        """
         return [(None, None, 0.0)]
 
     def potential(self, x):
@@ -447,9 +454,11 @@ def _spinor_state(n: int, p: DiracParams, e_value: float, sign: float) -> tuple[
     """(derived, ln N) of level n at e_value in the spin (sign +1) or pseudospin (sign -1) equation.
 
     A quadrature integrand samples one (n, E) thousands of times, so the
-    latest state is kept on p and rebuilt only when (sign, E, n)
-    changes. One slot bounds the memory; it is replaced as a whole, so
-    derived and ln N always belong to the same key.
+    latest state is kept on p (``DiracParams._spinor_memo`` says why
+    there) and rebuilt only when (sign, E, n) changes. One slot bounds
+    the memory; it is replaced as a whole, so derived and ln N always
+    belong to the same key. A rebuilt ln N comes from the cache of
+    ``nonrel._log_norm``.
     """
     key = (sign, e_value, n)
     entry = p._spinor_memo[0]
@@ -471,12 +480,7 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     if type(n) is not int or n < 0:
         n = _check_level(n)
     d, ln_norm = _spinor_state(n, p, e_value, 1.0)
-    if isinstance(x, float) and 0.0 < x < math.inf:  # the direct path of _envelope
-        s = d.falloff * x * x
-        if s < math.inf:
-            return math.exp(ln_norm + (0.5 + d.ladder_order) * math.log(x) - 0.5 * s) * laguerre(n, d.ladder_order, s)
-    _, s, envelope = _envelope(ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
-    return envelope * laguerre(n, d.ladder_order, s)
+    return _laguerre_state(n, ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
 
 
 def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
@@ -485,13 +489,16 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     Obtained from the upper component through the first-order coupling,
     so it inherits the upper component's normalization divided by the
     energy denominator M c^2 + E - sym_constant. Raises DegenerateEnergy
-    when that denominator vanishes (the coupling has a pole there). x as
-    in ``spin_upper_spinor``.
+    when that denominator vanishes (the coupling has a pole there), that
+    is, when it is below 1e-12 of M c^2 + |E| + |sym_constant|, so the
+    test does not depend on the units. x as in ``spin_upper_spinor``.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
     denom = p.rest_energy + e_value - p.sym_constant
-    if abs(denom) < 1e-12:
+    # each term scaled first, so the bound stays finite where the sum would overflow; strict, so
+    # that E = inf (bound inf) still reaches _derived's "energy must be finite"
+    if abs(denom) < 1e-12 * p.rest_energy + 1e-12 * abs(e_value) + 1e-12 * abs(p.sym_constant):
         raise DegenerateEnergy(f"energy denominator {denom} is on the coupling pole")
     d, ln_norm = _spinor_state(n, p, e_value, 1.0)
     nu = d.falloff
@@ -512,12 +519,7 @@ def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     if type(n) is not int or n < 0:
         n = _check_level(n)
     d, ln_norm = _spinor_state(n, p, e_value, -1.0)
-    if isinstance(x, float) and 0.0 < x < math.inf:  # the direct path of _envelope
-        s = d.falloff * x * x
-        if s < math.inf:
-            return math.exp(ln_norm + (0.5 + d.ladder_order) * math.log(x) - 0.5 * s) * laguerre(n, d.ladder_order, s)
-    _, s, envelope = _envelope(ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
-    return envelope * laguerre(n, d.ladder_order, s)
+    return _laguerre_state(n, ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
 
 
 def pseudospin_map_check(n: int, p: DiracParams) -> float:

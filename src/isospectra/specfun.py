@@ -5,9 +5,12 @@ three-term recurrences and the confluent hypergeometric function by
 direct series summation, so the bound-state wavefunctions depend on
 nothing heavier than numpy. The Laguerre recurrence coefficients of
 each (degree, order) are computed once and kept in a bounded cache, as
-a quadrature samples one state thousands of times. Normalization
-constants elsewhere go through ``log_gamma`` to keep factorial ratios
-in log space.
+a quadrature samples one state thousands of times. ``log_gamma`` keeps
+factorial ratios in log space for the checks in ``validate``. The
+normalization constants of the states (``nonrel._log_norm``) are cached,
+so they call math.lgamma directly: a cache hit then skips no call to a
+public function here, and a wrapper that counts these calls sees the
+same counts on every pass.
 """
 from __future__ import annotations
 

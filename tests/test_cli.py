@@ -339,6 +339,18 @@ def test_wavefunction_spin_spinor_columns(capsys):
     assert any(float(r[1]) != 0.0 for r in rows[1:])
 
 
+def test_wavefunction_spin_lower_column_at_a_tiny_mass(capsys):
+    # M c^2 + E - C is E itself here, 1.8e-13: small in absolute terms, yet nowhere near the pole
+    code, out, err = run_cli(
+        ["wavefunction", "--branch", "spin", "--mass", "1e-40", "--points", "4", "--x-max", "1e12"], capsys
+    )
+    assert (code, err) == (0, "")
+    header, rows = csv_rows(out)
+    assert header == ["x", "upper", "lower"]
+    lower = [float(r[2]) for r in rows]
+    assert np.all(np.isfinite(lower)) and any(v != 0.0 for v in lower)
+
+
 def test_wavefunction_pseudospin_lower_column(capsys):
     code, out, _ = run_cli(
         ["wavefunction", "--branch", "pseudospin", "--g", "2",

@@ -7,6 +7,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from isospectra import nonrel, rel, specfun
 from isospectra.errors import DivergenceError, UnphysicalRegime
 from isospectra.nonrel import (
     NON_NORMALIZABLE,
@@ -14,8 +15,9 @@ from isospectra.nonrel import (
     EnergyLevel,
     OscillatorParams,
     Regime,
+    _harmonic_log_norm,
+    _log_norm,
     _scaled_harmonic,
-    _stored_log_norm,
     classify_regime,
     derive,
     energy,
@@ -258,7 +260,7 @@ def test_scalar_matches_array(fn, args):
     assert np.max(np.abs(arr - one_by_one)) <= 1e-15
 
 
-# ------------------------------------------- constants kept on the params
+# ------------------- constants of the params: the ladder on p, ln N in cached functions
 
 def _samples(p):
     """Scalar and array samples of every nonrel state, as exact bit patterns."""
@@ -309,6 +311,80 @@ def test_equal_params_give_identical_samples():
     assert p == q and hash(p) == hash(q)
     assert repr(p) == repr(q) == before == "OscillatorParams(mass=1.5, omega=1.0, g=2.0, hbar=1.0)"
     assert p != replace(p, g=6.0)
+
+
+def test_log_norm_caches_stay_bounded():
+    for k in range(10_000):
+        wavefunction(1, OscillatorParams(g=0.5 + k * 1e-3), 1.3)
+        harmonic_wavefunction(1, OscillatorParams(omega=0.5 + k * 1e-3), 1.3)
+    for cached in (_log_norm, _harmonic_log_norm):
+        info = cached.cache_info()
+        assert info.currsize == info.maxsize == 16
+
+
+def test_log_norm_caches_are_invisible_on_the_params():
+    p = OscillatorParams(mass=1.5, g=2.7)
+    energy(0, p)  # the ladder is the one constant kept on p
+    before = (dict(vars(p)), repr(p), hash(p))
+    _samples(p)
+    assert (dict(vars(p)), repr(p), hash(p)) == before
+    assert set(vars(p)) == {"mass", "omega", "g", "hbar", "_ladder"}
+    assert p == OscillatorParams(mass=1.5, g=2.7)
+
+
+def test_log_norm_entry_made_from_numpy_params_gives_float_samples():
+    fields = {"mass": 1.3, "omega": 0.7, "g": 2.7, "hbar": 1.1}
+    p = OscillatorParams(**fields)
+    p64 = OscillatorParams(**{k: np.float64(v) for k, v in fields.items()})
+    _log_norm.cache_clear()
+    _harmonic_log_norm.cache_clear()
+    expected = _samples(p)
+    _log_norm.cache_clear()
+    _harmonic_log_norm.cache_clear()
+    assert _samples(p64) == expected
+    assert _samples(p) == expected  # served from the entries p64 made: np.float64 keys equal float keys
+    for q in (p, p64):
+        for fn, args in ((wavefunction, (3, q)), (harmonic_wavefunction, (3, q)), (oscillator3d_radial, (3, 1, q))):
+            assert type(fn(*args, 1.3)) is float
+
+
+def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
+    # ln N is cached by value across params objects; the cache must hide no call to the
+    # public special functions, so a wrapper that counts them sees every pass alike
+    spin = rel.DiracParams(mass=1.3, omega=0.8, g=2.7, sym_constant=0.6, hbar=1.1, c=1.9)
+    pseudo = rel.DiracParams(g=1.4, sym_constant=-0.8, branch=rel.Symmetry.PSEUDOSPIN)
+    e_spin = rel.solve_spin_energy(2, spin).value
+    e_pseudo = rel.solve_pseudospin_energy(1, pseudo).value
+    counts = {}
+    for name in specfun.__all__:
+        original = getattr(specfun, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _original(*args)
+
+        for module in (specfun, nonrel, rel):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    def one_pass():
+        counts.clear()
+        p = OscillatorParams(mass=1.3, omega=0.8, g=2.7, hbar=1.1)
+        q = replace(spin)
+        r = replace(pseudo)
+        for x in (0.4, 1.3, np.linspace(0.2, 3.0, 5)):
+            wavefunction(3, p, x)
+            oscillator3d_radial(2, 1, p, x)
+            rel.spin_upper_spinor(2, q, e_spin, x)
+            rel.spin_lower_spinor(2, q, e_spin, x)
+            rel.pseudospin_lower_spinor(1, r, e_pseudo, x)
+            harmonic_wavefunction(3, p, x)
+            harmonic_wavefunction(300, p, x)  # past the plain Hermite range: the scaled recurrence
+        return dict(counts)
+
+    first = one_pass()
+    assert first == one_pass()
+    assert first["laguerre"] > 0 and first["laguerre_derivative"] > 0 and first["hermite"] > 0
 
 
 @pytest.mark.parametrize(
@@ -405,7 +481,7 @@ def test_harmonic_state_keeps_its_plain_samples_where_the_hermite_recurrence_is_
     beta = p.mass * p.omega / p.hbar
     with np.errstate(over="ignore", invalid="ignore"):
         h = hermite(250, math.sqrt(beta) * x)
-        plain = np.exp(_stored_log_norm(p, 250, None) - 0.5 * beta * x**2) * h
+        plain = np.exp(_harmonic_log_norm(250, beta) - 0.5 * beta * x**2) * h
     finite = np.isfinite(h)
     assert 0 < finite.sum() < len(x)
     values = harmonic_wavefunction(250, p, x)
@@ -419,7 +495,7 @@ def test_scalar_states_return_floats():
 
 
 def test_direct_scalar_path_matches_the_envelope_bit_for_bit():
-    # a float takes each state's inline path, a 0-d array the scalar branch of _envelope
+    # a float takes the inline path of _laguerre_state, a 0-d array the scalar branch of _envelope
     p = OscillatorParams(mass=1.3, omega=0.7, g=2.7, hbar=1.1)
     for x in (1e-3, 0.37, 1.3, 4.1, 9.0):
         for n in (0, 1, 5, 12):

@@ -693,7 +693,7 @@ def test_spinors_reject_a_non_finite_energy(spinor, symmetry, e_value):
 
 
 def test_direct_scalar_path_matches_the_envelope_bit_for_bit():
-    # a float takes each spinor's inline path, a 0-d array the scalar branch of nonrel._envelope
+    # a float takes the inline path of nonrel._laguerre_state, a 0-d array the scalar branch of nonrel._envelope
     for spinor, symmetry in _SPINOR_BRANCHES:
         for n in (0, 3):
             p, e = _level(n, symmetry)
