@@ -40,37 +40,35 @@ class RunManifest:
     """Complete, replayable description of one CLI run.
 
     Every computation here is deterministic, so the manifest carries no
-    seed; ``seedless`` stays True as an explicit statement of that.
+    seed; its JSON says so with ``"seedless": true``.
     """
 
     command: str
     parameters: dict
     output_format: str
-    seedless: bool = True
 
     def __post_init__(self) -> None:
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output_format must be one of {OUTPUT_FORMATS}, got {self.output_format!r}")
-        if not self.seedless:
-            raise ValueError("runs are deterministic; seedless must stay True")
 
     def to_json(self) -> str:
         payload = {
             "command": self.command,
             "parameters": self.parameters,
             "output_format": self.output_format,
-            "seedless": self.seedless,
+            "seedless": True,
         }
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         data = json.loads(text)
+        if data.get("seedless") is not True:
+            raise ValueError(f"runs are deterministic; seedless must be true, got {data.get('seedless')!r}")
         return cls(
             command=data["command"],
             parameters=data["parameters"],
             output_format=data["output_format"],
-            seedless=data["seedless"],
         )
 
     def as_dict(self) -> dict:

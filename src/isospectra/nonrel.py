@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceError, UnphysicalRegime
-from .specfun import hermite, laguerre
+from .specfun import laguerre
 
 __all__ = [
     "Branch",
@@ -250,12 +250,6 @@ def _log_norm(n: int, beta: float, zeta: float) -> float:
     return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
 
 
-@lru_cache(maxsize=16)
-def _harmonic_log_norm(n: int, beta: float) -> float:
-    """ln N of the full-line harmonic state N exp(-beta x^2 / 2) H_n(sqrt(beta) x), cached as ``_log_norm``."""
-    return 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - math.lgamma(n + 1.0))
-
-
 def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
     """N x^(1/2 + zeta) exp(-beta x^2 / 2), the envelope of every Laguerre state here.
 
@@ -347,40 +341,26 @@ def harmonic_energy(n: int, p: OscillatorParams) -> float:
 def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     """Normalized full-line harmonic eigenfunction, for side-by-side plots.
 
-    x must be finite elementwise. Scalar and array x are computed as in
-    ``_envelope``; a float x gives a float, and raises DivergenceError
-    where beta x^2 overflows. N exp(-beta x^2 / 2) H_n(sqrt(beta) x) is
-    formed from the plain Hermite recurrence; where H_n leaves the float
-    range (every x from n = 280 on) the sample comes from the recurrence
-    of the normalized Hermite functions instead (``_scaled_harmonic``),
-    so samples where H_n is finite keep their values.
+    x must be finite elementwise; a float x gives a float, and raises
+    DivergenceError where beta x^2 overflows. Every sample comes from the
+    recurrence of the normalized Hermite functions (``_scaled_harmonic``),
+    which stays in the float range at every n, where H_n itself leaves it
+    (every x from n = 280 on).
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
     beta = p.mass * p.omega / p.hbar
-    ln_norm = _harmonic_log_norm(n, beta)
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
         if not -math.inf < x < math.inf:
             raise ValueError(_HARMONIC_DOMAIN)
-        s = beta * x * x
-        if s == math.inf:
+        if beta * x * x == math.inf:
             raise DivergenceError(f"the scale beta x^2 = {beta} * ({x})^2 leaves the float range")
-        try:
-            return math.exp(ln_norm - 0.5 * s) * hermite(n, math.sqrt(beta) * x)
-        except DivergenceError:
-            return _scaled_harmonic(n, beta, math.sqrt(beta) * x)
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError(_HARMONIC_DOMAIN)
-    y = math.sqrt(beta) * x
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflowing samples are replaced below
-        h = hermite(n, y)
-        values = np.exp(ln_norm - 0.5 * beta * x**2) * h
-    overflow = ~np.isfinite(h)
-    if overflow.any():
-        values[overflow] = _scaled_harmonic(n, beta, y[overflow])
-    return values
+    else:
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise ValueError(_HARMONIC_DOMAIN)
+    return _scaled_harmonic(n, beta, math.sqrt(beta) * x)
 
 
 # h_k and h_(k-1) are divided by this exact power of two whenever |h_k|
@@ -404,7 +384,9 @@ def _scaled_harmonic(n: int, beta: float, y):
     Where h_k outgrows 2^500 it is scaled down and the power of two goes
     into a running log scale, as ``_envelope`` carries ln N, so neither h_n
     nor the Gaussian leaves the float range on the way; the product is
-    formed once, at the end. A float y gives a float, an array an array.
+    formed once, at the end. The h_k carry their own norm, so only
+    ln (beta / pi)^(1/4) is added. A float y gives a float, an array an
+    array.
     """
     prev, cur = 1.0 + 0.0 * y, math.sqrt(2.0) * y
     if n == 0:
@@ -427,7 +409,7 @@ def _scaled_harmonic(n: int, beta: float, y):
                 cur[big] /= _HERMITE_RESCALE
                 rescales[big] += 1.0
         exp = np.exp
-    return cur * exp(_harmonic_log_norm(0, beta) - 0.5 * y * y + rescales * (500.0 * math.log(2.0)))
+    return cur * exp(0.25 * (math.log(beta) - math.log(math.pi)) - 0.5 * y * y + rescales * (500.0 * math.log(2.0)))
 
 
 def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:

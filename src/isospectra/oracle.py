@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
+from .errors import DivergenceError, GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
+from .nonrel import _check_level, _in_float_range, _square
 from .rel import DiracParams, Symmetry
 
 __all__ = [
@@ -397,7 +398,9 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     bound of the spectrum finds exactly ``count`` eigenvalues up to the
     last window; otherwise that grid takes the index solve. Raises
     ValueError before any solve when 2 x_min >= x_max, which leaves no
-    doubled-cutoff grid.
+    doubled-cutoff grid, and DivergenceError naming the scale when
+    hbar^2 / (2M) leaves the float range or underflows to 0 (the matrix
+    would lose its kinetic term and return the well's minimum).
 
     Those value solves bisect only the leading rows that an eigenvector
     below the highest window can reach (``_live_rows``). Past the last
@@ -421,7 +424,9 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
         raise ValueError(f"count = {count} too large for {grid.n_points} grid points")
     if not (math.isfinite(mass) and mass > 0.0 and math.isfinite(hbar) and hbar > 0.0):
         raise ValueError(f"mass and hbar must be positive and finite, got mass = {mass}, hbar = {hbar}")
-    kinetic = hbar**2 / (2.0 * mass)
+    kinetic = _in_float_range(_square(hbar, "hbar") / (2.0 * mass), "hbar^2 / (2 M)")
+    if kinetic == 0.0:
+        raise DivergenceError(f"the scale hbar^2 / (2 M) = ({hbar})^2 / (2 * {mass}) underflows to 0")
 
     def sample(g: Grid) -> np.ndarray:
         # only the interior enters the matrix (see _assemble): a potential
@@ -608,7 +613,9 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     the declared grid's lambda_n and certified by a Sturm count that
     finds exactly n + 1 eigenvalues up to the window's top; otherwise
     that grid takes the index solve. Raises ValueError before any solve
-    when 2 x_min >= x_max, which leaves no doubled-cutoff grid.
+    when 2 x_min >= x_max, which leaves no doubled-cutoff grid, and
+    DivergenceError naming the scale when (hbar c)^2 or omega^2 leaves
+    the float range or (hbar c)^2 underflows to 0.
 
     The eigenvalue's grid error d_lambda feeds back through the weight:
     the converged level solves E = F(lambda(w(E))), so its error is
@@ -625,8 +632,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     not bound it (at g = -0.1, n = 0 the error is 1.65e-3 against an
     estimate of 8.46e-4 on the default grid).
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level index must be a non-negative integer, got {n!r}")
+    n = _check_level(n)
     if p.branch is not Symmetry.SPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     grid = grid if grid is not None else Grid()
@@ -635,15 +641,10 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
 
     mc2 = p.rest_energy
     offset = p.sym_constant
-    hc2 = (p.hbar * p.c) ** 2
+    hc2 = p._hc2
     b_coef = 2.0 * mc2 - offset
-
-    def well(g: Grid) -> np.ndarray:
-        x = g.points()
-        return 0.5 * p.mass * p.omega**2 * x**2 + p.g / (2.0 * x**2)
-
     checks = _check_grids(grid)
-    u = well(grid)
+    u = p.potential(grid.points())
     positive = bool(np.all(u[1:-1] > 0.0))
     last: tuple[float, float] | None = None  # (weight, eigenvalue) of the latest solve
 
@@ -693,7 +694,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     # the eigenvalue, propagated through the self-consistent map.
     weight = (mc2 + e_value - offset) / hc2
     lam_h = nth_curvature(weight)
-    lam_err = float(_check_grid_error(lambda g: weight * well(g), checks, 1.0, np.array([lam_h]), n)[0])
+    lam_err = float(_check_grid_error(lambda g: weight * p.potential(g.points()), checks, 1.0, np.array([lam_h]), n)[0])
     # with every U > 0 the feedback bounds the level's error by lam_err / weight
     factor = 1.0 / weight if positive else abs(hc2 / (2.0 * e_value - offset))
     estimate = lam_err * factor + _RICHARDSON_FLOOR

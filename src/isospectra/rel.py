@@ -537,7 +537,7 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
     if p.branch is not Symmetry.PSEUDOSPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     level = solve_pseudospin_energy(n, p)
-    lower = p.rest_energy + p.sym_constant
+    _, lower = _dirac_window(p)
     span = level.value - lower
     energies = np.linspace(lower + 0.01 * span, level.value + 0.5 * span, 100)
 

@@ -319,18 +319,16 @@ def root_uniqueness_defect() -> float:
     defect is |number of roots - 1|, so anything nonzero is a failure.
     """
     worst = 0
-    for col in golden.TABLE1_COLUMNS:
-        p = golden.spin_params(col)
-        lo = max(p.rest_energy, col.sym_constant - p.rest_energy)
-        for n in range(golden.N_LEVELS):
-            roots = oracle.scan_roots(lambda e: rel.spin_energy_residual(e, n, p), lo, 50.0, 400)
-            worst = max(worst, abs(len(roots) - 1))
-    for col in golden.TABLE2_COLUMNS:
-        p = golden.pseudospin_params(col)
-        lo = p.rest_energy + col.sym_constant
-        for n in range(golden.N_LEVELS):
-            roots = oracle.scan_roots(lambda e: rel.pseudospin_energy_residual(e, n, p), lo, 50.0, 400)
-            worst = max(worst, abs(len(roots) - 1))
+    for columns, params, residual in (
+        (golden.TABLE1_COLUMNS, golden.spin_params, rel.spin_energy_residual),
+        (golden.TABLE2_COLUMNS, golden.pseudospin_params, rel.pseudospin_energy_residual),
+    ):
+        for col in columns:
+            p = params(col)
+            _, lo = rel._dirac_window(p)
+            for n in range(golden.N_LEVELS):
+                roots = oracle.scan_roots(lambda e: residual(e, n, p), lo, 50.0, 400)
+                worst = max(worst, abs(len(roots) - 1))
     return float(worst)
 
 

@@ -698,8 +698,10 @@ def test_replayed_manifest_blocks_negative_axis_at_fractional_barrier():
 def test_manifest_rejects_bad_fields():
     with pytest.raises(ValueError):
         cli.RunManifest(command="spectrum", parameters={}, output_format="xml")
-    with pytest.raises(ValueError):
-        cli.RunManifest(command="spectrum", parameters={}, output_format="csv", seedless=False)
+    good = cli.RunManifest(command="spectrum", parameters={}, output_format="csv").as_dict()
+    for seedless in (False, None):
+        with pytest.raises(ValueError, match="seedless must be true"):
+            cli.RunManifest.from_json(json.dumps({**good, "seedless": seedless}))
 
 
 def test_run_manifest_rejects_unknown_command():

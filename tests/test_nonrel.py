@@ -15,9 +15,7 @@ from isospectra.nonrel import (
     EnergyLevel,
     OscillatorParams,
     Regime,
-    _harmonic_log_norm,
     _log_norm,
-    _scaled_harmonic,
     classify_regime,
     derive,
     energy,
@@ -316,10 +314,8 @@ def test_equal_params_give_identical_samples():
 def test_log_norm_caches_stay_bounded():
     for k in range(10_000):
         wavefunction(1, OscillatorParams(g=0.5 + k * 1e-3), 1.3)
-        harmonic_wavefunction(1, OscillatorParams(omega=0.5 + k * 1e-3), 1.3)
-    for cached in (_log_norm, _harmonic_log_norm):
-        info = cached.cache_info()
-        assert info.currsize == info.maxsize == 16
+    info = _log_norm.cache_info()
+    assert info.currsize == info.maxsize == 16
 
 
 def test_log_norm_caches_are_invisible_on_the_params():
@@ -337,10 +333,8 @@ def test_log_norm_entry_made_from_numpy_params_gives_float_samples():
     p = OscillatorParams(**fields)
     p64 = OscillatorParams(**{k: np.float64(v) for k, v in fields.items()})
     _log_norm.cache_clear()
-    _harmonic_log_norm.cache_clear()
     expected = _samples(p)
     _log_norm.cache_clear()
-    _harmonic_log_norm.cache_clear()
     assert _samples(p64) == expected
     assert _samples(p) == expected  # served from the entries p64 made: np.float64 keys equal float keys
     for q in (p, p64):
@@ -379,12 +373,13 @@ def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
             rel.spin_lower_spinor(2, q, e_spin, x)
             rel.pseudospin_lower_spinor(1, r, e_pseudo, x)
             harmonic_wavefunction(3, p, x)
-            harmonic_wavefunction(300, p, x)  # past the plain Hermite range: the scaled recurrence
+            harmonic_wavefunction(300, p, x)  # past the range of H_n
         return dict(counts)
 
     first = one_pass()
     assert first == one_pass()
-    assert first["laguerre"] > 0 and first["laguerre_derivative"] > 0 and first["hermite"] > 0
+    assert first["laguerre"] > 0 and first["laguerre_derivative"] > 0
+    assert "hermite" not in first  # the harmonic state never forms H_n, so n = 300 runs no overflowing recurrence
 
 
 @pytest.mark.parametrize(
@@ -454,7 +449,7 @@ def test_harmonic_state_overflow_raises_for_a_scalar():
 
 
 def test_harmonic_state_beyond_the_plain_hermite_range_has_unit_norm():
-    # H_300(y) leaves the float range at every y, so every sample comes from the scaled recurrence
+    # H_300(y) leaves the float range at every y; the normalized Hermite functions do not
     p = OscillatorParams(mass=1.3, omega=0.8, hbar=1.1)
     val = 2.0 * quadrature(lambda x: harmonic_wavefunction(300, p, x) ** 2, 0.0, math.inf, tol=1e-8)
     assert val == pytest.approx(1.0, abs=1e-9)
@@ -464,28 +459,24 @@ def test_harmonic_state_beyond_the_plain_hermite_range_has_unit_norm():
     assert harmonic_wavefunction(400, p, np.array([30.0]))[0] == pytest.approx(scalar, rel=1e-12)
 
 
+def _written_out_harmonic(n, beta, x):
+    # N exp(-beta x^2 / 2) H_n(sqrt(beta) x), N = (beta / pi)^(1/4) / sqrt(2^n n!)
+    ln_norm = 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - math.lgamma(n + 1.0))
+    return np.exp(ln_norm - 0.5 * beta * x**2) * hermite(n, math.sqrt(beta) * x)
+
+
 def test_scaled_harmonic_recurrence_matches_the_plain_one_where_both_are_finite():
     p = OscillatorParams(mass=1.3, omega=0.8, hbar=1.1)
     beta = p.mass * p.omega / p.hbar
     x = np.linspace(-30.0, 30.0, 1201)
-    plain = harmonic_wavefunction(250, p, x)  # H_250 is finite on this grid: the plain path
-    peak = np.max(np.abs(plain))
-    assert np.max(np.abs(_scaled_harmonic(250, beta, math.sqrt(beta) * x) - plain)) <= 1e-12 * peak
-    for n in (0, 1, 7):
-        assert np.max(np.abs(_scaled_harmonic(n, beta, math.sqrt(beta) * x) - harmonic_wavefunction(n, p, x))) < 1e-14
-
-
-def test_harmonic_state_keeps_its_plain_samples_where_the_hermite_recurrence_is_finite():
-    p = OscillatorParams()
-    x = np.linspace(-60.0, 60.0, 241)  # H_250 overflows beyond |x| of about 40, and only there
-    beta = p.mass * p.omega / p.hbar
     with np.errstate(over="ignore", invalid="ignore"):
-        h = hermite(250, math.sqrt(beta) * x)
-        plain = np.exp(_harmonic_log_norm(250, beta) - 0.5 * beta * x**2) * h
-    finite = np.isfinite(h)
+        plain = _written_out_harmonic(250, beta, x)
+    finite = np.isfinite(plain)  # H_250 overflows beyond |x| of about 11 here, and only there
     assert 0 < finite.sum() < len(x)
-    values = harmonic_wavefunction(250, p, x)
-    assert np.array_equal(values[finite], plain[finite]) and np.all(np.isfinite(values))
+    peak = np.max(np.abs(plain[finite]))
+    assert np.max(np.abs(harmonic_wavefunction(250, p, x)[finite] - plain[finite])) <= 1e-12 * peak
+    for n in (0, 1, 7):
+        assert np.max(np.abs(harmonic_wavefunction(n, p, x) - _written_out_harmonic(n, beta, x))) < 1e-14
 
 
 def test_scalar_states_return_floats():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from isospectra import oracle
-from isospectra.errors import GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
+from isospectra.errors import DivergenceError, GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
 from isospectra.nonrel import OscillatorParams, energy, wavefunction
 from isospectra.oracle import (
     Grid,
@@ -238,6 +238,38 @@ def test_selfconsistent_rejects_bad_input():
         dirac_selfconsistent(-1, spin_params(2.0, 0.0))
     with pytest.raises(ValueError):
         dirac_selfconsistent(50, spin_params(2.0, 0.0), Grid(1e-4, 20.0, 400))
+
+
+_HC2_UNDERFLOWS = r"^the scale \(hbar c\)\^2 = \(1e-170\)\^2 underflows to 0$"
+
+
+@pytest.mark.parametrize(
+    "solve,kwargs,message",
+    [
+        pytest.param("selfconsistent", {"hbar": 1e-170}, _HC2_UNDERFLOWS, id="selfconsistent-hbar"),
+        pytest.param("selfconsistent", {"c": 1e-170}, _HC2_UNDERFLOWS, id="selfconsistent-c"),
+        pytest.param(
+            "selfconsistent", {"omega": 1e200}, r"^the scale omega\^2 = \(1e\+200\)\^2 leaves the float range$",
+            id="selfconsistent-omega",
+        ),
+        pytest.param("fd", {"hbar": 1e200}, r"^the scale hbar\^2 = \(1e\+200\)\^2 leaves the float range$", id="fd-hbar-large"),
+        pytest.param(
+            "fd", {"hbar": 1e-170}, r"^the scale hbar\^2 / \(2 M\) = \(1e-170\)\^2 / \(2 \* 1.0\) underflows to 0$",
+            id="fd-hbar-small",
+        ),
+        pytest.param(
+            "fd", {"hbar": 1e10, "mass": 1e-300}, r"^the scale hbar\^2 / \(2 M\) leaves the float range$", id="fd-mass-small"
+        ),
+    ],
+)
+def test_oracle_scale_outside_the_float_range_is_named_before_any_eigensolve(monkeypatch, solve, kwargs, message):
+    selects = _record_selects(monkeypatch)
+    with pytest.raises(DivergenceError, match=message):
+        if solve == "fd":
+            fd_eigenvalues(OscillatorParams().potential, 2, FAST_GRID, **kwargs)
+        else:
+            dirac_selfconsistent(0, DiracParams(**kwargs))
+    assert selects == []
 
 
 # --------------------------------------------------------- ode residual
