@@ -10,7 +10,7 @@ same bytes.
 ``compute_tables`` recomputes both tables for reproduction runs: each
 column is one ladder of levels 0..10 from a single shared scan of the
 residual (``rel.solve_levels``), 13 scans in all. A ``reproduce-tables``
-request makes 12,148 residual evaluations that way, against 72,459 for
+request makes 13,096 residual evaluations that way, against 73,407 for
 the 143 single-level solves of ``compute_table1`` and ``compute_table2``,
 and writes the same bytes: the shared scan gives each level the value
 of its own solve, bit for bit.

@@ -136,8 +136,9 @@ class EnergyLevel:
     """A single bound-state energy.
 
     residual is the absolute value of the defining equation at the
-    reported energy: zero for closed forms, the terminal bracketing
-    residual for root-solved branches.
+    reported energy: zero for closed forms; for root-solved branches,
+    the smaller of its values at the two adjacent floats that end the
+    bisection, the reported energy being that end.
     """
 
     n: int
@@ -403,8 +404,8 @@ def _scaled_harmonic(n: int, beta: float, y):
         rescales = np.zeros_like(y)
         for a, b in steps:
             prev, cur = cur, a * y * cur - b * prev
-            big = np.abs(cur) >= _HERMITE_RESCALE
-            if big.any():
+            if np.abs(cur).max(initial=0.0) >= _HERMITE_RESCALE:  # one reduction; the mask only where it is needed
+                big = np.abs(cur) >= _HERMITE_RESCALE
                 prev[big] /= _HERMITE_RESCALE
                 cur[big] /= _HERMITE_RESCALE
                 rescales[big] += 1.0

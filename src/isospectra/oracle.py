@@ -615,7 +615,8 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     that grid takes the index solve. Raises ValueError before any solve
     when 2 x_min >= x_max, which leaves no doubled-cutoff grid, and
     DivergenceError naming the scale when (hbar c)^2 or omega^2 leaves
-    the float range or (hbar c)^2 underflows to 0.
+    the float range or (hbar c)^2 underflows to 0, or naming the well
+    when it leaves the float range at an interior grid point.
 
     The eigenvalue's grid error d_lambda feeds back through the weight:
     the converged level solves E = F(lambda(w(E))), so its error is
@@ -644,7 +645,16 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     hc2 = p._hc2
     b_coef = 2.0 * mc2 - offset
     checks = _check_grids(grid)
-    u = p.potential(grid.points())
+    x = grid.points()
+    with np.errstate(over="ignore"):  # an overflow is raised below, by name
+        u = p.potential(x)
+    finite = np.isfinite(u[1:-1])
+    if not finite.all():
+        # the check grids sample inside [x_min, x_max] too, so this covers their wells as well
+        raise DivergenceError(
+            f"the well M omega^2 x^2 / 2 + g / (2 x^2) leaves the float range at x = {x[1:-1][~finite][0]} "
+            f"on the grid, at M = {p.mass}, omega = {p.omega}, g = {p.g}"
+        )
     positive = bool(np.all(u[1:-1] > 0.0))
     last: tuple[float, float] | None = None  # (weight, eigenvalue) of the latest solve
 

@@ -18,9 +18,9 @@ of the lowest level not yet bracketed, bisects that level where its
 residual changes sign, and calls the next level at the same ladder
 point. It relies on the residual decreasing in n at fixed E, so a
 ladder of levels 0..n_max (``solve_levels``) costs about one scan plus
-one bisection per level instead of one scan per level. The bisection
-still stops at an absolute width of 1e-12, whatever the size of the
-level, so a level far below 1e-12 (mass=1e-300) keeps no correct digit.
+one bisection per level instead of one scan per level. Each bisection
+runs until its ends are adjacent floats, so a level keeps every digit
+the float spacing of E allows, whatever the units.
 """
 from __future__ import annotations
 
@@ -71,12 +71,10 @@ __all__ = [
 ]
 
 # Root bracketing: one geometric ladder of offsets above the admissible
-# lower energy bound, shared by the levels of a solve, then bisection plus
-# one guarded Newton polish per level.
+# lower energy bound, shared by the levels of a solve, then bisection of
+# each level to adjacent floats.
 _SCAN_SEED = 1e-9
 _SCAN_FACTOR = 1.05
-_BISECT_MAX = 200
-_BISECT_TOL = 1e-12
 
 _SPINOR_DOMAIN = "spinor components are defined on finite x > 0"
 
@@ -249,18 +247,6 @@ def energy_residual(e_value: float, n: int, p: DiracParams, sign: float, offset:
     return (e_value - mc2) * math.sqrt(w) - p._level_scale * (2.0 * n + 1.0 + 0.5 * math.sqrt(under))
 
 
-def _residual_derivative(e_value: float, p: DiracParams, sign: float, offset: float) -> float:
-    """d/dE of energy_residual; inf on the window edge, where the slope diverges."""
-    mc2 = sign * p.rest_energy
-    w = e_value + mc2 - offset
-    under = 1.0 + 2.0 * p.g * w / p._hc2
-    if w <= 0.0 or under <= 0.0:
-        return math.inf
-    order = 0.5 * math.sqrt(under)
-    d_order = p.g / (4.0 * order * p._hc2)
-    return math.sqrt(w) + (e_value - mc2) / (2.0 * math.sqrt(w)) - p._level_scale * d_order
-
-
 def spin_energy_residual(e_value: float, n: int, p: DiracParams) -> float:
     """Quantization residual of the spin branch: energy_residual with w = M c^2 + E - sym_constant."""
     return energy_residual(e_value, n, p, 1.0, p.sym_constant)
@@ -283,33 +269,36 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
     a tiny seed (the bound itself is usually a domain edge), and calls the
     residual of the lowest level not yet bracketed. Where that residual
     goes from negative to non-negative, the level's root lies between the
-    previous ladder point (or ``lower``) and this one: it is bisected to
-    absolute width 1e-12, whatever the size of the level, and given a
-    single Newton polish kept only if it stays inside the bracket and
-    reduces the residual. The next level is then called at the same
-    ladder point.
+    previous ladder point (or ``lower``) and this one: it is bisected
+    until the two ends are adjacent floats, and the end with the smaller
+    |residual| is the level (see ``_refine``). The next level is then
+    called at the same ladder point.
 
     At fixed E the residual decreases in n, in floats too (only the term
     2n + 1 + order changes, and rounding keeps its order), so each level
     is negative at every ladder point below the one where the level under
     it changed sign. Each level thus gets the bracket, value and residual
     of a scan of its own, and a one-level range makes exactly the calls of
-    one. The branch fixes (s, C) once. Raises at the lowest failing level,
-    as a loop over single levels would: NoRootInRange when E leaves the
-    float range before the sign changes, or when a root lands on the
-    window edge, where w = 0 or the binding E - s M c^2 rounds to 0 (the
-    binding gap is then below the float spacing of E, which happens when
-    M c^2 dwarfs hbar omega); DivergenceError when 2 g w / (hbar c)^2
-    leaves the float range first. That point of the ladder is the same
-    for every level, and no level lies above it. DivergenceError too when
-    the ladder term hbar c omega sqrt(2 M) (2n + 1 + order) of the level
-    is inf at a ladder point with g >= 0, where order only grows with E,
-    or when hbar c omega sqrt(2 M) (2n + 1) alone is inf. Also
-    DivergenceError when the bisection ends on a non-finite residual: a
-    symmetry constant C so large that w cancels near the window edge
-    (pseudospin C = -1e300) leaves a bracket across which (E - s M c^2)
-    sqrt(w) overflows. The residual is called by its module name at each
-    evaluation, so a wrapper bound there sees every one.
+    one. Only where a bracket's lower end was called for a lower level and
+    stays an end to the close is the level's own residual there called
+    too, as its own scan would have. The branch fixes (s, C) once. Raises
+    at the lowest failing level, as a loop over single levels would:
+    NoRootInRange when E leaves the float range before the sign changes,
+    or when the end chosen is the window edge, where w = 0 or the binding
+    E - s M c^2 rounds to 0 (the binding gap is then below the float
+    spacing of E, which happens when M c^2 dwarfs hbar omega);
+    DivergenceError when 2 g w / (hbar c)^2 leaves the float range first.
+    That point of the ladder is the same for every level, and no level
+    lies above it. DivergenceError too when the ladder term
+    hbar c omega sqrt(2 M) (2n + 1 + order) of the level is inf at a
+    ladder point with g >= 0, where order only grows with E, or when
+    hbar c omega sqrt(2 M) (2n + 1) alone is inf. Also
+    DivergenceError when the bisection ends on a non-finite residual: the
+    level condition then holds only where both of its sides, (E - s M c^2)
+    sqrt(w) and the ladder term, are beyond the float range (at g < 0 the
+    ladder term comes back from inf as E grows, after (E - s M c^2) sqrt(w)
+    has left the range). The residual is called by its module name at
+    each evaluation, so a wrapper bound there sees every one.
     """
     sign = -1.0 if branch is Branch.DIRAC_PSEUDOSPIN else 1.0
     offset = 0.0 if branch is Branch.KLEIN_GORDON else p.sym_constant
@@ -320,28 +309,34 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
     # E - s M c^2 = 0 or w = 0, which leaves only the ladder term
     # -hbar c omega sqrt(2M) (2n + 1 + order) < 0. So a level that is
     # already non-negative at the first point sits in [lower, lower + seed].
-    e_prev, f_prev = lower, -1.0
+    # -inf stands for that sign only, not for an evaluated residual, so
+    # the edge never wins _refine's choice of end.
+    e_prev, f_prev = lower, -math.inf
     e_cur = lower + rise
     while True:
         f_cur = energy_residual(e_cur, n, p, sign, offset)
-        if f_prev < 0.0 <= f_cur:
-            e_value, res = (e_cur, 0.0) if f_cur == 0.0 else _refine(n, p, sign, offset, e_prev, e_cur, f_prev)
+        if 0.0 <= f_cur and (f_prev is None or f_prev < 0.0):
+            e_value, res = _refine(n, p, sign, offset, e_prev, e_cur, f_prev, f_cur)
             if e_value - sign * p.rest_energy == 0.0 or e_value + sign * p.rest_energy - offset <= 0.0:
                 raise NoRootInRange(
                     f"level {n} sits on the window edge E = {e_value}: the binding gap is below "
                     f"the float resolution {math.ulp(e_value)} of E at M c^2 = {p.rest_energy}"
                 )
             if not res < math.inf:
-                pm, mp = ("+", "-") if sign > 0.0 else ("-", "+")
+                mp = "-" if sign > 0.0 else "+"
                 raise DivergenceError(
                     f"level {n} has residual {res} at E = {e_value}, bisected in ({e_prev}, {e_cur}]: "
-                    f"w = E {pm} M c^2 - C cancels C = {offset} near the window edge, and "
-                    f"(E {mp} M c^2) sqrt(w) leaves the float range across the bracket"
+                    f"both sides of its condition, (E {mp} M c^2) sqrt(w) and the ladder term "
+                    f"hbar c omega sqrt(2 M) (2n + 1 + order), leave the float range across the bracket"
                 )
             levels.append(EnergyLevel(n=n, value=e_value, branch=branch, residual=res))
             if n == last:
                 return levels
-            n += 1  # below level n - 1 at e_prev, so negative there too: f_prev keeps its sign
+            n += 1
+            if f_prev != -math.inf:
+                # level n is below level n - 1 at e_prev, so negative there too, but its own residual
+                # there is not known: None has _refine call it if e_prev is still an end at the close
+                f_prev = None
             continue
         if not f_cur > -math.inf:
             coupling = 2.0 * p.g * (e_cur + sign * p.rest_energy - offset) / p._hc2
@@ -366,32 +361,30 @@ def _solve_levels(first: int, last: int, p: DiracParams, branch: Branch, lower: 
             raise NoRootInRange(f"no sign change of the residual in ({lower}, {e_prev}]: E leaves the float range")
 
 
-def _refine(n: int, p: DiracParams, sign: float, offset: float, a: float, b: float, fa: float) -> tuple[float, float]:
-    """(E, |residual|) of level n bisected in [a, b], where its residual goes from fa < 0 to >= 0."""
-    for _ in range(_BISECT_MAX):
+def _refine(
+    n: int, p: DiracParams, sign: float, offset: float, a: float, b: float, fa: float | None, fb: float
+) -> tuple[float, float]:
+    """(E, |residual|) of level n in [a, b], where its residual goes from fa < 0 to fb >= 0.
+
+    Bisects until a and b are adjacent floats and returns the end with the
+    smaller |residual|, so the level is as close as the float spacing of E
+    allows, whatever the units. fa = -inf never wins that choice; the scan
+    passes it for the window edge, where the residual is negative but not
+    evaluated. fa = None is a residual at a not evaluated yet; it is
+    evaluated only if a is still an end at the close.
+    """
+    while fb != 0.0:
         mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break  # spacing exhausted, interval is one ulp wide
+        if mid <= a or mid >= b:  # a and b are adjacent floats
+            if fa is None:
+                fa = energy_residual(a, n, p, sign, offset)
+            return (a, abs(fa)) if abs(fa) < fb else (b, fb)
         fm = energy_residual(mid, n, p, sign, offset)
-        if fm == 0.0:
-            return mid, 0.0
-        if fa < 0.0 < fm or fm < 0.0 < fa:  # opposite signs; a product fa * fm can underflow to 0
-            b = mid
+        if fm >= 0.0:
+            b, fb = mid, fm
         else:
             a, fa = mid, fm
-        if b - a <= _BISECT_TOL:
-            break
-
-    best = 0.5 * (a + b)
-    f_best = energy_residual(best, n, p, sign, offset)
-    slope = _residual_derivative(best, p, sign, offset)
-    if slope != 0.0 and math.isfinite(slope):
-        polished = best - f_best / slope
-        if a < polished < b:
-            f_pol = energy_residual(polished, n, p, sign, offset)
-            if abs(f_pol) < abs(f_best):
-                best, f_best = polished, f_pol
-    return best, abs(f_best)
+    return b, 0.0
 
 
 def _dirac_window(p: DiracParams) -> tuple[Branch, float]:
@@ -432,7 +425,7 @@ def solve_levels(n_max: int, p: DiracParams) -> list[EnergyLevel]:
     solve_pseudospin_energy at each n: the scan that brackets level n
     goes on from there for level n + 1, since at fixed E the residual
     decreases in n. Raises what the first failing level would raise on
-    its own. The bisection still stops at an absolute width of 1e-12.
+    its own. Each level is bisected to adjacent floats.
     """
     n_max = _check_level(n_max)
     return _solve_levels(0, n_max, p, *_dirac_window(p))

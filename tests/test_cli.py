@@ -162,11 +162,15 @@ def test_spectrum_negative_coupling_names_the_missing_ladder(capsys):
     assert re.fullmatch(r"error: 1 \+ 2 g \|energy_weight\| = \S+ < 0: no bound ladder at this energy\n", err)
 
 
-def test_spectrum_gap_below_float_resolution_exits_one(capsys):
+def test_spectrum_gap_below_float_resolution_exits_one(decimal_level, capsys):
+    # the pseudospin gaps at M c^2 = 1e8 (about 1e-8) are 1 and 4 float spacings of E: both levels are
+    # printed as the floats nearest their decimal roots, and the request exits 0
     code, out, err = run_cli(["spectrum", "--branch", "pseudospin", "--n-max", "1", "--c", "1e4"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: level 0 sits on the window edge") and "below the float resolution" in err
+    assert code == 0 and err == ""
+    p = rel.DiracParams(c=1e4, branch=rel.Symmetry.PSEUDOSPIN)
+    levels = [decimal_level(n, p, -1.0, 0.0, 1e8 + 1.0) for n in range(2)]
+    assert [row[:2] for row in csv_rows(out)[1]] == [[str(n), f"{e:.7f}"] for n, e in enumerate(levels)]
+    assert csv_rows(out)[1][1][1] == "100000000.0000001"
 
 
 def test_spin_spectrum_whose_binding_rounds_to_zero_exits_one(capsys):
@@ -227,11 +231,18 @@ def test_overflowing_coupling_scale_exits_one_and_is_named(argv, message, capsys
     assert err == f"error: {message}\n"
 
 
-def test_level_whose_residual_overflows_exits_one_and_is_named(capsys):
+def test_level_whose_residual_overflows_exits_one_and_is_named(decimal_level, capsys):
+    # (E + M c^2) sqrt(w) overflows across the bracket of C = -1e300, yet level 0 is sqrt(2) - 1 and exits 0
     code, out, err = run_cli(["spectrum", "--branch", "pseudospin", "--cps=-1e300", "--n-max", "0"], capsys)
+    assert code == 0 and err == ""
+    p = rel.DiracParams(sym_constant=-1e300, branch=rel.Symmetry.PSEUDOSPIN)
+    assert csv_rows(out)[1][0][1] == f"{decimal_level(0, p, -1.0, -1e300, 1.0):.7f}" == "0.4142136"
+    # a condition whose two sides both leave the float range exits 1 and names them
+    code, out, err = run_cli(["spectrum", "--branch", "spin", "--omega", "1e308", "--g=-1.1e-206", "--n-max", "0"],
+                             capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: level 0 has residual inf at E = ") and err.count("\n") == 1
-    assert "w = E - M c^2 - C cancels C = -1e+300 near the window edge" in err
+    assert "both sides of its condition, (E - M c^2) sqrt(w) and the ladder term" in err
 
 
 def test_arithmetic_error_exits_one_without_traceback(monkeypatch, capsys):

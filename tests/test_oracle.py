@@ -252,6 +252,13 @@ _HC2_UNDERFLOWS = r"^the scale \(hbar c\)\^2 = \(1e-170\)\^2 underflows to 0$"
             "selfconsistent", {"omega": 1e200}, r"^the scale omega\^2 = \(1e\+200\)\^2 leaves the float range$",
             id="selfconsistent-omega",
         ),
+        pytest.param(
+            # omega^2 is finite, M omega^2 / 2 = 5e309 is not
+            "selfconsistent", {"mass": 1e300, "omega": 1e5},
+            r"^the well M omega\^2 x\^2 / 2 \+ g / \(2 x\^2\) leaves the float range at x = 0\.00060001\d* on the grid, "
+            r"at M = 1e\+300, omega = 100000\.0, g = 2\.0$",
+            id="selfconsistent-well",
+        ),
         pytest.param("fd", {"hbar": 1e200}, r"^the scale hbar\^2 = \(1e\+200\)\^2 leaves the float range$", id="fd-hbar-large"),
         pytest.param(
             "fd", {"hbar": 1e-170}, r"^the scale hbar\^2 / \(2 M\) = \(1e-170\)\^2 / \(2 \* 1.0\) underflows to 0$",

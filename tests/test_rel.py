@@ -178,16 +178,33 @@ def test_scan_whose_coupling_overflows_names_the_scale(params, monkeypatch):
             assert len(calls) < 1000
 
 
-def test_level_whose_residual_overflows_across_its_bracket_is_named(monkeypatch):
-    # C = -1e300 puts the window edge at E = -1e300: w = E - M c^2 - C is 0 there until the rise passes an
-    # ulp of 1e300, and the bracket found then runs from -inf to +inf, (E + M c^2) sqrt(w) overflowing
+def test_level_whose_residual_overflows_across_its_bracket_is_named(decimal_level, monkeypatch):
+    """A bracket across which the residual overflows ends in a level, or in an error naming both sides.
+
+    C = -1e300 puts the window edge at E = -1e300, and level 0's bracket
+    runs from E = -4e298 to 8e297, across which (E + M c^2) sqrt(w) goes
+    from -inf to +inf. Bisected to adjacent floats, level 0 is sqrt(2) - 1,
+    within 2 ulps of the decimal root: near it w = E - M c^2 - C rounds to
+    1e300, and the residual is formed from terms of 1e150, whose rounding
+    is that noise. Only a condition whose two sides both leave
+    the float range is named: at omega = 1e308 and g < 0 the ladder term
+    is inf until w nears -(hbar c)^2 / (2 g) and finite after, while
+    (E - M c^2) sqrt(w) has overflowed before it comes back.
+    """
     p = pseudo_params(2.0, -1e300)
-    message = (r"level 0 has residual inf at E = .*, bisected in \(.*, .*\]: w = E - M c\^2 - C cancels "
-               r"C = -1e\+300 near the window edge, and \(E \+ M c\^2\) sqrt\(w\) leaves the float range "
-               r"across the bracket")
-    for call in (lambda: solve_pseudospin_energy(0, p), lambda: rel.solve_levels(3, p)):
+    level = solve_pseudospin_energy(0, p)
+    assert rel.solve_levels(3, p)[0] == level
+    expected = decimal_level(0, p, -1.0, -1e300, 1.0)
+    assert abs(level.value - expected) <= 2.0 * math.ulp(expected)
+    assert level.value == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-15)
+
+    p = DiracParams(omega=1e308, g=-1.1e-206)
+    message = (r"level 0 has residual inf at E = .*, bisected in \(.*, .*\]: both sides of its condition, "
+               r"\(E - M c\^2\) sqrt\(w\) and the ladder term hbar c omega sqrt\(2 M\) \(2n \+ 1 \+ order\), "
+               r"leave the float range across the bracket")
+    for call in (lambda: solve_spin_energy(0, p), lambda: klein_gordon_energy(0, p), lambda: rel.solve_levels(3, p)):
         (error, text), calls = _residual_calls(monkeypatch, call)
-        assert error is DivergenceError and re.fullmatch(message, text)
+        assert error is DivergenceError and re.fullmatch(message, text), text
         assert not abs(energy_residual(*calls[-1])) < math.inf
 
 
@@ -252,7 +269,7 @@ def test_residual_that_is_minus_inf_below_a_finite_coupling_does_not_stop_the_sc
         (solve_spin_energy, {"mass": 1e-300}),
     ],
 )
-def test_level_closer_to_the_window_edge_than_the_first_step_is_bisected(solve, params, monkeypatch):
+def test_level_closer_to_the_window_edge_than_the_first_step_is_bisected(solve, params, decimal_level, monkeypatch):
     """The residual is positive at the scan's first point, so the level lies between the edge and it."""
     branch = Symmetry.SPIN if solve is solve_spin_energy else Symmetry.PSEUDOSPIN
     p = DiracParams(branch=branch, **params)
@@ -265,24 +282,46 @@ def test_level_closer_to_the_window_edge_than_the_first_step_is_bisected(solve, 
     monkeypatch.setattr(rel, "energy_residual", counted)
     e_value = solve(0, p).value
     monkeypatch.undo()
-    assert 0 < len(calls) <= 100
+    # one scan point, then a bisection of the first step (1e-9) down to the float spacing of E: 355 calls
+    # at mass=1e-300, where the level is near 1.7e-100, and 2 where the first step is an ulp or two
+    assert 0 < len(calls) <= math.ceil(math.log2(1e-9 / math.ulp(e_value))) + 2
     sign = 1.0 if branch is Symmetry.SPIN else -1.0
-    # the final bracket is 1e-12 wide, or one ulp where the float spacing of E is wider
-    below = max(p.rest_energy, min(e_value - 1e-12, math.nextafter(e_value, -math.inf)))
-    above = max(e_value + 1e-12, math.nextafter(e_value, math.inf))
+    assert e_value == decimal_level(0, p, sign, 0.0, p.rest_energy + 1e-9)
+    below, above = math.nextafter(e_value, -math.inf), math.nextafter(e_value, math.inf)
     assert energy_residual(below, 0, p, sign, 0.0) <= 0.0 <= energy_residual(above, 0, p, sign, 0.0)
 
 
 @pytest.mark.parametrize("params", [{"c": 1e4}, {"mass": 1e8}])
-def test_level_below_float_resolution_raises_no_root(params):
-    """At M c^2 = 1e8 the pseudospin gap (about 1e-8) is below the float spacing of E.
+def test_level_below_float_resolution_raises_no_root(params, decimal_level):
+    """At M c^2 = 1e8 the pseudospin gaps (about 1e-8) are a few float spacings of E.
 
-    The bracket then closes on the window edge E = M c^2 + sym_constant,
-    where the residual's slope diverges; that is no level.
+    Levels 0 and 1 are 1 and 4 ulps above the window edge E = M c^2: each
+    is the float nearest its decimal root, and no NoRootInRange is raised.
     """
     p = DiracParams(branch=Symmetry.PSEUDOSPIN, **params)
-    with pytest.raises(NoRootInRange, match="below the float resolution"):
-        solve_pseudospin_energy(0, p)
+    levels = rel.solve_levels(1, p)
+    assert levels == [solve_pseudospin_energy(n, p) for n in range(2)]
+    assert [level.value for level in levels] == [decimal_level(n, p, -1.0, 0.0, 1e8 + 1.0) for n in range(2)]
+    assert [level.value for level in levels] == [1e8 + math.ulp(1e8), 1e8 + 4.0 * math.ulp(1e8)]
+
+
+def test_ladder_level_whose_bracket_opens_on_the_level_below_calls_its_own_residual_there(decimal_level):
+    """Levels 4 and 5 change sign between the same two adjacent floats, M c^2 + 1 ulp and + 2 ulps.
+
+    Level 4 takes the lower end. Level 5's bracket opens where the scan
+    called only level 4's residual (-17.3), and that would take the lower
+    end too; its own residual there (-79.4) is called, and it takes the
+    upper end (35.6), as its own solve does and the decimal root says.
+    """
+    p = DiracParams(mass=262.6683597389267, omega=0.010290859136117379, c=131.57186717382575,
+                    g=934925.3794215241, branch=Symmetry.PSEUDOSPIN)
+    ulp = math.ulp(p.rest_energy)
+    levels = rel.solve_levels(5, p)
+    assert levels == [solve_pseudospin_energy(n, p) for n in range(6)]
+    assert [levels[4].value, levels[5].value] == [p.rest_energy + ulp, p.rest_energy + 2.0 * ulp]
+    for n in (4, 5):
+        assert levels[n].value == decimal_level(n, p, -1.0, 0.0, p.rest_energy + 1.0)
+    assert abs(pseudospin_energy_residual(levels[4].value, 4, p)) < levels[5].residual
 
 
 def test_negative_coupling_beyond_ladder_is_unphysical():
