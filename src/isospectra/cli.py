@@ -460,9 +460,8 @@ def _table_csv(columns, reference_rows) -> str:
 def _run_reproduce_tables(manifest: RunManifest) -> RunResult:
     out_dir = manifest.parameters["out"]
     computed1, computed2 = golden.compute_tables()
-    dev1 = golden.max_deviation(computed1, golden.TABLE1_REFERENCE)
-    dev2 = golden.max_deviation(computed2, golden.TABLE2_REFERENCE)
-    bound = 5e-7
+    dev1, dev2 = golden.table_deviations(computed1, computed2)
+    bound = golden.TABLE_TOLERANCE
     ok = dev1 <= bound and dev2 <= bound
 
     files = {

@@ -1,6 +1,18 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+__all__ = [
+    "SpectraError",
+    "UnphysicalRegime",
+    "NonNormalizableError",
+    "NoRootInRange",
+    "NoConvergence",
+    "DivergenceError",
+    "GridTooCoarse",
+    "ToleranceNotMet",
+    "DegenerateEnergy",
+]
+
 
 class SpectraError(Exception):
     """Base class for every failure mode this package raises on purpose."""

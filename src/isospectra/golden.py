@@ -34,9 +34,12 @@ __all__ = [
     "compute_table2",
     "compute_tables",
     "max_deviation",
+    "TABLE_TOLERANCE",
+    "table_deviations",
 ]
 
 N_LEVELS = 11  # rows n = 0..10
+TABLE_TOLERANCE = 5e-7  # half a unit of the seventh decimal that the references quote
 
 
 @dataclass(frozen=True)
@@ -155,3 +158,8 @@ def max_deviation(computed, reference) -> float:
         for vc, vr in zip(row_c, row_r, strict=True):
             worst = max(worst, abs(vc - vr))
     return worst
+
+
+def table_deviations(table1, table2) -> tuple[float, float]:
+    """(max_deviation of table1 from TABLE1_REFERENCE, and of table2 from TABLE2_REFERENCE)."""
+    return max_deviation(table1, TABLE1_REFERENCE), max_deviation(table2, TABLE2_REFERENCE)

@@ -260,24 +260,23 @@ def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
 
     A scalar is computed with math, with s = (beta x) x; an array with
     numpy, with s = beta (x^2). The two round differently in the last
-    bit, and scalar and array samples each keep their own values. A
-    scalar s that overflows raises DivergenceError; an array keeps it,
-    and its caller reports the column that holds it. ``_laguerre_state``
-    repeats the scalar branch for a float x in the domain, so it calls
-    this only for other x, and every error is raised here.
+    bit, and scalar and array samples each keep their own values. Where
+    s overflows the envelope is 0; the caller passes s to ``_vanishing``.
+    ``_laguerre_state`` repeats the scalar branch for a float x in the
+    domain, so it calls this only for other x, and every domain error is
+    raised here.
     """
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
         if not 0.0 < x < math.inf:
             raise ValueError(where)
         s = beta * x * x
-        if s == math.inf:
-            raise DivergenceError(f"the scale beta x^2 = {beta} * ({x})^2 leaves the float range")
         return x, s, math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s)
     x = np.asarray(x, dtype=float)
     if not np.all((x > 0.0) & (x < math.inf)):
         raise ValueError(where)
-    s = beta * x**2
+    with np.errstate(over="ignore"):
+        s = beta * x**2
     return x, s, np.exp(ln_norm + (0.5 + zeta) * np.log(x) - 0.5 * s)
 
 
@@ -295,7 +294,23 @@ def _laguerre_state(n: int, ln_norm: float, beta: float, zeta: float, x, where: 
         if s < math.inf:
             return math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s) * laguerre(n, zeta, s)
     _, s, envelope = _envelope(ln_norm, beta, zeta, x, where)
-    return envelope * laguerre(n, zeta, s)
+    return envelope * _vanishing(s, laguerre, n, zeta, s)
+
+
+def _vanishing(s, sample, *args):
+    """sample(*args), a factor of the state at s = beta x^2, with 0.0 where s is inf: exp(-s/2) outruns it there.
+
+    A scalar s = inf is not sampled; an array is sampled whole and masked
+    after, so the polynomial sees the same calls and points either way.
+    The callers on hot scalar paths pass a function, not a closure, whose
+    cells would cost every call.
+    """
+    if isinstance(s, float):
+        return 0.0 if s == math.inf else sample(*args)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN where s = inf, replaced below
+        values = sample(*args)
+    values[s == math.inf] = 0.0
+    return values
 
 
 def wavefunction(n: int, p: OscillatorParams, x):
@@ -305,7 +320,8 @@ def wavefunction(n: int, p: OscillatorParams, x):
     with N chosen so the square integrates to one; the prefactor is
     assembled in log space so large n stays finite. x must be finite
     and > 0 elementwise; a float x gives a float, and raises
-    DivergenceError where the Laguerre recurrence overflows.
+    DivergenceError where the Laguerre recurrence overflows. Where
+    beta x^2 leaves the float range the sample is 0.0 (``_vanishing``).
     """
     if type(n) is not int or n < 0:  # _check_level's fast path inline: a quadrature calls this ~10^5 times
         n = _check_level(n)
@@ -342,11 +358,11 @@ def harmonic_energy(n: int, p: OscillatorParams) -> float:
 def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     """Normalized full-line harmonic eigenfunction, for side-by-side plots.
 
-    x must be finite elementwise; a float x gives a float, and raises
-    DivergenceError where beta x^2 overflows. Every sample comes from the
-    recurrence of the normalized Hermite functions (``_scaled_harmonic``),
-    which stays in the float range at every n, where H_n itself leaves it
-    (every x from n = 280 on).
+    x must be finite elementwise; a float x gives a float. Where beta x^2
+    leaves the float range the sample is 0.0 (``_vanishing``). Every
+    sample comes from the recurrence of the normalized Hermite functions
+    (``_scaled_harmonic``), which stays in the float range at every n,
+    where H_n itself leaves it (every x from n = 280 on).
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
@@ -355,13 +371,14 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
         x = float(x)
         if not -math.inf < x < math.inf:
             raise ValueError(_HARMONIC_DOMAIN)
-        if beta * x * x == math.inf:
-            raise DivergenceError(f"the scale beta x^2 = {beta} * ({x})^2 leaves the float range")
+        s = beta * x * x
     else:
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise ValueError(_HARMONIC_DOMAIN)
-    return _scaled_harmonic(n, beta, math.sqrt(beta) * x)
+        with np.errstate(over="ignore"):
+            s = beta * x * x
+    return _vanishing(s, _scaled_harmonic, n, beta, math.sqrt(beta) * x)
 
 
 # h_k and h_(k-1) are divided by this exact power of two whenever |h_k|
@@ -429,7 +446,8 @@ def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
     """Reduced radial eigenfunction u_nl(r) = r R_nl(r), unit norm on r > 0.
 
     r must be finite and > 0 elementwise; a float r gives a float, and
-    raises DivergenceError where the Laguerre recurrence overflows.
+    raises DivergenceError where the Laguerre recurrence overflows. Where
+    beta r^2 leaves the float range the sample is 0.0 (``_vanishing``).
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)

@@ -616,7 +616,9 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     when 2 x_min >= x_max, which leaves no doubled-cutoff grid, and
     DivergenceError naming the scale when (hbar c)^2 or omega^2 leaves
     the float range or (hbar c)^2 underflows to 0, or naming the well
-    when it leaves the float range at an interior grid point.
+    when it, or the weighted well w U on any grid solved, leaves the
+    float range at an interior grid point; at the least weight a level
+    can have, that is checked before any eigensolve.
 
     The eigenvalue's grid error d_lambda feeds back through the weight:
     the converged level solves E = F(lambda(w(E))), so its error is
@@ -646,17 +648,28 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     b_coef = 2.0 * mc2 - offset
     checks = _check_grids(grid)
     x = grid.points()
-    with np.errstate(over="ignore"):  # an overflow is raised below, by name
-        u = p.potential(x)
-    finite = np.isfinite(u[1:-1])
-    if not finite.all():
-        # the check grids sample inside [x_min, x_max] too, so this covers their wells as well
-        raise DivergenceError(
-            f"the well M omega^2 x^2 / 2 + g / (2 x^2) leaves the float range at x = {x[1:-1][~finite][0]} "
-            f"on the grid, at M = {p.mass}, omega = {p.omega}, g = {p.g}"
-        )
+
+    def in_float_range(v: np.ndarray, g: Grid, well: str) -> np.ndarray:
+        finite = np.isfinite(v[1:-1])
+        if not finite.all():
+            raise DivergenceError(
+                f"the {well} leaves the float range at x = {g.points()[1:-1][~finite][0]} "
+                f"on the grid, at M = {p.mass}, omega = {p.omega}, g = {p.g}"
+            )
+        return v
+
+    def weighted_well(weight: float, g: Grid, well: np.ndarray) -> np.ndarray:
+        # a finite well times a weight can overflow (g = 1e301), as can the well on the halved grid
+        with np.errstate(over="ignore"):
+            return in_float_range(weight * well, g, f"weighted well {weight} U(x)")
+
+    with np.errstate(over="ignore"):  # an overflow is raised by name
+        u = in_float_range(p.potential(x), grid, "well M omega^2 x^2 / 2 + g / (2 x^2)")
     positive = bool(np.all(u[1:-1] > 0.0))
     last: tuple[float, float] | None = None  # (weight, eigenvalue) of the latest solve
+    # eigenvalue n is at least w min U (Courant-Fischer), and a level has lambda / w = E - M c^2,
+    # so no level has a weight below (2 M c^2 - C + min U) / (hbar c)^2
+    weighted_well(max((b_coef + float(np.min(u[1:-1]))) / hc2, 0.0), grid, u)
 
     def nth_curvature(weight: float) -> float:
         # -f'' + weight * U(x) f, eigenvalue number n
@@ -669,7 +682,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
             w_prev, lam_prev = last
             scaled = weight / w_prev * lam_prev
             enclosure = (min(lam_prev, scaled), max(lam_prev, scaled))
-        lam = float(_tridiag_lowest(weight * u, grid.spacing, 1.0, n, n, enclosure)[0])
+        lam = float(_tridiag_lowest(weighted_well(weight, grid, u), grid.spacing, 1.0, n, n, enclosure)[0])
         last = (weight, lam)
         return lam
 
@@ -704,7 +717,11 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     # the eigenvalue, propagated through the self-consistent map.
     weight = (mc2 + e_value - offset) / hc2
     lam_h = nth_curvature(weight)
-    lam_err = float(_check_grid_error(lambda g: weight * p.potential(g.points()), checks, 1.0, np.array([lam_h]), n)[0])
+    with np.errstate(over="ignore"):  # weighted_well names an overflow on a check grid
+        errors = _check_grid_error(
+            lambda g: weighted_well(weight, g, p.potential(g.points())), checks, 1.0, np.array([lam_h]), n
+        )
+    lam_err = float(errors[0])
     # with every U > 0 the feedback bounds the level's error by lam_err / weight
     factor = 1.0 / weight if positive else abs(hc2 / (2.0 * e_value - offset))
     estimate = lam_err * factor + _RICHARDSON_FLOOR

@@ -43,6 +43,7 @@ from .nonrel import (
     _laguerre_state,
     _log_norm,
     _square,
+    _vanishing,
     energy as nonrel_energy,
 )
 from .nu import HypergeometricForm, nu_eigencondition, nu_reduce
@@ -468,7 +469,8 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     Same polynomial-times-Gaussian shape as the nonrelativistic
     eigenfunction, with the energy-dependent falloff and order. x must
     be finite and > 0 elementwise; a float x gives a float, and raises
-    DivergenceError where the Laguerre recurrence overflows.
+    DivergenceError where the Laguerre recurrence overflows. Where the
+    falloff times x^2 leaves the float range the sample is 0.0.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
@@ -497,9 +499,10 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     nu = d.falloff
     zeta = d.ladder_order
     x, s, envelope = _envelope(ln_norm, nu, zeta, x, _SPINOR_DOMAIN)
-    bracket = ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
-    bracket += laguerre_derivative(n, zeta, s) * 2.0 * nu * x
-    return envelope * bracket / denom
+    return _vanishing(s, lambda: envelope * (
+        ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
+        + laguerre_derivative(n, zeta, s) * 2.0 * nu * x
+    ) / denom)
 
 
 def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):

@@ -373,12 +373,10 @@ def suite_oracle() -> list[CheckResult]:
 # --------------------------------------------------------------- tables
 
 def suite_tables() -> list[CheckResult]:
-    computed1, computed2 = golden.compute_tables()
-    dev1 = golden.max_deviation(computed1, golden.TABLE1_REFERENCE)
-    dev2 = golden.max_deviation(computed2, golden.TABLE2_REFERENCE)
+    dev1, dev2 = golden.table_deviations(*golden.compute_tables())
     return [
-        _at_most("table1-deviation", dev1, 5e-7),
-        _at_most("table2-deviation", dev2, 5e-7),
+        _at_most("table1-deviation", dev1, golden.TABLE_TOLERANCE),
+        _at_most("table2-deviation", dev2, golden.TABLE_TOLERANCE),
     ]
 
 

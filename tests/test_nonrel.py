@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -427,25 +428,31 @@ def test_wavefunction_overflow_raises_for_a_scalar_and_is_reported_in_an_array()
     p = OscillatorParams(g=2.0)
     with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
         wavefunction(2000, p, 40.0)
-    with pytest.raises(DivergenceError, match=r"^the scale beta x\^2 = 1.0 \* \(1e\+200\)\^2 leaves the float range$"):
-        wavefunction(0, p, 1e200)
     with np.errstate(over="ignore", invalid="ignore"):
         column = wavefunction(2000, p, np.array([40.0]))
     assert not np.isfinite(column).any()  # the CLI reports the column by name
+    # where beta x^2 leaves the float range, exp(-beta x^2 / 2) makes the state 0
+    assert wavefunction(0, p, 1e200) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wavefunction(3, p, np.array([1e200, 1.0]))[0] == 0.0
 
 
 def test_radial_state_overflow_raises_for_a_scalar():
     p = OscillatorParams()
     with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
         oscillator3d_radial(2000, 1, p, 40.0)
-    with pytest.raises(DivergenceError, match=r"^the scale beta x\^2 .* leaves the float range$"):
-        oscillator3d_radial(0, 1, p, 1e200)
+    assert oscillator3d_radial(0, 1, p, 1e200) == 0.0
+    assert oscillator3d_radial(2, 1, p, np.array([1e200]))[0] == 0.0
 
 
-def test_harmonic_state_overflow_raises_for_a_scalar():
+def test_harmonic_state_is_zero_where_beta_x2_overflows():
     p = OscillatorParams()
-    with pytest.raises(DivergenceError, match=r"^the scale beta x\^2 .* leaves the float range$"):
-        harmonic_wavefunction(0, p, -1e200)
+    assert harmonic_wavefunction(0, p, -1e200) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        column = harmonic_wavefunction(5, p, np.array([-1e200, 1.0]))
+    assert column[0] == 0.0 and column[1] == pytest.approx(harmonic_wavefunction(5, p, 1.0), rel=1e-14)
 
 
 def test_harmonic_state_beyond_the_plain_hermite_range_has_unit_norm():

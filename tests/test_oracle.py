@@ -259,6 +259,14 @@ _HC2_UNDERFLOWS = r"^the scale \(hbar c\)\^2 = \(1e-170\)\^2 underflows to 0$"
             r"at M = 1e\+300, omega = 100000\.0, g = 2\.0$",
             id="selfconsistent-well",
         ),
+        pytest.param(
+            # the well is finite at every interior point; the least weight a level can have,
+            # (2 M c^2 - C + min U) / (hbar c)^2 = 1.25e298, times the well next to the inner wall is not
+            "selfconsistent", {"g": 1e301},
+            r"^the weighted well 1\.25006\d*e\+298 U\(x\) leaves the float range at x = 0\.00060001\d* on the grid, "
+            r"at M = 1\.0, omega = 1\.0, g = 1e\+301$",
+            id="selfconsistent-weighted-well",
+        ),
         pytest.param("fd", {"hbar": 1e200}, r"^the scale hbar\^2 = \(1e\+200\)\^2 leaves the float range$", id="fd-hbar-large"),
         pytest.param(
             "fd", {"hbar": 1e-170}, r"^the scale hbar\^2 / \(2 M\) = \(1e-170\)\^2 / \(2 \* 1.0\) underflows to 0$",
@@ -271,7 +279,8 @@ _HC2_UNDERFLOWS = r"^the scale \(hbar c\)\^2 = \(1e-170\)\^2 underflows to 0$"
 )
 def test_oracle_scale_outside_the_float_range_is_named_before_any_eigensolve(monkeypatch, solve, kwargs, message):
     selects = _record_selects(monkeypatch)
-    with pytest.raises(DivergenceError, match=message):
+    with warnings.catch_warnings(), pytest.raises(DivergenceError, match=message):
+        warnings.simplefilter("error", RuntimeWarning)
         if solve == "fd":
             fd_eigenvalues(OscillatorParams().potential, 2, FAST_GRID, **kwargs)
         else:

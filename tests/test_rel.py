@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +323,23 @@ def test_ladder_level_whose_bracket_opens_on_the_level_below_calls_its_own_resid
     for n in (4, 5):
         assert levels[n].value == decimal_level(n, p, -1.0, 0.0, p.rest_energy + 1.0)
     assert abs(pseudospin_energy_residual(levels[4].value, 4, p)) < levels[5].residual
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the scan hands the window edge to the bisection as a sign only, so a level nearest the edge "
+    "comes back one float spacing above it (ROADMAP item 3)",
+)
+def test_levels_nearest_the_window_edge_raise_and_the_rest_are_the_decimal_roots(decimal_level):
+    """The decimal roots of levels 0-2 round to M c^2 itself, those of levels 3-5 to + 1, 1 and 2 ulps."""
+    p = DiracParams(mass=262.6683597389267, omega=0.010290859136117379, c=131.57186717382575,
+                    g=934925.3794215241, branch=Symmetry.PSEUDOSPIN)
+    outcomes = [_outcome(lambda: solve_pseudospin_energy(n, p).value) for n in range(6)]
+    for n, outcome in enumerate(outcomes[:3]):
+        assert isinstance(outcome, tuple) and outcome[0] is NoRootInRange, (n, outcome)
+        assert outcome[1].startswith(f"level {n} sits on the window edge"), outcome
+    assert outcomes[3:] == [decimal_level(n, p, -1.0, 0.0, p.rest_energy + 1.0) for n in range(3, 6)]
 
 
 def test_negative_coupling_beyond_ladder_is_unphysical():
@@ -721,6 +739,17 @@ def test_spinor_overflow_raises_for_a_scalar_and_is_reported_in_an_array(spinor,
     with np.errstate(over="ignore", invalid="ignore"):
         column = spinor(2000, p, e, np.array([40.0]))
     assert not np.isfinite(column).any()
+
+
+@pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
+def test_spinor_is_zero_where_the_falloff_times_x2_overflows(spinor, symmetry):
+    # exp(-falloff x^2 / 2) vanishes faster than the Laguerre factor grows
+    p, e = _level(2, symmetry)
+    assert spinor(2, p, e, 1e200) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        column = spinor(2, p, e, np.array([1e200, 1.0]))
+    assert column[0] == 0.0 and column[1] == pytest.approx(spinor(2, p, e, 1.0), rel=1e-14)
 
 
 @pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
