@@ -403,8 +403,8 @@ def _run_wavefunction(manifest: RunManifest) -> RunResult:
     p, solve, spinors = _resolve_branch(prm)
     energy = solve(n, p).value
 
-    # An overflowing recurrence leaves inf or NaN in its column; the
-    # sample writer reports it, so numpy need not warn as well.
+    # The spin lower spinor's L_n and L'_n can overflow, leaving inf or NaN
+    # in its column; the sample writer reports it, so numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
         if prm["branch"] == "nonrel":
             isotonic = _off_origin(lambda x: nonrel.wavefunction(n, p, x), np.abs(xs))
@@ -422,10 +422,9 @@ def _run_wavefunction(manifest: RunManifest) -> RunResult:
             columns = {name: _off_origin(lambda x: spinor(n, p, energy, x), xs) for name, spinor in spinors.items()}
 
     def overflow(name: str) -> str:
-        polynomial = "Hermite" if name == "harmonic" else "Laguerre"
         return (
             f"{name} column of level n = {n} has non-finite samples: "
-            f"the {polynomial} recurrence overflows the float range at this degree and x"
+            "the Laguerre recurrence overflows the float range at this degree and x"
         )
 
     head = {"energy": float(_ENERGY_FMT.format(energy))}

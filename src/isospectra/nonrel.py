@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceError, UnphysicalRegime
-from .specfun import laguerre
+from .specfun import _laguerre_steps, laguerre
 
 __all__ = [
     "Branch",
@@ -273,7 +273,7 @@ def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
         s = beta * x * x
         return x, s, math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s)
     x = np.asarray(x, dtype=float)
-    if not np.all((x > 0.0) & (x < math.inf)):
+    if not (x.min(initial=math.inf) > 0.0 and x.max(initial=0.0) < math.inf):  # a NaN fails both
         raise ValueError(where)
     with np.errstate(over="ignore"):
         s = beta * x**2
@@ -281,20 +281,53 @@ def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
 
 
 def _laguerre_state(n: int, ln_norm: float, beta: float, zeta: float, x, where: str):
-    """N x^(1/2 + zeta) exp(-beta x^2 / 2) L_n^(zeta)(beta x^2): every Laguerre state here.
+    """N x^(1/2 + zeta) exp(-beta x^2 / 2) L_n^(zeta)(beta x^2): every state here.
 
-    The Schroedinger state, the 3d radial state and the two spinor
-    components each differ only in (beta, zeta, ln N). A float x in the
-    domain takes the scalar branch of ``_envelope`` inline, as a
-    quadrature calls this ~10^5 times per integral; every other x, and
-    every error, goes through ``_envelope``.
+    The isotonic, 3d radial and harmonic states and two spinor components
+    differ only in (n, beta, zeta, ln N). A float x in the domain takes
+    the scalar branch of ``_envelope`` inline, as a quadrature calls this
+    ~10^5 times per integral; every other x, and every error, goes through
+    ``_envelope``. Where ``laguerre`` overflows at a finite beta x^2 (a
+    scalar DivergenceError, an array's inf or NaN) the sample comes from
+    ``_rescaled_state`` instead, so the state is finite at every n.
     """
-    if isinstance(x, float) and 0.0 < x < math.inf:
+    if type(x) is float and 0.0 < x < math.inf:
         s = beta * x * x
         if s < math.inf:
-            return math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s) * laguerre(n, zeta, s)
-    _, s, envelope = _envelope(ln_norm, beta, zeta, x, where)
-    return envelope * _vanishing(s, laguerre, n, zeta, s)
+            try:
+                return math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s) * laguerre(n, zeta, s)
+            except DivergenceError:
+                return _rescaled_state(n, ln_norm, zeta, x, s)
+    x, s, envelope = _envelope(ln_norm, beta, zeta, x, where)
+    try:
+        polynomial = _vanishing(s, laguerre, n, zeta, s)
+    except DivergenceError:
+        return _rescaled_state(n, ln_norm, zeta, x, s)
+    if n < 2 or np.isfinite(polynomial).all():  # L_0 and L_1 are finite wherever s is
+        return envelope * polynomial
+    overflow = ~np.isfinite(polynomial)
+    values = envelope * np.where(overflow, 0.0, polynomial)
+    values[overflow] = _rescaled_state(n, ln_norm, zeta, x[overflow], s[overflow])
+    return values
+
+
+def _rescaled_state(n: int, ln_norm: float, zeta: float, x, s):
+    """The state at x and s = beta x^2 by laguerre's recurrence, with a running power of two.
+
+    After each step L_k is scaled into [1/2, 1), and L_(k-1) with it, by an
+    exact power of two whose exponent goes into the envelope's, so neither
+    factor leaves the float range and each step rounds as in ``laguerre``;
+    the product is formed once, at the end. Where exp(-s/2) outruns every
+    power the sample is 0.0. x and s are floats, or arrays of one shape.
+    """
+    xp = math if isinstance(s, float) else np
+    cur, power = xp.frexp(1.0 + zeta - s)
+    prev = xp.ldexp(1.0, -power)
+    for a, b, c in _laguerre_steps(n, zeta):
+        prev, cur = cur, ((a - s) * cur - b * prev) / c
+        cur, step = xp.frexp(cur)
+        prev, power = xp.ldexp(prev, -step), power + step
+    return cur * xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s + power * math.log(2.0))
 
 
 def _vanishing(s, sample, *args):
@@ -318,10 +351,9 @@ def wavefunction(n: int, p: OscillatorParams, x):
 
     psi_n(x) = N x^(1/2 + xi) exp(-beta x^2 / 2) L_n^(xi)(beta x^2)
     with N chosen so the square integrates to one; the prefactor is
-    assembled in log space so large n stays finite. x must be finite
-    and > 0 elementwise; a float x gives a float, and raises
-    DivergenceError where the Laguerre recurrence overflows. Where
-    beta x^2 leaves the float range the sample is 0.0 (``_vanishing``).
+    assembled in log space. x must be finite and > 0 elementwise; a
+    float x gives a float. Every sample is finite, at every n
+    (``_laguerre_state``), and 0.0 where beta x^2 leaves the float range.
     """
     if type(n) is not int or n < 0:  # _check_level's fast path inline: a quadrature calls this ~10^5 times
         n = _check_level(n)
@@ -358,76 +390,32 @@ def harmonic_energy(n: int, p: OscillatorParams) -> float:
 def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     """Normalized full-line harmonic eigenfunction, for side-by-side plots.
 
-    x must be finite elementwise; a float x gives a float. Where beta x^2
-    leaves the float range the sample is 0.0 (``_vanishing``). Every
-    sample comes from the recurrence of the normalized Hermite functions
-    (``_scaled_harmonic``), which stays in the float range at every n,
-    where H_n itself leaves it (every x from n = 280 on).
+    x must be finite elementwise; a float x gives a float. H_n(y) is a
+    multiple of y^(1/2 + zeta) L_k^(zeta)(y^2), with k = n // 2 and
+    zeta = n % 2 - 1/2 (DLMF 18.7.19-20), so the state is (-1)^k sign(x)^n
+    times the Laguerre state (``_laguerre_state``) on |x| with the
+    half-line N over sqrt 2. It is finite at every n, and 0.0 where
+    beta x^2 leaves the float range.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
+    k, odd = divmod(n, 2)
+    zeta = odd - 0.5
     beta = p.mass * p.omega / p.hbar
+    ln_norm = _log_norm(k, beta, zeta) - 0.5 * math.log(2.0)
+    # The origin is sampled at the least positive float, where beta x^2 is 0: an even state is
+    # N L_k^(-1/2)(0) there, and sign(x) makes an odd one 0. _envelope rejects a NaN or infinite x.
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
-        if not -math.inf < x < math.inf:
-            raise ValueError(_HARMONIC_DOMAIN)
-        s = beta * x * x
+        value = _laguerre_state(k, ln_norm, beta, zeta, max(abs(x), 5e-324), _HARMONIC_DOMAIN)
+        if odd:
+            value *= (x > 0.0) - (x < 0.0)
     else:
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise ValueError(_HARMONIC_DOMAIN)
-        with np.errstate(over="ignore"):
-            s = beta * x * x
-    return _vanishing(s, _scaled_harmonic, n, beta, math.sqrt(beta) * x)
-
-
-# h_k and h_(k-1) are divided by this exact power of two whenever |h_k|
-# reaches it, so the rescaling rounds nothing. One step multiplies
-# max(|h_k|, |h_(k-1)|) by at most sqrt(2) |y| + 1, so h stays finite for
-# every y whose square does.
-_HERMITE_RESCALE = 2.0**500
-
-
-@lru_cache(maxsize=16)
-def _hermite_function_steps(n: int) -> tuple:
-    """((sqrt(2 / (k+1)), sqrt(k / (k+1))) for k = 1 .. n-1): the coefficients of _scaled_harmonic."""
-    return tuple((math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1))) for k in range(1, n))
-
-
-def _scaled_harmonic(n: int, beta: float, y):
-    """The harmonic state at y = sqrt(beta) x, by the recurrence of the normalized Hermite functions.
-
-    The state is (beta / pi)^(1/4) exp(-y^2 / 2) h_n(y), with h_0 = 1,
-    h_1 = sqrt(2) y and h_(k+1) = sqrt(2 / (k+1)) y h_k - sqrt(k / (k+1)) h_(k-1).
-    Where h_k outgrows 2^500 it is scaled down and the power of two goes
-    into a running log scale, as ``_envelope`` carries ln N, so neither h_n
-    nor the Gaussian leaves the float range on the way; the product is
-    formed once, at the end. The h_k carry their own norm, so only
-    ln (beta / pi)^(1/4) is added. A float y gives a float, an array an
-    array.
-    """
-    prev, cur = 1.0 + 0.0 * y, math.sqrt(2.0) * y
-    if n == 0:
-        cur = prev
-    steps = _hermite_function_steps(n)
-    if isinstance(y, float):
-        rescales = 0
-        for a, b in steps:
-            prev, cur = cur, a * y * cur - b * prev
-            if not -_HERMITE_RESCALE < cur < _HERMITE_RESCALE:
-                prev, cur, rescales = prev / _HERMITE_RESCALE, cur / _HERMITE_RESCALE, rescales + 1
-        exp = math.exp
-    else:
-        rescales = np.zeros_like(y)
-        for a, b in steps:
-            prev, cur = cur, a * y * cur - b * prev
-            if np.abs(cur).max(initial=0.0) >= _HERMITE_RESCALE:  # one reduction; the mask only where it is needed
-                big = np.abs(cur) >= _HERMITE_RESCALE
-                prev[big] /= _HERMITE_RESCALE
-                cur[big] /= _HERMITE_RESCALE
-                rescales[big] += 1.0
-        exp = np.exp
-    return cur * exp(0.25 * (math.log(beta) - math.log(math.pi)) - 0.5 * y * y + rescales * (500.0 * math.log(2.0)))
+        value = _laguerre_state(k, ln_norm, beta, zeta, np.maximum(np.abs(x), 5e-324), _HARMONIC_DOMAIN)
+        if odd:
+            value *= np.sign(x)
+    return -value if k % 2 else value
 
 
 def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
@@ -445,9 +433,9 @@ def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
 def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
     """Reduced radial eigenfunction u_nl(r) = r R_nl(r), unit norm on r > 0.
 
-    r must be finite and > 0 elementwise; a float r gives a float, and
-    raises DivergenceError where the Laguerre recurrence overflows. Where
-    beta r^2 leaves the float range the sample is 0.0 (``_vanishing``).
+    r must be finite and > 0 elementwise; a float r gives a float. Every
+    sample is finite, at every n, and 0.0 where beta r^2 leaves the float
+    range.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)

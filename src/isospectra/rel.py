@@ -468,9 +468,9 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
 
     Same polynomial-times-Gaussian shape as the nonrelativistic
     eigenfunction, with the energy-dependent falloff and order. x must
-    be finite and > 0 elementwise; a float x gives a float, and raises
-    DivergenceError where the Laguerre recurrence overflows. Where the
-    falloff times x^2 leaves the float range the sample is 0.0.
+    be finite and > 0 elementwise; a float x gives a float. Every sample
+    is finite, at every n (``nonrel._laguerre_state``), and 0.0 where the
+    falloff times x^2 leaves the float range.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
@@ -486,7 +486,10 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     energy denominator M c^2 + E - sym_constant. Raises DegenerateEnergy
     when that denominator vanishes (the coupling has a pole there), that
     is, when it is below 1e-12 of M c^2 + |E| + |sym_constant|, so the
-    test does not depend on the units. x as in ``spin_upper_spinor``.
+    test does not depend on the units. x as in ``spin_upper_spinor``,
+    but L_n and L'_n are formed here, outside ``nonrel._laguerre_state``:
+    where either overflows a float x raises DivergenceError, and an array
+    keeps the non-finite samples.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)

@@ -286,7 +286,7 @@ def test_wavefunction_samples_use_twelve_significant_digits(capsys):
 
 
 def test_wavefunction_harmonic_column_beyond_the_plain_hermite_range(capsys):
-    # H_300 leaves the float range at every x; the normalized Hermite functions do not
+    # H_300 leaves the float range at every x; L_150^(-1/2), its Laguerre factor, does not
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(["wavefunction", "--compare-harmonic", "--n", "300", "--m", "1", "--points", "5"], capsys)
@@ -380,20 +380,28 @@ def test_wavefunction_harmonic_column_is_nonrel_only(capsys):
     capsys.readouterr()
 
 
-OVERFLOW_ARGV = ["wavefunction", "--n", "2000", "--m", "1", "--x-min", "-80", "--x-max", "80", "--points", "5"]
+# the spin lower spinor forms L_n and L'_n itself, so its column still overflows where the upper one is finite
+OVERFLOW_ARGV = ["wavefunction", "--branch", "spin", "--n", "2000", "--x-min", "0", "--x-max", "40", "--points", "5"]
 
 
 def test_wavefunction_overflow_exits_one_naming_the_column(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error line reports the overflow; numpy must not warn too
         code, out, err = run_cli(OVERFLOW_ARGV, capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: isotonic column of level n = 2000 has non-finite samples")
-    assert "Laguerre recurrence overflows" in err
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: lower column of level n = 2000 has non-finite samples")
+        assert "Laguerre recurrence overflows" in err
+        # the isotonic and harmonic states of that degree stay finite where L_2000 overflows
+        nonrel_argv = ["wavefunction", "--n", "2000", "--m", "1", "--x-min", "-80", "--x-max", "80", "--points", "5"]
+        code, out, err = run_cli([*nonrel_argv, "--compare-harmonic"], capsys)
+    assert code == 0 and err == ""
+    header, rows = csv_rows(out)
+    assert header == ["x", "isotonic", "harmonic"] and len(rows) == 5
+    assert float(rows[3][1]) == float(f"{nonrel.wavefunction(2000, nonrel.OscillatorParams(), 40.0):.12g}")
 
 
-@pytest.mark.parametrize("extra", [[], ["--compare-harmonic"]])
+@pytest.mark.parametrize("extra", [[], ["--format", "json"]])
 def test_wavefunction_overflow_writes_only_the_error_line(extra):
     # a real process: in-process, pytest records warnings instead of printing them
     src = str(pathlib.Path(isospectra.__file__).resolve().parents[1])
@@ -404,7 +412,7 @@ def test_wavefunction_overflow_writes_only_the_error_line(extra):
     assert done.returncode == 1
     assert done.stdout == ""
     lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: isotonic column of level n = 2000 has non-finite samples")
+    assert len(lines) == 1 and lines[0].startswith("error: lower column of level n = 2000 has non-finite samples")
 
 
 # --------------------------------------------------------------- potential

@@ -424,13 +424,24 @@ def test_harmonic_state_rejects_non_finite_x(x):
         harmonic_wavefunction(3, OscillatorParams(), x)
 
 
-def test_wavefunction_overflow_raises_for_a_scalar_and_is_reported_in_an_array():
+def _sampled_past_the_overflow(state):
+    """state(40.0), after checking that a scalar and an array agree and that the state has unit norm on a grid."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = state(40.0)
+        column = state(np.array([40.0, 1.0]))
+        x = np.linspace(0.01, 100.0, 10_000)
+        norm = np.sum(state(x) ** 2) * (x[1] - x[0])
+    assert column[0] == scalar and np.isfinite(column).all()
+    assert norm == pytest.approx(1.0, abs=1e-9)
+    return scalar
+
+
+def test_wavefunction_is_finite_where_the_laguerre_recurrence_overflows():
     p = OscillatorParams(g=2.0)
     with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
-        wavefunction(2000, p, 40.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        column = wavefunction(2000, p, np.array([40.0]))
-    assert not np.isfinite(column).any()  # the CLI reports the column by name
+        laguerre(2000, 1.5, 40.0**2)  # the polynomial factor of the state at x = 40
+    assert 0.1 < abs(_sampled_past_the_overflow(lambda x: wavefunction(2000, p, x))) < 1.0
     # where beta x^2 leaves the float range, exp(-beta x^2 / 2) makes the state 0
     assert wavefunction(0, p, 1e200) == 0.0
     with warnings.catch_warnings():
@@ -438,10 +449,11 @@ def test_wavefunction_overflow_raises_for_a_scalar_and_is_reported_in_an_array()
         assert wavefunction(3, p, np.array([1e200, 1.0]))[0] == 0.0
 
 
-def test_radial_state_overflow_raises_for_a_scalar():
+def test_radial_state_is_finite_where_the_laguerre_recurrence_overflows():
     p = OscillatorParams()
-    with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
-        oscillator3d_radial(2000, 1, p, 40.0)
+    # l = 1 has the Laguerre order and the norm of the isotonic state at g = l (l + 1), sample for sample
+    expected = wavefunction(2000, OscillatorParams(g=2.0), 40.0)
+    assert _sampled_past_the_overflow(lambda r: oscillator3d_radial(2000, 1, p, r)) == expected
     assert oscillator3d_radial(0, 1, p, 1e200) == 0.0
     assert oscillator3d_radial(2, 1, p, np.array([1e200]))[0] == 0.0
 
@@ -455,8 +467,50 @@ def test_harmonic_state_is_zero_where_beta_x2_overflows():
     assert column[0] == 0.0 and column[1] == pytest.approx(harmonic_wavefunction(5, p, 1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("n,x", [(3, 1e154), (300, 1e152)])
+def test_harmonic_state_is_zero_far_out_where_beta_x2_is_still_finite(n, x):
+    # beta x^2 = 1e308 and 1e304 are finite, and exp(-beta x^2 / 2) makes the state 0 at every n
+    p = OscillatorParams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert harmonic_wavefunction(n, p, x) == 0.0
+        assert harmonic_wavefunction(n, p, -x) == 0.0
+        column = harmonic_wavefunction(n, p, np.array([x, -x, 1.0]))
+    assert column[0] == column[1] == 0.0 and column[2] == pytest.approx(harmonic_wavefunction(n, p, 1.0), rel=1e-12)
+
+
+def test_numpy_float_where_beta_x2_overflows_samples_zero_without_a_warning():
+    p = OscillatorParams()
+    q = rel.DiracParams(g=2.0)
+    e = rel.solve_spin_energy(1, q).value
+    r = rel.DiracParams(g=2.0, branch=rel.Symmetry.PSEUDOSPIN)
+    e_pseudo = rel.solve_pseudospin_energy(1, r).value
+    x = np.float64(1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        samples = [
+            wavefunction(0, p, x),
+            oscillator3d_radial(0, 1, p, x),
+            harmonic_wavefunction(0, p, x),
+            rel.spin_upper_spinor(1, q, e, x),
+            rel.spin_lower_spinor(1, q, e, x),
+            rel.pseudospin_lower_spinor(1, r, e_pseudo, x),
+        ]
+    assert samples == [0.0] * 6 and all(type(v) is float for v in samples)
+
+
+def test_odd_harmonic_state_is_the_isotonic_state_at_g_zero():
+    # H_(2k+1)(y) is a multiple of y L_k^(1/2)(y^2): the odd state is the g = 0 half-line state, halved in norm
+    p = OscillatorParams(mass=1.3, omega=0.8, hbar=1.1)
+    x = np.linspace(0.01, 8.0, 400)
+    for k in range(12):
+        half_line = (-1) ** k * wavefunction(k, replace(p, g=0.0), x) / math.sqrt(2.0)
+        full_line = harmonic_wavefunction(2 * k + 1, p, x)
+        assert np.max(np.abs(full_line - half_line)) <= 1e-14 * np.max(np.abs(half_line))
+
+
 def test_harmonic_state_beyond_the_plain_hermite_range_has_unit_norm():
-    # H_300(y) leaves the float range at every y; the normalized Hermite functions do not
+    # H_300(y) leaves the float range at every y; L_150^(-1/2), its Laguerre factor, does not
     p = OscillatorParams(mass=1.3, omega=0.8, hbar=1.1)
     val = 2.0 * quadrature(lambda x: harmonic_wavefunction(300, p, x) ** 2, 0.0, math.inf, tol=1e-8)
     assert val == pytest.approx(1.0, abs=1e-9)

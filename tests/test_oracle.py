@@ -434,7 +434,7 @@ def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="below g = 0 the inner wall dominates and the doubled-cutoff re-solve does not bound it (ROADMAP item 3)",
+    reason="below g = 0 the inner wall dominates and the doubled-cutoff re-solve does not bound it (ROADMAP item 4)",
 )
 def test_selfconsistent_estimate_bounds_error_at_negative_coupling():
     # error 1.65e-3 against an estimate of 8.46e-4 on the default grid

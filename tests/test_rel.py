@@ -731,8 +731,24 @@ def test_spinors_reject_non_finite_x(spinor, symmetry, x):
         spinor(1, p, e, x)
 
 
-@pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
+@pytest.mark.parametrize("spinor,symmetry", [_SPINOR_BRANCHES[0], _SPINOR_BRANCHES[2]])
+def test_spinor_is_finite_where_the_laguerre_recurrence_overflows(spinor, symmetry):
+    # L_2000 overflows from about x = 10.6 on (spin_lower_spinor raises there); the turning point is near x = 25
+    p, e = _level(2000, symmetry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (24.0, 40.0):
+            column = spinor(2000, p, e, np.array([x, 1.0]))
+            assert column[0] == spinor(2000, p, e, x) and np.isfinite(column).all()
+        assert abs(spinor(2000, p, e, 24.0)) > 0.01
+        x = np.linspace(0.005, 40.0, 8000)
+        norm = np.sum(spinor(2000, p, e, x) ** 2) * (x[1] - x[0])
+    assert norm == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("spinor,symmetry", [_SPINOR_BRANCHES[1]])
 def test_spinor_overflow_raises_for_a_scalar_and_is_reported_in_an_array(spinor, symmetry):
+    # L_n and L'_n are formed outside nonrel._laguerre_state, so they still overflow
     p, e = _level(2000, symmetry)
     with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
         spinor(2000, p, e, 40.0)
