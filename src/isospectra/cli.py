@@ -403,28 +403,25 @@ def _run_wavefunction(manifest: RunManifest) -> RunResult:
     p, solve, spinors = _resolve_branch(prm)
     energy = solve(n, p).value
 
-    # The spin lower spinor's L_n and L'_n can overflow, leaving inf or NaN
-    # in its column; the sample writer reports it, so numpy need not warn too.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if prm["branch"] == "nonrel":
-            isotonic = _off_origin(lambda x: nonrel.wavefunction(n, p, x), np.abs(xs))
-            mirror = xs < 0.0
-            if np.any(mirror):
-                m, x_neg = nonrel.derive(p).m, float(xs[mirror][0])
-                sign = nonrel.parity_extend(n, m, 1.0, x_neg)
-                if isinstance(sign, nonrel.NonNormalizable):
-                    raise NonNormalizableError(f"no normalizable continuation to x = {x_neg} for m = {m}")
-                isotonic[mirror] *= sign
-            columns = {"isotonic": isotonic}
-            if prm["compare_harmonic"]:
-                columns["harmonic"] = nonrel.harmonic_wavefunction(n, p, xs)
-        else:
-            columns = {name: _off_origin(lambda x: spinor(n, p, energy, x), xs) for name, spinor in spinors.items()}
+    if prm["branch"] == "nonrel":
+        isotonic = _off_origin(lambda x: nonrel.wavefunction(n, p, x), np.abs(xs))
+        mirror = xs < 0.0
+        if np.any(mirror):
+            m, x_neg = nonrel.derive(p).m, float(xs[mirror][0])
+            sign = nonrel.parity_extend(n, m, 1.0, x_neg)
+            if isinstance(sign, nonrel.NonNormalizable):
+                raise NonNormalizableError(f"no normalizable continuation to x = {x_neg} for m = {m}")
+            isotonic[mirror] *= sign
+        columns = {"isotonic": isotonic}
+        if prm["compare_harmonic"]:
+            columns["harmonic"] = nonrel.harmonic_wavefunction(n, p, xs)
+    else:
+        columns = {name: _off_origin(lambda x: spinor(n, p, energy, x), xs) for name, spinor in spinors.items()}
 
     def overflow(name: str) -> str:
         return (
             f"{name} column of level n = {n} has non-finite samples: "
-            "the Laguerre recurrence overflows the float range at this degree and x"
+            "a sample leaves the float range at this degree and x"
         )
 
     head = {"energy": float(_ENERGY_FMT.format(energy))}

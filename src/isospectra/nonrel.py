@@ -251,64 +251,56 @@ def _log_norm(n: int, beta: float, zeta: float) -> float:
     return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
 
 
-def _envelope(ln_norm: float, beta: float, zeta: float, x, where: str):
-    """N x^(1/2 + zeta) exp(-beta x^2 / 2), the envelope of every Laguerre state here.
-
-    ln_norm is ln N (``_log_norm``). Returns (x, s, envelope): x as a
-    float for scalar x and as a float array otherwise, and s = beta x^2.
-    Raises ValueError(where) unless x is finite and > 0 elementwise.
-
-    A scalar is computed with math, with s = (beta x) x; an array with
-    numpy, with s = beta (x^2). The two round differently in the last
-    bit, and scalar and array samples each keep their own values. Where
-    s overflows the envelope is 0; the caller passes s to ``_vanishing``.
-    ``_laguerre_state`` repeats the scalar branch for a float x in the
-    domain, so it calls this only for other x, and every domain error is
-    raised here.
-    """
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if not 0.0 < x < math.inf:
-            raise ValueError(where)
-        s = beta * x * x
-        return x, s, math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s)
-    x = np.asarray(x, dtype=float)
-    if not (x.min(initial=math.inf) > 0.0 and x.max(initial=0.0) < math.inf):  # a NaN fails both
-        raise ValueError(where)
-    with np.errstate(over="ignore"):
-        s = beta * x**2
-    return x, s, np.exp(ln_norm + (0.5 + zeta) * np.log(x) - 0.5 * s)
-
-
 def _laguerre_state(n: int, ln_norm: float, beta: float, zeta: float, x, where: str):
     """N x^(1/2 + zeta) exp(-beta x^2 / 2) L_n^(zeta)(beta x^2): every state here.
 
-    The isotonic, 3d radial and harmonic states and two spinor components
-    differ only in (n, beta, zeta, ln N). A float x in the domain takes
-    the scalar branch of ``_envelope`` inline, as a quadrature calls this
-    ~10^5 times per integral; every other x, and every error, goes through
-    ``_envelope``. Where ``laguerre`` overflows at a finite beta x^2 (a
-    scalar DivergenceError, an array's inf or NaN) the sample comes from
-    ``_rescaled_state`` instead, so the state is finite at every n.
+    The isotonic, 3d radial and harmonic states and all three spinor
+    components are made of it; they differ only in (n, beta, zeta, ln N),
+    ln N being ``_log_norm``'s. x must be finite and > 0 elementwise, else
+    ValueError(where); a scalar x gives a float.
+
+    A scalar is computed with math, with s = (beta x) x; an array with
+    numpy, with s = beta (x^2). The two round differently in the last bit,
+    and scalar and array samples each keep their own values. Where s
+    overflows the sample is 0.0: exp(-s/2) outruns every L_n there. Where
+    ``laguerre`` overflows at a finite s (a scalar DivergenceError, an
+    array's inf or NaN), or the envelope falls below the smallest normal
+    float while s is finite, the sample comes from ``_rescaled_state``
+    instead, so the state is finite at every n and keeps its digits in the
+    far tail.
     """
-    if type(x) is float and 0.0 < x < math.inf:
-        s = beta * x * x
-        if s < math.inf:
-            try:
-                return math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s) * laguerre(n, zeta, s)
-            except DivergenceError:
-                return _rescaled_state(n, ln_norm, zeta, x, s)
-    x, s, envelope = _envelope(ln_norm, beta, zeta, x, where)
+    if type(x) is not float:  # a quadrature calls this ~10^5 times with a float
+        if np.ndim(x) == 0:
+            x = float(x)
+        else:
+            x = np.asarray(x, dtype=float)
+            if not (x.min(initial=math.inf) > 0.0 and x.max(initial=0.0) < math.inf):  # a NaN fails both
+                raise ValueError(where)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN where s or L_n overflows, replaced below
+                s = beta * x**2
+                envelope = np.exp(ln_norm + (0.5 + zeta) * np.log(x) - 0.5 * s)
+                values = envelope * laguerre(n, zeta, s)
+            # L_0 = 1 lifts nothing, and leaves the envelope's 0.0 where s = inf
+            if n == 0 or (envelope.min(initial=math.inf) >= 2.2250738585072014e-308 and np.isfinite(values).all()):
+                return values
+            vanished = s == math.inf
+            values[vanished] = 0.0
+            rescale = ~vanished & ((envelope < 2.2250738585072014e-308) | ~np.isfinite(values))
+            values[rescale] = _rescaled_state(n, ln_norm, zeta, x[rescale], s[rescale])
+            return values
+    if not 0.0 < x < math.inf:
+        raise ValueError(where)
+    s = beta * x * x
+    if s == math.inf:
+        return 0.0
+    envelope = math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s)
     try:
-        polynomial = _vanishing(s, laguerre, n, zeta, s)
+        polynomial = laguerre(n, zeta, s)
     except DivergenceError:
         return _rescaled_state(n, ln_norm, zeta, x, s)
-    if n < 2 or np.isfinite(polynomial).all():  # L_0 and L_1 are finite wherever s is
-        return envelope * polynomial
-    overflow = ~np.isfinite(polynomial)
-    values = envelope * np.where(overflow, 0.0, polynomial)
-    values[overflow] = _rescaled_state(n, ln_norm, zeta, x[overflow], s[overflow])
-    return values
+    if envelope < 2.2250738585072014e-308 and n:  # the smallest normal float
+        return _rescaled_state(n, ln_norm, zeta, x, s)
+    return envelope * polynomial
 
 
 def _rescaled_state(n: int, ln_norm: float, zeta: float, x, s):
@@ -328,22 +320,6 @@ def _rescaled_state(n: int, ln_norm: float, zeta: float, x, s):
         cur, step = xp.frexp(cur)
         prev, power = xp.ldexp(prev, -step), power + step
     return cur * xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s + power * math.log(2.0))
-
-
-def _vanishing(s, sample, *args):
-    """sample(*args), a factor of the state at s = beta x^2, with 0.0 where s is inf: exp(-s/2) outruns it there.
-
-    A scalar s = inf is not sampled; an array is sampled whole and masked
-    after, so the polynomial sees the same calls and points either way.
-    The callers on hot scalar paths pass a function, not a closure, whose
-    cells would cost every call.
-    """
-    if isinstance(s, float):
-        return 0.0 if s == math.inf else sample(*args)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN where s = inf, replaced below
-        values = sample(*args)
-    values[s == math.inf] = 0.0
-    return values
 
 
 def wavefunction(n: int, p: OscillatorParams, x):
@@ -404,7 +380,7 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     beta = p.mass * p.omega / p.hbar
     ln_norm = _log_norm(k, beta, zeta) - 0.5 * math.log(2.0)
     # The origin is sampled at the least positive float, where beta x^2 is 0: an even state is
-    # N L_k^(-1/2)(0) there, and sign(x) makes an odd one 0. _envelope rejects a NaN or infinite x.
+    # N L_k^(-1/2)(0) there, and sign(x) makes an odd one 0. _laguerre_state rejects a NaN or infinite x.
     if isinstance(x, float) or np.ndim(x) == 0:
         x = float(x)
         value = _laguerre_state(k, ln_norm, beta, zeta, max(abs(x), 5e-324), _HARMONIC_DOMAIN)

@@ -38,16 +38,14 @@ from .nonrel import (
     OscillatorParams,
     _check_level,
     _divisor_square,
-    _envelope,
     _in_float_range,
     _laguerre_state,
     _log_norm,
     _square,
-    _vanishing,
     energy as nonrel_energy,
 )
 from .nu import HypergeometricForm, nu_eigencondition, nu_reduce
-from .specfun import laguerre, laguerre_derivative
+from .specfun import laguerre  # unused here; bench/test_bench.py checks that its tracer restores rel.laguerre
 
 __all__ = [
     "Symmetry",
@@ -481,15 +479,21 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
 def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     """Lower spinor component of the spin branch.
 
-    Obtained from the upper component through the first-order coupling,
-    so it inherits the upper component's normalization divided by the
-    energy denominator M c^2 + E - sym_constant. Raises DegenerateEnergy
-    when that denominator vanishes (the coupling has a pole there), that
-    is, when it is below 1e-12 of M c^2 + |E| + |sym_constant|, so the
-    test does not depend on the units. x as in ``spin_upper_spinor``,
-    but L_n and L'_n are formed here, outside ``nonrel._laguerre_state``:
-    where either overflows a float x raises DivergenceError, and an array
-    keeps the non-finite samples.
+    Obtained from the upper component F = u_n^(zeta) through the
+    first-order coupling (F' - F / x) / (M c^2 + E - sym_constant), so it
+    inherits the upper component's normalization divided by that energy
+    denominator. With d/dz L_n^(zeta) = -L_(n-1)^(zeta+1) (DLMF 18.9.14)
+    the derivative is a second state of the same kernel, and
+
+        lower = [((zeta - 1/2) / x - nu x) u_n^(zeta) - 2 sqrt(n nu) u_(n-1)^(zeta+1)] / denominator,
+
+    nu being the falloff and u the unit-norm states of
+    ``nonrel._laguerre_state``; the second term is absent at n = 0. Raises
+    DegenerateEnergy when the denominator vanishes (the coupling has a
+    pole there), that is, when it is below 1e-12 of M c^2 + |E| +
+    |sym_constant|, so the test does not depend on the units. x as in
+    ``spin_upper_spinor``: every sample is finite, at every n, and 0.0
+    where nu x^2 leaves the float range.
     """
     if type(n) is not int or n < 0:
         n = _check_level(n)
@@ -499,13 +503,17 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     if abs(denom) < 1e-12 * p.rest_energy + 1e-12 * abs(e_value) + 1e-12 * abs(p.sym_constant):
         raise DegenerateEnergy(f"energy denominator {denom} is on the coupling pole")
     d, ln_norm = _spinor_state(n, p, e_value, 1.0)
-    nu = d.falloff
-    zeta = d.ladder_order
-    x, s, envelope = _envelope(ln_norm, nu, zeta, x, _SPINOR_DOMAIN)
-    return _vanishing(s, lambda: envelope * (
-        ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
-        + laguerre_derivative(n, zeta, s) * 2.0 * nu * x
-    ) / denom)
+    nu, zeta = d.falloff, d.ladder_order
+    upper = _laguerre_state(n, ln_norm, nu, zeta, x, _SPINOR_DOMAIN)
+    if type(x) is not float:
+        x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    # u / x and x u, not ((zeta - 1/2) / x - nu x) u: that factor leaves the float range near x = 0
+    # and near the float maximum, where u / x and x u stay finite
+    lower = (zeta - 0.5) * (upper / x) - nu * (x * upper)
+    if n:
+        ln_norm_below = ln_norm - 0.5 * math.log(n / nu)  # N_n^(zeta) / N_(n-1)^(zeta+1) = sqrt(n / nu)
+        lower -= 2.0 * math.sqrt(n * nu) * _laguerre_state(n - 1, ln_norm_below, nu, zeta + 1.0, x, _SPINOR_DOMAIN)
+    return lower / denom
 
 
 def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):

@@ -380,19 +380,24 @@ def test_wavefunction_harmonic_column_is_nonrel_only(capsys):
     capsys.readouterr()
 
 
-# the spin lower spinor forms L_n and L'_n itself, so its column still overflows where the upper one is finite
+# every column samples the one Laguerre kernel, which stays finite where L_2000 overflows (from x = 10.6 on)
 OVERFLOW_ARGV = ["wavefunction", "--branch", "spin", "--n", "2000", "--x-min", "0", "--x-max", "40", "--points", "5"]
 
 
-def test_wavefunction_overflow_exits_one_naming_the_column(capsys):
+def test_wavefunction_exits_zero_where_the_laguerre_recurrence_overflows(capsys):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the error line reports the overflow; numpy must not warn too
+        warnings.simplefilter("error")  # no RuntimeWarning either
         code, out, err = run_cli(OVERFLOW_ARGV, capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: lower column of level n = 2000 has non-finite samples")
-        assert "Laguerre recurrence overflows" in err
-        # the isotonic and harmonic states of that degree stay finite where L_2000 overflows
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out)
+        assert header == ["x", "upper", "lower"] and len(rows) == 5
+        assert np.isfinite([float(v) for row in rows for v in row[1:]]).all()
+        assert float(rows[3][2]) != 0.0  # x = 30, past the turning point near 25
+        code, out, err = run_cli([*OVERFLOW_ARGV, "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        samples = json.loads(out)["samples"]
+        assert np.isfinite(samples["upper"] + samples["lower"]).all()
+        # the isotonic and harmonic states of that degree are finite there too
         nonrel_argv = ["wavefunction", "--n", "2000", "--m", "1", "--x-min", "-80", "--x-max", "80", "--points", "5"]
         code, out, err = run_cli([*nonrel_argv, "--compare-harmonic"], capsys)
     assert code == 0 and err == ""
@@ -402,17 +407,22 @@ def test_wavefunction_overflow_exits_one_naming_the_column(capsys):
 
 
 @pytest.mark.parametrize("extra", [[], ["--format", "json"]])
-def test_wavefunction_overflow_writes_only_the_error_line(extra):
+def test_wavefunction_writes_no_stderr_where_the_laguerre_recurrence_overflows(extra):
     # a real process: in-process, pytest records warnings instead of printing them
     src = str(pathlib.Path(isospectra.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-m", "isospectra", *OVERFLOW_ARGV, *extra], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-W", "error", "-m", "isospectra", *OVERFLOW_ARGV, *extra],
+        capture_output=True, text=True, env=env, timeout=60,
     )
-    assert done.returncode == 1
-    assert done.stdout == ""
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: lower column of level n = 2000 has non-finite samples")
+    assert (done.returncode, done.stderr) == (0, "")
+    if extra:
+        samples = json.loads(done.stdout)["samples"]
+        values = samples["upper"] + samples["lower"]
+    else:
+        _, rows = csv_rows(done.stdout)
+        values = [float(v) for row in rows for v in row[1:]]
+    assert len(values) == 10 and np.isfinite(values).all()
 
 
 # --------------------------------------------------------------- potential

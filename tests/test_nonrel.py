@@ -379,7 +379,8 @@ def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
 
     first = one_pass()
     assert first == one_pass()
-    assert first["laguerre"] > 0 and first["laguerre_derivative"] > 0
+    assert first["laguerre"] > 0
+    assert "laguerre_derivative" not in first  # the spin lower spinor is two states of the one kernel
     assert "hermite" not in first  # the harmonic state never forms H_n, so n = 300 runs no overflowing recurrence
 
 
@@ -456,6 +457,21 @@ def test_radial_state_is_finite_where_the_laguerre_recurrence_overflows():
     assert _sampled_past_the_overflow(lambda r: oscillator3d_radial(2000, 1, p, r)) == expected
     assert oscillator3d_radial(0, 1, p, 1e200) == 0.0
     assert oscillator3d_radial(2, 1, p, np.array([1e200]))[0] == 0.0
+
+
+def test_far_tail_keeps_the_samples_the_envelope_alone_underflows():
+    # exp(ln N + (1/2 + zeta) ln x - beta x^2 / 2) is below the smallest normal float here, L_n is not
+    p = OscillatorParams(g=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tail = wavefunction(150, p, 40.0)
+        column = wavefunction(150, p, np.array([40.0, 1.0]))
+        harmonic = harmonic_wavefunction(300, OscillatorParams(), 40.0)
+        assert wavefunction(20, p, 40.0) == pytest.approx(3.174076195462295e-300, rel=1e-13, abs=0.0)
+    assert tail == pytest.approx(1.92362259258081676e-135, rel=1e-13, abs=0.0)  # 50 digits
+    assert column[0] == pytest.approx(tail, rel=1e-13, abs=0.0)
+    assert column[1] == wavefunction(150, p, np.array([1.0]))[0]
+    assert harmonic == pytest.approx(1.6014984664524084e-136, rel=1e-12, abs=0.0)
 
 
 def test_harmonic_state_is_zero_where_beta_x2_overflows():

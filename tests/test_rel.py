@@ -34,7 +34,7 @@ from isospectra.rel import (
     spin_lower_spinor,
     spin_upper_spinor,
 )
-from isospectra.specfun import laguerre, laguerre_derivative
+from isospectra.specfun import laguerre
 from isospectra.validate import nu_klein_gordon_level
 
 
@@ -656,12 +656,16 @@ def _written_out_spinor(kind, n, p, e, x):
         xp, s = math, nu * x * x
     else:
         xp, s = np, nu * x**2
-    envelope = xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s)
+    state = xp.exp(ln_norm + (0.5 + zeta) * xp.log(x) - 0.5 * s) * laguerre(n, zeta, s)
     if kind != "lower":
-        return envelope * laguerre(n, zeta, s)
-    bracket = ((2.0 * zeta - 1.0) / (2.0 * x) - nu * x) * laguerre(n, zeta, s)
-    bracket += laguerre_derivative(n, zeta, s) * 2.0 * nu * x
-    return envelope * bracket / (p.rest_energy + e - p.sym_constant)
+        return state
+    # d/dz L_n^(zeta) = -L_(n-1)^(zeta+1), and N_n^(zeta) / N_(n-1)^(zeta+1) = sqrt(n / nu)
+    lower = (zeta - 0.5) * (state / x) - nu * (x * state)
+    if n:
+        ln_below = ln_norm - 0.5 * math.log(n / nu)
+        below = xp.exp(ln_below + (0.5 + (zeta + 1.0)) * xp.log(x) - 0.5 * s) * laguerre(n - 1, zeta + 1.0, s)
+        lower -= 2.0 * math.sqrt(n * nu) * below
+    return lower / (p.rest_energy + e - p.sym_constant)
 
 
 _SPINORS = {"upper": spin_upper_spinor, "lower": spin_lower_spinor, "pseudo": pseudospin_lower_spinor}
@@ -731,30 +735,30 @@ def test_spinors_reject_non_finite_x(spinor, symmetry, x):
         spinor(1, p, e, x)
 
 
-@pytest.mark.parametrize("spinor,symmetry", [_SPINOR_BRANCHES[0], _SPINOR_BRANCHES[2]])
+@pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
 def test_spinor_is_finite_where_the_laguerre_recurrence_overflows(spinor, symmetry):
-    # L_2000 overflows from about x = 10.6 on (spin_lower_spinor raises there); the turning point is near x = 25
+    # L_2000 overflows from about x = 10.6 on; the turning point is near x = 25
     p, e = _level(2000, symmetry)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in (24.0, 40.0):
             column = spinor(2000, p, e, np.array([x, 1.0]))
             assert column[0] == spinor(2000, p, e, x) and np.isfinite(column).all()
+        if spinor is spin_lower_spinor:
+            # lower = (F' - F / x) / (M c^2 + E - C) at hbar c = 1, F' by finite differences of the upper spinor
+            def f(t):
+                return spin_upper_spinor(2000, p, e, t)
+
+            h = 3e-5
+            for x in (10.0, 24.0):
+                d1 = (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+                expect = (d1 - f(x) / x) / (p.rest_energy + e - p.sym_constant)
+                assert spinor(2000, p, e, x) == pytest.approx(expect, abs=1e-9)
+            return
         assert abs(spinor(2000, p, e, 24.0)) > 0.01
         x = np.linspace(0.005, 40.0, 8000)
         norm = np.sum(spinor(2000, p, e, x) ** 2) * (x[1] - x[0])
     assert norm == pytest.approx(1.0, abs=1e-9)
-
-
-@pytest.mark.parametrize("spinor,symmetry", [_SPINOR_BRANCHES[1]])
-def test_spinor_overflow_raises_for_a_scalar_and_is_reported_in_an_array(spinor, symmetry):
-    # L_n and L'_n are formed outside nonrel._laguerre_state, so they still overflow
-    p, e = _level(2000, symmetry)
-    with pytest.raises(DivergenceError, match="^the Laguerre recurrence overflows the float range at n = 2000"):
-        spinor(2000, p, e, 40.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        column = spinor(2000, p, e, np.array([40.0]))
-    assert not np.isfinite(column).any()
 
 
 @pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
@@ -768,6 +772,20 @@ def test_spinor_is_zero_where_the_falloff_times_x2_overflows(spinor, symmetry):
     assert column[0] == 0.0 and column[1] == pytest.approx(spinor(2, p, e, 1.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("g", [2.0, -0.1])
+def test_spin_lower_spinor_is_finite_at_the_least_positive_x(g):
+    # (zeta - 1/2) / x overflows there; at g < 0, zeta < 1/2 and the component grows like x^(zeta - 1/2)
+    p = DiracParams(g=g)
+    e = solve_spin_energy(1, p).value
+    x = np.array([5e-324, 1e-310, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        column = spin_lower_spinor(1, p, e, x)
+        assert [spin_lower_spinor(1, p, e, float(t)) for t in x] == column.tolist()
+    assert np.isfinite(column).all()
+    assert (column == 0.0).all() if g > 0.0 else (np.abs(column) > 1e80).all()
+
+
 @pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
 @pytest.mark.parametrize("e_value", [math.nan, math.inf])
 def test_spinors_reject_a_non_finite_energy(spinor, symmetry, e_value):
@@ -777,7 +795,7 @@ def test_spinors_reject_a_non_finite_energy(spinor, symmetry, e_value):
 
 
 def test_direct_scalar_path_matches_the_envelope_bit_for_bit():
-    # a float takes the inline path of nonrel._laguerre_state, a 0-d array the scalar branch of nonrel._envelope
+    # a float takes nonrel._laguerre_state's scalar branch directly, a 0-d array after its conversion to a float
     for spinor, symmetry in _SPINOR_BRANCHES:
         for n in (0, 3):
             p, e = _level(n, symmetry)
