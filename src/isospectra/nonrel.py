@@ -17,6 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DivergenceError, UnphysicalRegime
+from .errors import _check_finite, _check_index, _check_positive, _divisor_square, _in_float_range, _square
 from .specfun import _laguerre_steps, laguerre
 
 __all__ = [
@@ -82,11 +83,8 @@ class OscillatorParams:
 
     def __post_init__(self) -> None:
         for name in ("mass", "omega", "hbar"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not math.isfinite(self.g):
-            raise ValueError(f"g must be finite, got {self.g}")
+            _check_positive(name, getattr(self, name))
+        _check_finite("g", self.g)
 
     def potential(self, x):
         """U(x) on x > 0."""
@@ -147,36 +145,10 @@ class EnergyLevel:
     residual: float
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"level index must be non-negative, got {self.n}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"energy must be finite, got {self.value}")
+        _check_index(self.n)
+        _check_finite("energy", self.value)
         if not (math.isfinite(self.residual) and self.residual >= 0.0):
             raise ValueError(f"residual must be non-negative, got {self.residual}")
-
-
-def _in_float_range(value: float, scale: str) -> float:
-    """value, a scale built from the parameters; DivergenceError names the scale if it is not finite."""
-    if not math.isfinite(value):
-        raise DivergenceError(f"the scale {scale} leaves the float range")
-    return value
-
-
-def _square(value: float, name: str) -> float:
-    """value^2 by _in_float_range; float ** raises OverflowError where * gives inf."""
-    try:
-        squared = value**2
-    except OverflowError:
-        squared = math.inf
-    return _in_float_range(squared, f"{name}^2 = ({value})^2")
-
-
-def _divisor_square(value: float, name: str) -> float:
-    """_square(value, name) for a square that is divided by; DivergenceError names it if it underflows to 0."""
-    squared = _square(value, name)
-    if squared == 0.0:
-        raise DivergenceError(f"the scale {name}^2 = ({value})^2 underflows to 0")
-    return squared
 
 
 def derive(p: OscillatorParams) -> DerivedNonrel:
@@ -200,29 +172,12 @@ def classify_regime(alpha: float) -> Regime:
     boundary-condition choice at the origin; from 3/4 on the origin is
     an impenetrable barrier and the ladder is unambiguous.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    _check_finite("alpha", alpha)
     if alpha < -0.25:
         return Regime.UNPHYSICAL
     if alpha < 0.75:
         return Regime.SELF_ADJOINT_EXTENSION_NEEDED
     return Regime.IMPENETRABLE_BARRIER
-
-
-def _check_level(n) -> int:
-    if type(n) is int and n >= 0:
-        return n
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"level index must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"level index must be non-negative, got {n}")
-    return int(n)
-
-
-def _check_orbital(l) -> int:
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise ValueError(f"orbital index must be a non-negative integer, got {l!r}")
-    return int(l)
 
 
 def energy(n: int, p: OscillatorParams) -> EnergyLevel:
@@ -231,7 +186,7 @@ def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     Equidistant with spacing 2 hbar omega; reduces to the odd harmonic
     half-line levels at g = 0.
     """
-    n = _check_level(n)
+    n = _check_index(n)
     d = p._ladder
     value = p.hbar * p.omega * (2.0 * n + 1.0 + d.xi)
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
@@ -331,8 +286,8 @@ def wavefunction(n: int, p: OscillatorParams, x):
     float x gives a float. Every sample is finite, at every n
     (``_laguerre_state``), and 0.0 where beta x^2 leaves the float range.
     """
-    if type(n) is not int or n < 0:  # _check_level's fast path inline: a quadrature calls this ~10^5 times
-        n = _check_level(n)
+    if type(n) is not int or n < 0:  # a valid plain int skips _check_index: a quadrature calls this ~10^5 times
+        n = _check_index(n)
     d = p._ladder
     return _laguerre_state(n, _log_norm(n, d.beta, d.xi), d.beta, d.xi, x, _WAVEFUNCTION_DOMAIN)
 
@@ -346,9 +301,9 @@ def parity_extend(n: int, m: float, psi_pos: float, x: float):
     non-integer m no normalizable continuation exists and the
     NON_NORMALIZABLE marker is returned instead of a value.
     """
-    n = _check_level(n)
-    if not (math.isfinite(m) and math.isfinite(psi_pos)):
-        raise ValueError("m and psi_pos must be finite")
+    n = _check_index(n)
+    _check_finite("m", m)
+    _check_finite("psi_pos", psi_pos)
     if not x < 0.0:
         raise ValueError(f"parity_extend is for x < 0, got x = {x}")
     if abs(m - round(m)) > 1e-9:
@@ -359,7 +314,7 @@ def parity_extend(n: int, m: float, psi_pos: float, x: float):
 
 def harmonic_energy(n: int, p: OscillatorParams) -> float:
     """Full-line harmonic level hbar omega (n + 1/2), the g = 0 reference."""
-    n = _check_level(n)
+    n = _check_index(n)
     return p.hbar * p.omega * (n + 0.5)
 
 
@@ -374,7 +329,7 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     beta x^2 leaves the float range.
     """
     if type(n) is not int or n < 0:
-        n = _check_level(n)
+        n = _check_index(n)
     k, odd = divmod(n, 2)
     zeta = odd - 0.5
     beta = p.mass * p.omega / p.hbar
@@ -401,8 +356,8 @@ def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
     problem is the angular-momentum radial equation with l continued
     off the integers.
     """
-    n = _check_level(n)
-    l = _check_orbital(l)
+    n = _check_index(n)
+    l = _check_index(l, "orbital index")
     return p.hbar * p.omega * (2.0 * n + l + 1.5)
 
 
@@ -414,9 +369,9 @@ def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
     range.
     """
     if type(n) is not int or n < 0:
-        n = _check_level(n)
+        n = _check_index(n)
     if type(l) is not int or l < 0:
-        l = _check_orbital(l)
+        l = _check_index(l, "orbital index")
     zeta = l + 0.5
     beta = p.mass * p.omega / p.hbar
     return _laguerre_state(n, _log_norm(n, beta, zeta), beta, zeta, r, "radial coordinate must be finite and positive")

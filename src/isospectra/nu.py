@@ -17,9 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import UnphysicalRegime
+from .errors import UnphysicalRegime, _check_finite, _check_index
 
 __all__ = ["HypergeometricForm", "NUReduction", "nu_reduce", "nu_eigencondition"]
 
@@ -67,10 +65,12 @@ class NUReduction:
 def nu_reduce(form: HypergeometricForm) -> NUReduction:
     """Reduce a coefficient triple to its bound-state data.
 
-    Requires a2 < 0 (no confining well otherwise). Raises
+    Requires finite coefficients and a2 < 0, else ValueError. Raises
     UnphysicalRegime when 1 - 4*a0 < 0, i.e. when the singular-point
     coupling is too attractive for a square-integrable ladder.
     """
+    for name in ("a2", "a1", "a0"):
+        _check_finite(name, getattr(form, name))
     if form.a2 >= 0.0:
         raise ValueError(f"a2 must be negative for bound states, got {form.a2}")
     disc = 1.0 - 4.0 * form.a0
@@ -109,8 +109,4 @@ def nu_eigencondition(red: NUReduction, n: int) -> float:
     Zero exactly at the n-th bound state; the wave-equation modules
     solve this for the energy hidden inside a1.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"level index must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"level index must be non-negative, got {n}")
-    return red.lam + int(n) * red.tau_slope
+    return red.lam + _check_index(n) * red.tau_slope

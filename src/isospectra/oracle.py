@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
-from .nonrel import _check_level, _in_float_range, _square
+from .errors import _check_index, _check_positive, _in_float_range, _square
 from .rel import DiracParams, Symmetry
 
 __all__ = [
@@ -81,12 +81,10 @@ class Grid:
     n_points: int = 40000
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x_min) and self.x_min > 0.0):
-            raise ValueError(f"x_min must be positive and finite, got {self.x_min}")
+        _check_positive("x_min", self.x_min)
         if not (math.isfinite(self.x_max) and self.x_min < self.x_max):
             raise ValueError(f"need x_min < x_max < inf, got [{self.x_min}, {self.x_max}]")
-        if not isinstance(self.n_points, (int, np.integer)) or isinstance(self.n_points, bool) or self.n_points < 100:
-            raise ValueError(f"n_points must be an integer >= 100, got {self.n_points!r}")
+        _check_index(self.n_points, "n_points", 100)
 
     @property
     def spacing(self) -> float:
@@ -418,12 +416,11 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     Dirichlet boundary, so V may be infinite or undefined there.
     """
     grid = grid if grid is not None else Grid()
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _check_index(count, "count", 1)
     if count > grid.n_points // 10:
         raise ValueError(f"count = {count} too large for {grid.n_points} grid points")
-    if not (math.isfinite(mass) and mass > 0.0 and math.isfinite(hbar) and hbar > 0.0):
-        raise ValueError(f"mass and hbar must be positive and finite, got mass = {mass}, hbar = {hbar}")
+    _check_positive("mass", mass)
+    _check_positive("hbar", hbar)
     kinetic = _in_float_range(_square(hbar, "hbar") / (2.0 * mass), "hbar^2 / (2 M)")
     if kinetic == 0.0:
         raise DivergenceError(f"the scale hbar^2 / (2 M) = ({hbar})^2 / (2 * {mass}) underflows to 0")
@@ -532,8 +529,7 @@ def scan_roots(f, lo: float, hi: float, steps: int) -> list[float]:
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    _check_index(steps, "steps", 2)
 
     def sample(x: float) -> float:
         value = float(f(x))
@@ -635,7 +631,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     not bound it (at g = -0.1, n = 0 the error is 1.65e-3 against an
     estimate of 8.46e-4 on the default grid).
     """
-    n = _check_level(n)
+    n = _check_index(n)
     if p.branch is not Symmetry.SPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     grid = grid if grid is not None else Grid()
@@ -749,8 +745,6 @@ def ode_residual(f_samples, coefficient, grid: Grid) -> float:
     f = np.asarray(f_samples, dtype=float)
     if f.ndim != 1 or f.size != grid.n_points:
         raise ValueError(f"expected {grid.n_points} samples on the grid, got shape {f.shape}")
-    if f.size < 5:
-        raise ValueError("need at least five samples for the five-point stencil")
     if not np.all(np.isfinite(f)):
         raise ValueError("samples must be finite")
     x = grid.points()

@@ -32,18 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateEnergy, DivergenceError, NoRootInRange, UnphysicalRegime
-from .nonrel import (
-    Branch,
-    EnergyLevel,
-    OscillatorParams,
-    _check_level,
-    _divisor_square,
-    _in_float_range,
-    _laguerre_state,
-    _log_norm,
-    _square,
-    energy as nonrel_energy,
-)
+from .errors import _check_finite, _check_index, _check_positive, _divisor_square, _in_float_range, _square
+from .nonrel import Branch, EnergyLevel, OscillatorParams, _laguerre_state, _log_norm, energy as nonrel_energy
 from .nu import HypergeometricForm, nu_eigencondition, nu_reduce
 from .specfun import laguerre  # unused here; bench/test_bench.py checks that its tracer restores rel.laguerre
 
@@ -107,13 +97,9 @@ class DiracParams:
 
     def __post_init__(self) -> None:
         for name in ("mass", "omega", "hbar", "c"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not math.isfinite(self.g):
-            raise ValueError(f"g must be finite, got {self.g}")
-        if not math.isfinite(self.sym_constant):
-            raise ValueError(f"sym_constant must be finite, got {self.sym_constant}")
+            _check_positive(name, getattr(self, name))
+        for name in ("g", "sym_constant"):
+            _check_finite(name, getattr(self, name))
         if not isinstance(self.branch, Symmetry):
             raise ValueError(f"branch must be a Symmetry, got {self.branch!r}")
         expected = -1 if self.branch is Symmetry.SPIN else 1
@@ -195,8 +181,7 @@ def _derived(p: DiracParams, e_value: float, sign: float) -> SpinDerived:
     The magnitude of the energy weight is (E + sign M c^2 - sym_constant)
     / (hbar c)^2 and must be positive; the weight itself carries the sign.
     """
-    if not math.isfinite(e_value):
-        raise ValueError(f"energy must be finite, got {e_value}")
+    _check_finite("energy", e_value)
     w = e_value + sign * p.rest_energy - p.sym_constant
     if w <= 0.0:
         raise ValueError(f"E {'+' if sign > 0.0 else '-'} M c^2 - sym_constant = {w} must be positive")
@@ -234,8 +219,8 @@ def energy_residual(e_value: float, n: int, p: DiracParams, sign: float, offset:
     increasing in E on the admissible side w >= 0, and decreasing in n at
     fixed E; the shared root scan relies on both.
     """
-    if type(n) is not int or n < 0:  # _check_level's fast path inline: a level solve calls this ~500 times
-        n = _check_level(n)
+    if type(n) is not int or n < 0:  # a valid plain int skips _check_index: a level solve calls this ~500 times
+        n = _check_index(n)
     mc2 = sign * p.rest_energy
     w = e_value + mc2 - offset
     if w < 0.0:
@@ -390,7 +375,7 @@ def _dirac_window(p: DiracParams) -> tuple[Branch, float]:
     """(branch, lower edge of the admissible window) of p's Dirac branch."""
     if p.branch is Symmetry.SPIN:
         return Branch.DIRAC_SPIN, max(p.rest_energy, p.sym_constant - p.rest_energy)
-    return Branch.DIRAC_PSEUDOSPIN, p.rest_energy + p.sym_constant
+    return Branch.DIRAC_PSEUDOSPIN, _in_float_range(p.rest_energy + p.sym_constant, "M c^2 + sym_constant")
 
 
 def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -399,7 +384,7 @@ def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
     The admissible window opens at max(M c^2, sym_constant - M c^2),
     below which the reduced equation loses its bound character.
     """
-    n = _check_level(n)
+    n = _check_index(n)
     if p.branch is not Symmetry.SPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     return _solve_levels(n, n, p, *_dirac_window(p))[0]
@@ -409,9 +394,9 @@ def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
     """Energy of the n-th pseudospin-branch level by bracketed root solving.
 
     The window opens at M c^2 + sym_constant (which may be deeply
-    negative).
+    negative); DivergenceError names it where it leaves the float range.
     """
-    n = _check_level(n)
+    n = _check_index(n)
     if p.branch is not Symmetry.PSEUDOSPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     return _solve_levels(n, n, p, *_dirac_window(p))[0]
@@ -426,7 +411,7 @@ def solve_levels(n_max: int, p: DiracParams) -> list[EnergyLevel]:
     decreases in n. Raises what the first failing level would raise on
     its own. Each level is bisected to adjacent floats.
     """
-    n_max = _check_level(n_max)
+    n_max = _check_index(n_max)
     return _solve_levels(0, n_max, p, *_dirac_window(p))
 
 
@@ -436,7 +421,7 @@ def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
     Requires sym_constant == 0: the second-order equation this branch
     reduces to has no room for a symmetry offset.
     """
-    n = _check_level(n)
+    n = _check_index(n)
     if p.sym_constant != 0.0:
         raise ValueError("Klein-Gordon branch has no symmetry constant; set sym_constant = 0")
     return _solve_levels(n, n, p, Branch.KLEIN_GORDON, p.rest_energy)[0]
@@ -471,7 +456,7 @@ def spin_upper_spinor(n: int, p: DiracParams, e_value: float, x):
     falloff times x^2 leaves the float range.
     """
     if type(n) is not int or n < 0:
-        n = _check_level(n)
+        n = _check_index(n)
     d, ln_norm = _spinor_state(n, p, e_value, 1.0)
     return _laguerre_state(n, ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
 
@@ -496,7 +481,7 @@ def spin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     where nu x^2 leaves the float range.
     """
     if type(n) is not int or n < 0:
-        n = _check_level(n)
+        n = _check_index(n)
     denom = p.rest_energy + e_value - p.sym_constant
     # each term scaled first, so the bound stays finite where the sum would overflow; strict, so
     # that E = inf (bound inf) still reaches _derived's "energy must be finite"
@@ -524,7 +509,7 @@ def pseudospin_lower_spinor(n: int, p: DiracParams, e_value: float, x):
     the polynomial weight integral. x as in ``spin_upper_spinor``.
     """
     if type(n) is not int or n < 0:
-        n = _check_level(n)
+        n = _check_index(n)
     d, ln_norm = _spinor_state(n, p, e_value, -1.0)
     return _laguerre_state(n, ln_norm, d.falloff, d.ladder_order, x, _SPINOR_DOMAIN)
 
@@ -540,7 +525,7 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
     energy grid spanning the bound region around the n-th level. Returns the maximum absolute difference; nonzero values mean
     the two derivation routes disagree.
     """
-    n = _check_level(n)
+    n = _check_index(n)
     if p.branch is not Symmetry.PSEUDOSPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     level = solve_pseudospin_energy(n, p)
@@ -573,7 +558,7 @@ def nonrel_limit_check(n: int, p: DiracParams, c_values) -> list[float]:
     coupling. Returns the list of absolute deviations, which should
     fall off as 1/c^2.
     """
-    n = _check_level(n)
+    n = _check_index(n)
     if p.branch is not Symmetry.SPIN:
         raise ValueError("the nonrelativistic limit check runs on the spin branch")
     if p.sym_constant != 0.0:

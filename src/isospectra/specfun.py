@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, _check_finite, _check_index
 
 __all__ = [
     "laguerre",
@@ -41,16 +41,6 @@ _SERIES_MAX_TERMS = 1000
 # array call samples its state once. A degree-n entry holds n - 1 float
 # triples, so the bound also bounds the memory.
 _LAGUERRE_CACHE_SIZE = 16
-
-
-def _check_degree(n: int) -> int:
-    if type(n) is int and n >= 0:
-        return n
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"degree must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    return int(n)
 
 
 @lru_cache(maxsize=_LAGUERRE_CACHE_SIZE)
@@ -80,8 +70,8 @@ def laguerre(n: int, alpha: float, z):
     beta x^2 overflowed upstream: those entries come back inf or NaN, for
     the caller to report with its column.
     """
-    if type(n) is not int or n < 0:  # _check_degree's fast path inline: a quadrature calls this ~10^5 times
-        n = _check_degree(n)
+    if type(n) is not int or n < 0:  # a valid plain int skips _check_index: a quadrature calls this ~10^5 times
+        n = _check_index(n, "degree")
     alpha = float(alpha)
     if not -1.0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and exceed -1, got {alpha}")
@@ -108,7 +98,7 @@ def laguerre(n: int, alpha: float, z):
 
 def laguerre_derivative(n: int, alpha: float, z):
     """d/dz of L_n^(alpha)(z), via d/dz L_n^(a) = -L_{n-1}^(a+1)."""
-    n = _check_degree(n)
+    n = _check_index(n, "degree")
     if n == 0:
         return 0.0 * laguerre(0, alpha + 1.0, z)  # zero in the shape of z
     return -laguerre(n - 1, alpha + 1.0, z)
@@ -124,12 +114,13 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     when the series terminates first (a a non-positive integer with
     |a| <= |b|).
 
-    Raises DivergenceError if 1000 terms fail to converge to 1e-15
-    relative accuracy or a partial sum leaves the float range.
+    a, b and z must be finite, else ValueError. Raises DivergenceError if
+    1000 terms fail to converge to 1e-15 relative accuracy or a partial sum
+    leaves the float range.
     """
-    a = float(a)
-    b = float(b)
-    z = float(z)
+    a, b, z = float(a), float(b), float(z)
+    for name, value in (("a", a), ("b", b), ("z", z)):
+        _check_finite(name, value)
     a_terminates = a <= 0.0 and a == math.floor(a)
     b_is_pole = b <= 0.0 and b == math.floor(b)
     if b_is_pole and not (a_terminates and -a <= -b):
@@ -175,8 +166,7 @@ def hermite(n: int, y):
     entries must not be NaN; +inf gives non-finite entries, as in
     ``laguerre``.
     """
-    if type(n) is not int or n < 0:
-        n = _check_degree(n)
+    n = _check_index(n, "degree")
     scalar = isinstance(y, float) or np.ndim(y) == 0
     if scalar:
         y = float(y)
@@ -199,8 +189,9 @@ def hermite(n: int, y):
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
+    """ln Gamma(x) for finite x > 0."""
     x = float(x)
+    _check_finite("x", x)
     if x <= 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -175,6 +176,22 @@ def test_quadrature_rejects_minus_infinity_upper_limit():
         quadrature(lambda x: math.exp(-x), 0.0, -math.inf)
 
 
+@pytest.mark.parametrize(
+    "f, b, where",
+    [
+        (lambda x: math.inf, 1.0, "at the initial nodes"),
+        # no node of the 16 panels of [0, 1] falls in (0.29, 0.3); the first refinement of [0.25, 0.3125] does
+        (lambda x: math.inf if 0.29 < x < 0.3 else 0.0, 1.0, "inside [0.25, 0.3125]"),
+        # the tail search samples 0.25 * 1.5^k and passes 5 at k = 8
+        (lambda x: math.nan if x > 5.0 else math.exp(-x), math.inf, "at x = 6.4072265625"),
+    ],
+    ids=["initial-nodes", "refinement", "tail"],
+)
+def test_quadrature_names_where_the_integrand_is_not_finite(f, b, where):
+    with pytest.raises(ToleranceNotMet, match=f"^integrand is not finite {re.escape(where)}$"):
+        quadrature(f, 0.0, b)
+
+
 # ------------------------------------------------------------ root scan
 
 
@@ -198,6 +215,20 @@ def test_scan_rootless_window():
 
 def test_scan_exact_grid_hit():
     assert scan_roots(lambda x: x * x - 4.0, 0.0, 5.0, 5) == [2.0]
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, roots",
+    [
+        # the float spacing near 1.4e6 is 2.3e-10: the bisection stops at adjacent floats, not at width 1e-12
+        (lambda x: x * x - 2e12, 1.4e6, 1.5e6, [1414213.5623730952]),
+        (lambda x: x - 0.375, 0.0, 1.0, [0.375]),  # the second midpoint is the root itself
+        (lambda x: x - 1.0, 0.0, 1.0, [1.0]),  # the root is the last grid point, hi
+    ],
+    ids=["adjacent-floats", "midpoint-zero", "root-at-hi"],
+)
+def test_scan_closes_each_bracket_exactly(f, lo, hi, roots):
+    assert scan_roots(f, lo, hi, 2) == roots
 
 
 def test_scan_multiple_roots():

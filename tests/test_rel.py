@@ -124,6 +124,16 @@ def test_hbar_c_squared_that_underflows_to_zero_is_named(params, scale):
             solve(0, DiracParams(branch=branch, **params))
 
 
+@pytest.mark.parametrize("g", [2.0, 0.0, -1e-300])
+def test_pseudospin_window_edge_beyond_the_float_range_is_named(g):
+    # M c^2 + sym_constant = 5e307 + 1.5e308 is inf: a scan from there would blame the coupling
+    # scale (g = 2), find no sign change in (inf, inf] (g = 0) or call the regime unphysical (g < 0)
+    p = DiracParams(mass=5e307, sym_constant=1.5e308, g=g, branch=Symmetry.PSEUDOSPIN)
+    for solve in (rel.solve_levels, solve_pseudospin_energy):
+        with pytest.raises(DivergenceError, match=r"^the scale M c\^2 \+ sym_constant leaves the float range$"):
+            solve(0, p)
+
+
 def test_solved_levels_frozen():
     assert solve_spin_energy(10, spin_params(6.0, 2.0)).value == pytest.approx(12.29516582288588, abs=1e-12)
     assert solve_spin_energy(3, spin_params(2.0, 0.0)).value == pytest.approx(6.142812911615233, abs=1e-12)
