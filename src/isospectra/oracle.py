@@ -272,6 +272,11 @@ def _tridiag_lowest(
     no top is known before it, and ``stebz`` starts it from the
     Gershgorin interval, widened by a term proportional to the row
     count, so a cut would move its results within the tolerance.
+
+    The index solves left are the first sweep of each
+    ``dirac_selfconsistent`` level and the fallbacks: of an enclosure
+    here, of ``_tridiag_near``'s windows and of ``_tridiag_bracketed``'s
+    bracket. ``fd_eigenvalues`` solves its declared grid by value.
     """
     diag, off = _assemble(v, spacing, kinetic)
     if enclosure is not None:
@@ -351,6 +356,61 @@ def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.nda
     return _bisect(diag, off, "i", (lo, lo + len(guesses) - 1))
 
 
+def _tridiag_bracketed(v: np.ndarray, spacing: float, kinetic: float, count: int) -> np.ndarray:
+    """Eigenvalues 0..count-1 of the ``_tridiag_lowest`` operator, bisected in one value window that Sturm counts isolate.
+
+    The matrix is K + diag(v), K the Dirichlet second difference, whose
+    least eigenvalue is 4 k sin^2(pi / (2 (m + 1))) (k = kinetic /
+    spacing^2, m rows). By Weyl, floor = min v plus that value, less the
+    rounding pad, bounds the spectrum from below. The top opens 8 times
+    that value above the floor, a width set by the grid and not by |v|,
+    and grows until a Sturm count finds at least ``count`` eigenvalues
+    in (floor, top]: fourfold while it finds none, and by
+    (count + 1) / found once it finds ``found`` (one step on an evenly
+    spaced ladder). The top is then bisected between the last two tops
+    until the count is exactly ``count``. The counts alone decide what
+    is accepted. Each has a tolerance wider than its interval, so only
+    its endpoint counts are made, on the ``_live_rows`` rows of its top.
+    The window (floor, top] is bisected on those rows when floor is at
+    or above ``_start_clip``, else on every row, so its values are
+    bit-identical to a solve over every row. When the top passes the
+    Gershgorin end, or the bracket narrows to the pad (a pair closer
+    than the float spacing), the index solve (0, count - 1) runs instead.
+    """
+    diag, off = _assemble(v, spacing, kinetic)
+    k = kinetic / spacing**2
+    box = 4.0 * k * math.sin(0.5 * math.pi / (diag.size + 1)) ** 2
+    pad = _rounding_pad(diag)
+    floor = float(np.min(v[1:-1])) + box - pad
+    end = float(np.max(diag)) + 2.0 * k
+
+    def counted(top: float) -> int:
+        rows = _live_rows(v, kinetic, spacing, top)
+        return _bisect(diag[:rows], off[: rows - 1], "v", (floor, top), tol=2.0 * (top - floor)).size
+
+    # the pad keeps the first top a float above the floor
+    width = max(8.0 * box, pad)
+    low, top = floor, floor + width
+    found = counted(top)
+    while found < count and top < end:
+        width *= (count + 1.0) / found if found else 4.0
+        low, top = top, floor + width
+        found = counted(top)
+    while found > count and top - low > pad:
+        middle = 0.5 * (low + top)
+        inside = counted(middle)
+        if inside < count:
+            low = middle
+        else:
+            top, found = middle, inside
+    if found == count:
+        rows = _live_rows(v, kinetic, spacing, top) if floor >= _start_clip(v, pad) else diag.size
+        values = _bisect(diag[:rows], off[: rows - 1], "v", (floor, top))
+        if values.size == count:
+            return values
+    return _bisect(diag, off, "i", (0, count - 1))
+
+
 def _check_grids(grid: Grid) -> tuple[Grid, Grid]:
     """The halved-spacing and doubled-cutoff check grids of ``grid``."""
     if not 2.0 * grid.x_min < grid.x_max:
@@ -383,8 +443,14 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     second-order scheme, with safety) with the wall sensitivity.
     Raises GridTooCoarse when any estimate exceeds 1e-3.
 
-    The declared grid is solved by index. The two check grids are
-    solved by value (``_check_grid_error``, which ``dirac_selfconsistent``
+    Every grid is solved by value. The declared grid is bisected in one
+    window (floor, top] (``_tridiag_bracketed``): floor is a proven lower
+    bound of the spectrum, min V plus the least eigenvalue of the
+    kinetic matrix, and top is grown from a width set by the grid, then
+    bisected, until Sturm counts find exactly ``count`` eigenvalues
+    below it. When no top isolates them (a pair closer than the float
+    spacing), that grid takes the index solve. The two check grids are
+    solved by value too (``_check_grid_error``, which ``dirac_selfconsistent``
     shares): each of their eigenvalues is bisected in a small window
     around the declared grid's value, which locates it to within the
     1e-3 limit whenever the grid is fine enough to pass. After a grid's
@@ -400,17 +466,18 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     hbar^2 / (2M) leaves the float range or underflows to 0 (the matrix
     would lose its kinetic term and return the well's minimum).
 
-    Those value solves bisect only the leading rows that an eigenvector
-    below the highest window can reach (``_live_rows``). Past the last
-    classically allowed row such an eigenvector decays at least as fast
-    as a product of the decaying roots of rho + 1/rho = 2 + a, with a the
-    suffix minimum of (V - top) / (hbar^2 / 2M h^2). Cauchy interlacing
+    Those value solves, and the Sturm counts, bisect only the leading
+    rows that an eigenvector below the window's top can reach
+    (``_live_rows``). Past the last classically allowed row such an
+    eigenvector decays at least as fast as a product of the decaying
+    roots of rho + 1/rho = 2 + a, with a the suffix minimum of
+    (V - top) / (hbar^2 / 2M h^2). Cauchy interlacing
     and the cut eigenvectors then pin every eigenvalue up to the top
     within about 1e-29 max(1, |top|) of the whole grid's, so every Sturm
     count, and so every reported value and estimate, is bit-identical.
-    The index solves, here and in every fallback, keep every row: no
-    top is known before them, and LAPACK starts them from an interval
-    that widens with the row count.
+    The index solves of the fallbacks keep every row: no top is known
+    before them, and LAPACK starts them from an interval that widens
+    with the row count.
 
     V is sampled on the interior points only: the walls are the
     Dirichlet boundary, so V may be infinite or undefined there.
@@ -435,7 +502,7 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
         return v
 
     checks = _check_grids(grid)
-    e_h = _tridiag_lowest(sample(grid), grid.spacing, kinetic, 0, count - 1)
+    e_h = _tridiag_bracketed(sample(grid), grid.spacing, kinetic, count)
     estimate = _check_grid_error(sample, checks, kinetic, e_h)
     if np.any(estimate > _COARSE_LIMIT):
         raise GridTooCoarse(f"worst error estimate {float(np.max(estimate)):.3e} exceeds {_COARSE_LIMIT:.0e}")

@@ -139,7 +139,7 @@ class DiracParams:
         return [(None, None, 0.0)]
 
     def potential(self, x):
-        """The isotonic well U(x) shared by both branches."""
+        """The isotonic well U(x) shared by both branches (``OscillatorParams.potential``: +-inf at x = 0, ValueError for NaN x)."""
         return OscillatorParams(mass=self.mass, omega=self.omega, g=self.g).potential(x)
 
 

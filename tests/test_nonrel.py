@@ -122,6 +122,20 @@ def test_potential_without_barrier_is_finite_where_x_squared_underflows():
     assert OscillatorParams(g=0.0, omega=2.0).potential(np.array([0.0, 1e-170, 1.0])).tolist() == [0.0, 0.0, 2.0]
 
 
+@pytest.mark.parametrize("params", [OscillatorParams, rel.DiracParams])
+@pytest.mark.parametrize("g", [0.0, 2.0, -0.1])
+def test_potential_names_nan_x_and_is_infinite_at_zero_without_a_warning(params, g):
+    p = params(g=g)
+    for x in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match=r"^x must not be NaN$"):
+            p.potential(x)
+    at_zero = 0.0 if g == 0.0 else math.copysign(math.inf, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert p.potential(0.0) == at_zero
+        assert p.potential(np.array([0.0, 1.0])).tolist() == [at_zero, 0.5 + g / 2.0]
+
+
 def test_scale_beyond_the_float_range_is_named():
     with pytest.raises(DivergenceError, match=r"^the scale omega\^2 = \(1e\+300\)\^2 leaves the float range$"):
         OscillatorParams(omega=1e300).potential(1.0)

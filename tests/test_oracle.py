@@ -529,17 +529,26 @@ def test_check_grid_windows_reject_wrong_guesses(monkeypatch, case):
     assert got.tobytes() == expected.tobytes()
 
 
+def _index_only(monkeypatch):
+    # the declared grid and both check grids by index, as before the bracket and the windows
+    _index_only_near(monkeypatch)
+    lowest = oracle._tridiag_lowest
+    monkeypatch.setattr(
+        oracle, "_tridiag_bracketed", lambda v, spacing, kinetic, count: lowest(v, spacing, kinetic, 0, count - 1)
+    )
+
+
 @pytest.mark.parametrize("g,count", [(0.5, 1), (2.0, 4), (6.0, 6), (-0.05, 2)])
-def test_fd_reports_index_solve_eigenvalues_bit_for_bit(monkeypatch, g, count):
+def test_fd_solves_every_grid_by_value_within_the_tolerance_of_the_index_solve(monkeypatch, g, count):
     potential = OscillatorParams(g=g).potential
     selects = _record_selects(monkeypatch)
-    windowed = fd_eigenvalues(potential, count, FAST_GRID)
-    assert selects.count("i") == 1  # only the declared grid is solved by index
+    bracketed = fd_eigenvalues(potential, count, FAST_GRID)
+    assert "i" not in selects
     monkeypatch.undo()
-    _index_only_near(monkeypatch)
+    _index_only(monkeypatch)
     reference = fd_eigenvalues(potential, count, FAST_GRID)
-    assert windowed.eigenvalues == reference.eigenvalues
-    assert windowed.richardson_error == pytest.approx(reference.richardson_error, rel=1e-4)
+    assert np.max(np.abs(np.subtract(bracketed.eigenvalues, reference.eigenvalues))) <= 2.0 * oracle._EIG_TOL
+    assert bracketed.richardson_error == pytest.approx(reference.richardson_error, rel=1e-4)
 
 
 def test_fd_coarse_grid_message_unchanged(monkeypatch):
@@ -769,6 +778,62 @@ def test_check_grid_window_below_bisection_start_keeps_every_row(monkeypatch):
     monkeypatch.undo()
     _every_row(monkeypatch)
     assert got.tobytes() == oracle._tridiag_near(v, h, 5e-4, np.array([0.0])).tobytes()
+
+
+def test_bracket_falls_back_to_the_index_solve_for_a_pair_below_the_float_spacing(monkeypatch):
+    # mirror-symmetric rows and a barrier of 625: the lowest pair is split by about e^-200
+    x = FAST_GRID.points()
+    well = ((x - 10.0) ** 2 - 25.0) ** 2
+    v = np.minimum(well, well[::-1])
+    h = FAST_GRID.spacing
+    expected = oracle._tridiag_lowest(v, h, 0.5, 0, 0)
+    selects = _record_selects(monkeypatch)
+    got = oracle._tridiag_bracketed(v, h, 0.5, 1)
+    assert selects.count("i") == 1 and selects[-1] == "i"
+    assert got.tobytes() == expected.tobytes()
+    selects.clear()
+    pair = oracle._tridiag_bracketed(v, h, 0.5, 2)  # the pair together is isolated by value
+    assert "i" not in selects
+    assert float(np.max(np.abs(pair - oracle._tridiag_lowest(v, h, 0.5, 0, 1)))) <= 2.0 * oracle._EIG_TOL
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_bracket_with_the_well_minimum_on_the_outer_wall_keeps_every_row(monkeypatch, count):
+    def potential(x):
+        return (x - 20.0) ** 2
+
+    v = np.full(FAST_GRID.n_points, math.nan)
+    v[1:-1] = potential(FAST_GRID.points()[1:-1])
+    h = FAST_GRID.spacing
+    solves = _record_rows(monkeypatch)
+    got = oracle._tridiag_bracketed(v, h, 0.5, count)
+    assert solves and solves == [("v", FAST_GRID.n_points - 2)] * len(solves)
+    assert float(np.max(np.abs(got - oracle._tridiag_lowest(v, h, 0.5, 0, count - 1)))) <= 2.0 * oracle._EIG_TOL
+    monkeypatch.undo()
+
+    def run():
+        return fd_eigenvalues(potential, count, FAST_GRID)
+
+    cut = _outcome(run)
+    _every_row(monkeypatch)
+    assert cut == _outcome(run)
+
+
+@pytest.mark.parametrize("count", [1, 6])
+def test_bracket_opens_at_a_width_set_by_the_grid_not_by_the_well(monkeypatch, count):
+    v = OscillatorParams(g=2.0).potential(FAST_GRID.points())
+    h = FAST_GRID.spacing
+    solves = []
+    for shift in (0.0, 1e6):
+        selects = _record_selects(monkeypatch)
+        got = oracle._tridiag_bracketed(v + shift, h, 0.5, count)
+        monkeypatch.undo()
+        assert set(selects) == {"v"}
+        solves.append((len(selects), got - shift))
+    (counts, values), (shifted_counts, shifted_values) = solves
+    assert counts == shifted_counts
+    # adding 1e6 rounds each row by up to 6e-11
+    assert float(np.max(np.abs(values - shifted_values))) <= 1e-9
 
 
 # ------------------------------------------------ samples and walls
