@@ -30,12 +30,16 @@ __all__ = [
     "ode_residual",
 ]
 
-# Error-estimate safety: the half-spacing pair bounds the spacing error
-# of a clean second-order scheme by (4/3)|difference|; an extra 1.5
-# absorbs the slightly sub-quadratic component the singular boundary
-# induces. The doubled-inner-cutoff re-solve bounds the spacing
-# independent wall error that the pair cannot see.
-_RICHARDSON_SAFETY = 2.0  # 1.5 * (4/3)
+# Error-estimate safety: a check grid r times coarser bounds the spacing
+# error of a clean second-order scheme by |difference| / (r^2 - 1)
+# (Roache, J. Fluids Eng. 116, 405 (1994)); the 1.5 absorbs the slightly
+# sub-quadratic component the singular boundary induces. The
+# doubled-inner-cutoff re-solve adds the spacing independent wall error
+# that the pair cannot see. That error goes like x_min^(2 xi), with
+# xi = (1/2) sqrt(1 + 4 M g / hbar^2), so the re-solve reads it times
+# 2^(2 xi) - 1: the estimate bounds the error only for xi >= 1/2, and
+# under-reads it below (ROADMAP item 4).
+_RICHARDSON_SAFETY = 1.5
 _RICHARDSON_FLOOR = 1e-10
 _COARSE_LIMIT = 1e-3
 
@@ -93,9 +97,9 @@ class Grid:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
-    def halved_spacing(self) -> "Grid":
-        """Same interval, exactly half the spacing (shared endpoints)."""
-        return Grid(self.x_min, self.x_max, 2 * self.n_points - 1)
+    def doubled_spacing(self) -> "Grid":
+        """Same interval with (n_points + 1) // 2 points: twice the spacing for odd n_points, slightly more for even."""
+        return Grid(self.x_min, self.x_max, (self.n_points + 1) // 2)
 
     def doubled_cutoff(self) -> "Grid":
         """Same point count with the inner wall pushed out to 2 x_min."""
@@ -412,36 +416,47 @@ def _tridiag_bracketed(v: np.ndarray, spacing: float, kinetic: float, count: int
 
 
 def _check_grids(grid: Grid) -> tuple[Grid, Grid]:
-    """The halved-spacing and doubled-cutoff check grids of ``grid``."""
+    """The doubled-spacing and doubled-cutoff check grids of ``grid``; ValueError when either cannot be built."""
+    if grid.n_points < 199:
+        raise ValueError(f"the doubled-spacing check grid needs at least 199 grid points, got {grid.n_points}")
     if not 2.0 * grid.x_min < grid.x_max:
         raise ValueError(
             f"the doubled-cutoff check grid needs 2 x_min < x_max, got x_min = {grid.x_min}, x_max = {grid.x_max}"
         )
-    return grid.halved_spacing(), grid.doubled_cutoff()
+    return grid.doubled_spacing(), grid.doubled_cutoff()
 
 
-def _check_grid_error(sample, checks: tuple[Grid, Grid], kinetic: float, values: np.ndarray, lo: int = 0) -> np.ndarray:
-    """Error estimate of eigenvalues lo..lo+len(values)-1, found on the declared grid, from its two check grids.
+def _check_grid_error(sample, grid: Grid, kinetic: float, values: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Error estimate of eigenvalues lo..lo+len(values)-1, found on ``grid``, from its two check grids.
 
-    ``sample(g)`` is the potential on grid g and ``checks`` comes from
-    ``_check_grids``. Each check grid is solved by ``_tridiag_near``
-    around ``values``; the estimate is 2 |e - e_half| + |e - e_cut|
-    + 1e-10, the half-spacing pair scaled for a second-order scheme with
-    safety plus the wall sensitivity.
+    ``sample(g)`` is the potential on grid g. Each check grid of
+    ``_check_grids`` is solved by ``_tridiag_near`` around ``values``.
+    The estimate is 1.5 |e - e_coarse| / (r^2 - 1) + |e - e_cut| + 1e-10,
+    r the spacing ratio of the doubled-spacing grid to ``grid``: the
+    coarse pair's two-grid Richardson bound with safety, plus the wall
+    sensitivity. It bounds the error only for xi >= 1/2 (see
+    ``_RICHARDSON_SAFETY``).
     """
-    half, cut = (_tridiag_near(sample(g), g.spacing, kinetic, values, lo) for g in checks)
-    return _RICHARDSON_SAFETY * np.abs(values - half) + np.abs(values - cut) + _RICHARDSON_FLOOR
+    coarse, cut = _check_grids(grid)
+    factor = _RICHARDSON_SAFETY / ((coarse.spacing / grid.spacing) ** 2 - 1.0)
+    e_coarse, e_cut = (_tridiag_near(sample(g), g.spacing, kinetic, values, lo) for g in (coarse, cut))
+    return factor * np.abs(values - e_coarse) + np.abs(values - e_cut) + _RICHARDSON_FLOOR
 
 
 def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float = 1.0, hbar: float = 1.0) -> OracleReport:
     """Lowest ``count`` eigenvalues of -(hbar^2/2M) f'' + V f on the grid.
 
     Three Sturm-bisection solves back each value: the declared grid,
-    one at half the spacing and one with the inner wall pushed to
-    2 x_min. The reported eigenvalues come from the declared grid; the
-    error estimate combines the half-spacing pair (scaled for a
-    second-order scheme, with safety) with the wall sensitivity.
-    Raises GridTooCoarse when any estimate exceeds 1e-3.
+    one at twice the spacing ((n_points + 1) // 2 points on the same
+    interval) and one with the inner wall pushed to 2 x_min. The
+    reported eigenvalues come from the declared grid. The error estimate
+    is 1.5 |e - e_coarse| / (r^2 - 1), the coarse pair's two-grid
+    Richardson bound with safety (r the spacing ratio: 2 for odd
+    n_points, slightly more for even), plus the wall sensitivity
+    |e - e_cut|. For a wall g / (2 x^2) it bounds the error only for
+    xi = (1/2) sqrt(1 + 4 M g / hbar^2) >= 1/2, that is g >= 0: below,
+    the inner wall's error is under-read (ROADMAP item 4). Raises
+    GridTooCoarse when any estimate exceeds 1e-3.
 
     Every grid is solved by value. The declared grid is bisected in one
     window (floor, top] (``_tridiag_bracketed``): floor is a proven lower
@@ -461,10 +476,11 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     holds exactly one eigenvalue, and a Sturm count above a proven lower
     bound of the spectrum finds exactly ``count`` eigenvalues up to the
     last window; otherwise that grid takes the index solve. Raises
-    ValueError before any solve when 2 x_min >= x_max, which leaves no
-    doubled-cutoff grid, and DivergenceError naming the scale when
-    hbar^2 / (2M) leaves the float range or underflows to 0 (the matrix
-    would lose its kinetic term and return the well's minimum).
+    ValueError before any solve when the grid has fewer than 199 points,
+    which leaves no doubled-spacing grid of 100, or when 2 x_min >= x_max,
+    which leaves no doubled-cutoff grid, and DivergenceError naming the
+    scale when hbar^2 / (2M) leaves the float range or underflows to 0
+    (the matrix would lose its kinetic term and return the well's minimum).
 
     Those value solves, and the Sturm counts, bisect only the leading
     rows that an eigenvector below the window's top can reach
@@ -501,9 +517,9 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
             raise ValueError("potential must be finite on the grid interior")
         return v
 
-    checks = _check_grids(grid)
+    _check_grids(grid)  # raises before any solve when a check grid cannot be built
     e_h = _tridiag_bracketed(sample(grid), grid.spacing, kinetic, count)
-    estimate = _check_grid_error(sample, checks, kinetic, e_h)
+    estimate = _check_grid_error(sample, grid, kinetic, e_h)
     if np.any(estimate > _COARSE_LIMIT):
         raise GridTooCoarse(f"worst error estimate {float(np.max(estimate)):.3e} exceeds {_COARSE_LIMIT:.0e}")
     return OracleReport(
@@ -671,12 +687,16 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     interval that widens with the row count.
 
     The error estimate re-solves eigenvalue n at the converged weight on
-    the halved-spacing and doubled-cutoff grids (``_check_grid_error``,
-    shared with ``fd_eigenvalues``). Each is bisected in a window around
+    the doubled-spacing and doubled-cutoff grids (``_check_grid_error``,
+    shared with ``fd_eigenvalues``): 1.5 |lambda - lambda_coarse| /
+    (r^2 - 1), r the spacing ratio (2 for odd n_points), plus
+    |lambda - lambda_cut|. Each is bisected in a window around
     the declared grid's lambda_n and certified by a Sturm count that
     finds exactly n + 1 eigenvalues up to the window's top; otherwise
     that grid takes the index solve. Raises ValueError before any solve
-    when 2 x_min >= x_max, which leaves no doubled-cutoff grid, and
+    when the grid has fewer than 199 points, which leaves no
+    doubled-spacing grid of 100, or when 2 x_min >= x_max, which leaves
+    no doubled-cutoff grid, and
     DivergenceError naming the scale when (hbar c)^2 or omega^2 leaves
     the float range or (hbar c)^2 underflows to 0, or naming the well
     when it, or the weighted well w U on any grid solved, leaves the
@@ -693,10 +713,12 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     most d_lambda / w, and that is the factor the estimate uses. A well
     with U <= 0 somewhere keeps (hbar c)^2 / |2E - C|.
 
-    For g < 0 the estimate can understate the error: near the Hardy
-    edge the inner wall dominates, and the doubled-cutoff re-solve does
-    not bound it (at g = -0.1, n = 0 the error is 1.65e-3 against an
-    estimate of 8.46e-4 on the default grid).
+    The estimate bounds the error only where the weighted wall has
+    xi >= 1/2, which holds for every g >= 0. For g < 0 it can understate
+    the error: near the Hardy edge the inner wall dominates, and the
+    doubled-cutoff re-solve does not bound it (at g = -0.1, n = 0 the
+    error is 1.65e-3 against an estimate of 8.14e-4 on the default grid;
+    ROADMAP item 4).
     """
     n = _check_index(n)
     if p.branch is not Symmetry.SPIN:
@@ -709,7 +731,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     offset = p.sym_constant
     hc2 = p._hc2
     b_coef = 2.0 * mc2 - offset
-    checks = _check_grids(grid)
+    _check_grids(grid)  # raises before any solve when a check grid cannot be built
     x = grid.points()
 
     def in_float_range(v: np.ndarray, g: Grid, well: str) -> np.ndarray:
@@ -722,7 +744,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         return v
 
     def weighted_well(weight: float, g: Grid, well: np.ndarray) -> np.ndarray:
-        # a finite well times a weight can overflow (g = 1e301), as can the well on the halved grid
+        # a finite well times a weight can overflow (g = 1e301), as can the well at a check grid's points
         with np.errstate(over="ignore"):
             return in_float_range(weight * well, g, f"weighted well {weight} U(x)")
 
@@ -782,7 +804,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     lam_h = nth_curvature(weight)
     with np.errstate(over="ignore"):  # weighted_well names an overflow on a check grid
         errors = _check_grid_error(
-            lambda g: weighted_well(weight, g, p.potential(g.points())), checks, 1.0, np.array([lam_h]), n
+            lambda g: weighted_well(weight, g, p.potential(g.points())), grid, 1.0, np.array([lam_h]), n
         )
     lam_err = float(errors[0])
     # with every U > 0 the feedback bounds the level's error by lam_err / weight

@@ -40,15 +40,20 @@ def spin_params(g, cs):
 
 
 def test_grid_geometry():
-    g = Grid(0.5, 2.5, 101)
-    assert g.spacing == pytest.approx(0.02, abs=1e-15)
+    g = Grid(0.5, 2.5, 201)
+    assert g.spacing == pytest.approx(0.01, abs=1e-15)
     pts = g.points()
-    assert pts[0] == 0.5 and pts[-1] == 2.5 and pts.size == 101
-    gh = g.halved_spacing()
-    assert gh.n_points == 201
-    assert gh.spacing == pytest.approx(0.5 * g.spacing, rel=1e-15)
+    assert pts[0] == 0.5 and pts[-1] == 2.5 and pts.size == 201
+    g2 = g.doubled_spacing()
+    assert (g2.x_min, g2.x_max, g2.n_points) == (0.5, 2.5, 101)
+    assert g2.spacing == pytest.approx(2.0 * g.spacing, rel=1e-15)
+    np.testing.assert_array_equal(g2.points(), pts[::2])  # every other point of g
+    # an even count cannot halve exactly: 100 points, spacing 2/99 against 2/199
+    even = Grid(0.5, 2.5, 200).doubled_spacing()
+    assert even.n_points == 100
+    assert even.spacing / Grid(0.5, 2.5, 200).spacing == pytest.approx(199.0 / 99.0, rel=1e-15)
     gc = g.doubled_cutoff()
-    assert gc.x_min == 1.0 and gc.n_points == 101
+    assert gc.x_min == 1.0 and gc.n_points == 201
 
 
 def test_grid_validates():
@@ -83,6 +88,30 @@ def test_fd_matches_closed_form_ladder():
     for n, e in enumerate(rep.eigenvalues):
         assert abs(e - energy(n, p).value) <= rep.richardson_error[n]
     assert rep.eigenvalues == pytest.approx((2.5, 4.5, 6.5, 8.5), abs=1e-4)
+
+
+@pytest.mark.parametrize("n_points", [4000, 16000, 40000])
+@pytest.mark.parametrize("g", [0.5, 2.0, 6.0])
+def test_fd_estimate_bounds_error_per_regime(g, n_points):
+    # the worst |fd - E_n| / estimate here is 0.78, at 4,000 points, g = 0.5, n = 0
+    p = OscillatorParams(g=g)
+    rep = fd_eigenvalues(p.potential, 6, Grid(n_points=n_points))
+    for n, (e, estimate) in enumerate(zip(rep.eigenvalues, rep.richardson_error)):
+        assert abs(e - energy(n, p).value) <= estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="below xi = 1/2 (g < 0) the doubled-cutoff re-solve under-reads the inner wall's error (ROADMAP item 4)",
+)
+def test_fd_estimate_bounds_error_at_negative_coupling():
+    # every level is off by 1.42 times its estimate on the default grid;
+    # from 5 levels on, the estimate exceeds the coarse-grid limit
+    p = OscillatorParams(g=-0.1)
+    rep = fd_eigenvalues(p.potential, 4)
+    for n, (e, estimate) in enumerate(zip(rep.eigenvalues, rep.richardson_error)):
+        assert abs(e - energy(n, p).value) <= estimate
 
 
 def test_fd_harmonic_half_line_gives_odd_ladder():
@@ -432,8 +461,8 @@ def test_enclosure_needs_a_single_index():
 def test_negative_coupling_never_takes_the_window(monkeypatch):
     solves = _record_rows(monkeypatch)
     dirac_selfconsistent(0, spin_params(-0.05, 0.0), FAST_GRID)
-    # the declared grid's solves keep every row; the check grids' value
-    # windows are cut, and the halved grid has about twice the rows
+    # the declared grid's solves keep every row; the doubled-cutoff grid's
+    # value windows are cut, and the doubled-spacing grid has about half the rows
     declared = [select for select, rows in solves if rows == FAST_GRID.n_points - 2]
     assert len(declared) >= 2
     assert set(declared) == {"i"}
@@ -468,7 +497,7 @@ def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs
     reason="below g = 0 the inner wall dominates and the doubled-cutoff re-solve does not bound it (ROADMAP item 4)",
 )
 def test_selfconsistent_estimate_bounds_error_at_negative_coupling():
-    # error 1.65e-3 against an estimate of 8.46e-4 on the default grid
+    # error 1.65e-3 against an estimate of 8.14e-4 on the default grid
     p = spin_params(-0.1, 0.0)
     rep = dirac_selfconsistent(0, p)
     assert abs(rep.eigenvalues[0] - solve_spin_energy(0, p).value) <= rep.richardson_error[0]
@@ -491,7 +520,7 @@ def _index_only_near(monkeypatch):
 def test_check_grid_windows_equal_index_solve(monkeypatch, g, count):
     potential = OscillatorParams(g=g).potential
     guesses = oracle._tridiag_lowest(potential(FAST_GRID.points()), FAST_GRID.spacing, 0.5, 0, count - 1)
-    for check in (FAST_GRID.halved_spacing(), FAST_GRID.doubled_cutoff()):
+    for check in (FAST_GRID.doubled_spacing(), FAST_GRID.doubled_cutoff()):
         v = potential(check.points())
         expected = oracle._tridiag_lowest(v, check.spacing, 0.5, 0, count - 1)
         selects = _record_selects(monkeypatch)
@@ -506,7 +535,7 @@ def test_check_grid_windows_equal_index_solve(monkeypatch, g, count):
 @pytest.mark.parametrize("case", ["shifted", "far", "overlapping", "crowded"])
 def test_check_grid_windows_reject_wrong_guesses(monkeypatch, case):
     potential = OscillatorParams(g=2.0).potential
-    check = FAST_GRID.halved_spacing()
+    check = FAST_GRID.doubled_spacing()
     v = potential(check.points())
     # a heavy particle crowds the levels to a spacing of about 6e-4
     kinetic = 5e-8 if case == "crowded" else 0.5
@@ -553,7 +582,7 @@ def test_fd_solves_every_grid_by_value_within_the_tolerance_of_the_index_solve(m
 
 def test_fd_coarse_grid_message_unchanged(monkeypatch):
     potential = OscillatorParams(g=2.0).potential
-    message = "worst error estimate 1.943e-03 exceeds 1e-03"
+    message = "worst error estimate 1.945e-03 exceeds 1e-03"
     with pytest.raises(GridTooCoarse) as windowed:
         fd_eigenvalues(potential, 2, Grid(1e-4, 20.0, 500))
     _index_only_near(monkeypatch)
@@ -566,7 +595,7 @@ def test_fd_coarse_grid_message_unchanged(monkeypatch):
 def test_check_grid_window_at_level_n_equals_index_solve(monkeypatch, n):
     weight = 3.2
     guess = oracle._tridiag_lowest(_weighted_well(weight), FAST_GRID.spacing, 1.0, n, n)
-    for check in (FAST_GRID.halved_spacing(), FAST_GRID.doubled_cutoff()):
+    for check in (FAST_GRID.doubled_spacing(), FAST_GRID.doubled_cutoff()):
         v = _weighted_well(weight, grid=check)
         expected = oracle._tridiag_lowest(v, check.spacing, 1.0, n, n)
         selects = _record_selects(monkeypatch)
@@ -579,7 +608,7 @@ def test_check_grid_window_at_level_n_equals_index_solve(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_check_grid_window_at_level_n_rejects_the_next_eigenvalue(monkeypatch, n):
-    check = FAST_GRID.halved_spacing()
+    check = FAST_GRID.doubled_spacing()
     v = _weighted_well(3.2, grid=check)
     above = oracle._tridiag_lowest(v, check.spacing, 1.0, n + 1, n + 1)
     expected = oracle._tridiag_lowest(v, check.spacing, 1.0, n, n)
@@ -661,6 +690,41 @@ def test_oracles_reject_a_grid_without_a_doubled_cutoff(monkeypatch, run, x_min)
     with pytest.raises(ValueError, match=r"doubled-cutoff check grid needs 2 x_min < x_max, got x_min = 1\.[05], x_max = 2\.0"):
         run(Grid(x_min, 2.0, 4000))
     assert selects == []  # raised before any solve
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda grid: fd_eigenvalues(OscillatorParams().potential, 2, grid),
+        lambda grid: dirac_selfconsistent(0, DiracParams(), grid),
+    ],
+    ids=["fd", "selfconsistent"],
+)
+@pytest.mark.parametrize("n_points", [150, 198])
+def test_oracles_reject_a_grid_without_a_doubled_spacing(monkeypatch, run, n_points):
+    # (n_points + 1) // 2 must reach the 100 points a Grid needs
+    selects = _record_selects(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^the doubled-spacing check grid needs at least 199 grid points, got {n_points}$"):
+        run(Grid(n_points=n_points))
+    assert selects == []  # raised before any solve
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda grid: fd_eigenvalues(OscillatorParams(g=2.0).potential, 6, grid),
+        lambda grid: fd_eigenvalues(OscillatorParams(g=-0.05).potential, 2, grid),
+        lambda grid: dirac_selfconsistent(1, spin_params(2.0, 1.0), grid),
+        lambda grid: dirac_selfconsistent(0, spin_params(-0.05, 0.0), grid),
+    ],
+    ids=["fd", "fd-negative-g", "selfconsistent", "selfconsistent-negative-g"],
+)
+def test_oracles_never_solve_more_rows_than_the_declared_grid(monkeypatch, run):
+    # the spacing check grid is coarser than the declared one, not finer
+    solves = _record_rows(monkeypatch)
+    run(FAST_GRID)
+    assert solves
+    assert max(rows for _, rows in solves) <= FAST_GRID.n_points - 2
 
 
 # ------------------------------------------- forbidden-tail row cut
