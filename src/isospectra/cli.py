@@ -362,6 +362,12 @@ def _json_number(token: str) -> str:
     return repr(float(token)) if "e" in token else token + ".0"
 
 
+def _respellable(values: np.ndarray) -> np.ndarray:
+    """Mask of the values whose %.12g token json can spell otherwise: a superset, see _json_samples."""
+    size = np.abs(values)
+    return (np.abs(values - np.rint(values)) <= 1e-11 * size) | (size < 1.1e-307)
+
+
 def _json_samples(names: list, arrays: list) -> str:
     """The ``"samples"`` member of a sample document, as json.dumps(indent=2) writes it.
 
@@ -376,19 +382,37 @@ def _json_samples(names: list, arrays: list) -> str:
     e+15 is positional in repr, which uses exponents from 1e16 on; and an
     exponent of -308 and below may be subnormal, which keeps fewer than 12
     digits, so its repr can be shorter.
+
+    Only the tokens of the values ``_respellable`` selects are tested for
+    these three kinds, and the mask holds every value whose token is of one
+    of them. %.12g rounds v correctly at the 12th digit of its own decade
+    10^e <= |v| < 10^(e+1), so the token's decimal value r is within
+    0.5 * 10^(e-11) <= 5e-12 |v| of v. Then:
+
+    - An integer token: r is an integer, so |v - rint(v)| <= |v - r| <=
+      5e-12 |v|. For v = ±0 both sides of the test are 0. Otherwise
+      |v| > 0.99, where rint(v) is within a factor 2 of v, so the subtraction
+      is exact (Sterbenz), and fl(1e-11) |v| rounds to at least
+      (1 - 2^-52) 1e-11 |v|: twice the bound.
+    - An exponent e+12 to e+15: |r| >= 1e12, so |v| >= 999999999999.5 and
+      1e-11 |v| >= 9.99, above |v - rint(v)| <= 1/2. The integer term takes
+      these, as it takes every value from 5e10 up.
+    - An exponent of -308 and below: |r| <= 9.99999999999e-308, so
+      |v| < 9.999999999995e-308. The bound 1.1e-307 is a normal double within
+      2^-53 of 1.1e-307, so it is 10% above, and the comparison is exact.
     """
     members = []
     for name, values in zip(names, arrays):
-        values = values.tolist()
-        if values:
-            tokens = [
-                _json_number(t)
-                if ("." not in t and "e" not in t)
-                or (t[-4:-1] == "e+1" and t[-1] in "2345")
-                or (t[-5:-2] == "e-3" and t[-2:] >= "08")
-                else t
-                for t in (((_SAMPLE_FMT + " ") * len(values)) % tuple(values)).split()
-            ]
+        if len(values):
+            tokens = (((_SAMPLE_FMT + " ") * len(values)) % tuple(values.tolist())).split()
+            for i in np.flatnonzero(_respellable(values)).tolist():
+                t = tokens[i]
+                if (
+                    ("." not in t and "e" not in t)
+                    or (t[-4:-1] == "e+1" and t[-1] in "2345")
+                    or (t[-5:-2] == "e-3" and t[-2:] >= "08")
+                ):
+                    tokens[i] = _json_number(t)
             items = "[\n      " + ",\n      ".join(tokens) + "\n    ]"
         else:
             items = "[]"

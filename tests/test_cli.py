@@ -576,6 +576,9 @@ EDGE_SAMPLES = [
     -2.5000000000005, 1e15 + 0.5, 0.5, -1.7976931348623157e308, 2.2250738585072014e-308, 1.0, -123.456,
     # tokens that repr would spell otherwise: 1e+12 (rounded up), e+12 to e+15, a subnormal
     999999999999.7, 2.5e12, 9.9999999999999e15, -5.026051367e-315, 1e-4, 123456789012.4,
+    # next to the bounds of cli._respellable: integer tokens from 1e-13 above and 4e-14 below,
+    # 1e+12 from below, an e-307 token next to the e-308 ones, and 2**52 + 1
+    2.0000000000001, 0.99999999999996, 999999999999.6, 1.00000000000004e-307, 4503599627370497.0,
 ]
 
 
@@ -591,10 +594,10 @@ def _random_samples(count, seed):
     [(["isotonic"], {}), (["upper", "lower"], {"energy": 1.5}), (["isotonic", "harmonic"], {})],
     ids=["two-columns", "three-columns-energy", "three-columns"],
 )
-@pytest.mark.parametrize("length", [0, 1, 20, 500])  # 500 holds every edge sample, of both signs
+@pytest.mark.parametrize("length", [0, 1, 20, 500, 5000])  # 500 holds every edge sample, of both signs
 def test_sample_writer_matches_one_format_per_value(output_format, names, head, length):
     manifest = cli.RunManifest(command="potential", parameters={"points": length}, output_format=output_format)
-    pool = np.concatenate([EDGE_SAMPLES, -np.array(EDGE_SAMPLES), _random_samples(1500, 7)])
+    pool = np.concatenate([EDGE_SAMPLES, -np.array(EDGE_SAMPLES), _random_samples(max(1500, length), 7)])
     columns = {name: np.roll(pool, 17 * k)[:length] for k, name in enumerate(names, start=1)}
     xs = pool[:length]
     expected = _old_samples(manifest, xs, columns, head)
@@ -624,6 +627,60 @@ def test_json_samples_write_the_rounded_floats_as_json_dumps_does(first, second)
     head, tail = '{\n  "energy": 0', "\n}"
     assert reference.startswith(head) and reference.endswith(tail)
     assert cli._json_samples(names, [np.array(first), np.array(second)]) == reference[len(head):-len(tail)]
+
+
+def _respelled_by_the_token_rule(token):
+    """The sample writer's test of a %.12g token: a positional integer, an exponent e+12 to e+15, or -308 and below."""
+    return (
+        ("." not in token and "e" not in token)
+        or (token[-4:-1] == "e+1" and token[-1] in "2345")
+        or (token[-5:-2] == "e-3" and token[-2:] >= "08")
+    )
+
+
+def _relative_neighbours(centres, offsets=(1e-12, 4e-12, 4.9e-12, 6e-12)):
+    """Each centre times 1 + k and 1 - k, for every relative offset k."""
+    centres = np.asarray(centres, dtype=float)
+    return np.concatenate([centres * (1.0 + sign * k) for k in offsets for sign in (1.0, -1.0)])
+
+
+def _mask_probes():
+    """Values on both sides of every bound of cli._respellable, of both signs."""
+    integers = np.concatenate([np.arange(1.0, 101.0), 10.0 ** np.arange(2, 17), [123456789012.0, 999999999999.0]])
+    subnormals = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, -1021)),
+        np.nextafter(np.ldexp(1.0, np.arange(-1073, -1021)), 0.0),
+        np.random.default_rng(5).uniform(0.0, 2.2250738585072014e-308, 2000),
+    ])
+    above_2_52 = np.concatenate([2.0**52 + np.arange(-3.0, 8.0), 2.0 ** np.arange(53, 64), 2.0**53 + 2.0 * np.arange(5)])
+    probes = np.concatenate([
+        EDGE_SAMPLES,
+        _relative_neighbours(integers),
+        _relative_neighbours([1e12, 1e16, 1e-307]),
+        subnormals,
+        above_2_52,
+    ])
+    return np.concatenate([probes, -probes])
+
+
+def test_respellable_holds_every_value_whose_token_is_respelled():
+    probes = _mask_probes()
+    tokens = [cli._SAMPLE_FMT % v for v in probes.tolist()]
+    needed = np.array([_respelled_by_the_token_rule(t) or repr(float(t)) != t for t in tokens])
+    kinds = {kind: [t for t, need in zip(tokens, needed) if need and test(t)] for kind, test in [
+        ("integer", lambda t: "." not in t and "e" not in t),
+        ("e+12 to e+15", lambda t: re.search(r"e\+1[2-5]$", t)),
+        ("e-308 and below", lambda t: re.search(r"e-3(0[89]|[12][0-9])$", t)),
+    ]}
+    assert all(kinds.values()), kinds  # the probes reach each kind
+    missed = probes[needed & ~cli._respellable(probes)]
+    assert missed.size == 0, [(v, cli._SAMPLE_FMT % v) for v in missed.tolist()]
+
+
+def test_respellable_leaves_a_sample_grid_to_its_integers():
+    xs = np.linspace(0.0, 8.0, 5000)
+    assert np.flatnonzero(cli._respellable(xs)).tolist() == [0, 4999]
+    assert np.flatnonzero(cli._respellable(np.exp(-xs))).tolist() == [0]
 
 
 # ---------------------------------------------------------- reproduce-tables
