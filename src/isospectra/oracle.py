@@ -56,6 +56,10 @@ _WINDOW_GROWTH = 10.0
 # and no narrower than the floor (the bisection's own spread)
 _SHIFT_MARGIN = 4.0
 _SHIFT_FLOOR = 8.0 * _EIG_TOL
+# each windowed self-consistent sweep bisects its eigenvalue to this
+# fraction of its enclosure's width: the next sweep moves the eigenvalue
+# by about that width, so more digits would be thrown away
+_SWEEP_TOL_FRACTION = 1e-3
 # a value solve drops the rows past the point where the eigenvectors it
 # can find have decayed so far that no eigenvalue moves by more than
 # this times max(1, |top of the interval|)
@@ -255,7 +259,13 @@ def _live_rows(v: np.ndarray, kinetic: float, spacing: float, top: float) -> int
 
 
 def _tridiag_lowest(
-    v: np.ndarray, spacing: float, kinetic: float, lo: int, hi: int, enclosure: tuple[float, float] | None = None
+    v: np.ndarray,
+    spacing: float,
+    kinetic: float,
+    lo: int,
+    hi: int,
+    enclosure: tuple[float, float] | None = None,
+    tol: float = _EIG_TOL,
 ) -> np.ndarray:
     """Eigenvalues lo..hi of -kinetic f'' + v f with Dirichlet walls (see ``_assemble``).
 
@@ -265,6 +275,11 @@ def _tridiag_lowest(
     value, which bisects only the window instead of the whole Gershgorin
     interval. The result is kept only when the window holds exactly one
     eigenvalue; otherwise the index solve runs as without an enclosure.
+    ``tol`` is the bisection's absolute tolerance, for the value solve
+    and its fallback alike: each value is returned within tol of its
+    eigenvalue, up to the diagonal's rounding. A wider tol costs fewer
+    bisection steps; the window, its padding and the acceptance are the
+    same for every tol.
 
     The value solve also drops the rows past ``_live_rows`` at the
     window's top: every eigenvector below that top has decayed there
@@ -280,7 +295,7 @@ def _tridiag_lowest(
     The index solves left are the first sweep of each
     ``dirac_selfconsistent`` level and the fallbacks: of an enclosure
     here, of ``_tridiag_near``'s windows and of ``_tridiag_bracketed``'s
-    bracket. ``fd_eigenvalues`` solves its declared grid by value.
+    bracket. ``fd_eigenvalues`` solves every grid by value.
     """
     diag, off = _assemble(v, spacing, kinetic)
     if enclosure is not None:
@@ -289,10 +304,10 @@ def _tridiag_lowest(
         pad = _rounding_pad(diag)
         bottom, top = enclosure[0] - pad, enclosure[1] + pad
         live = _live_rows(v, kinetic, spacing, top) if bottom >= _start_clip(v, pad) else diag.size
-        found = _bisect(diag[:live], off[: live - 1], "v", (bottom, top))
+        found = _bisect(diag[:live], off[: live - 1], "v", (bottom, top), tol)
         if found.size == 1:
             return found
-    return _bisect(diag, off, "i", (lo, hi))
+    return _bisect(diag, off, "i", (lo, hi), tol)
 
 
 def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.ndarray, lo: int = 0) -> np.ndarray:
@@ -305,12 +320,16 @@ def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.nda
     |found - e_i|, the window for i + 1 opens at four times that shift,
     but no narrower than 8 times the bisection tolerance (a zero shift
     would never grow) and no wider than the coarse-grid limit (so no
-    window passes the top the row cut below is proved for). A check grid shifts neighbouring eigenvalues
-    by similar amounts, so that window usually holds its eigenvalue at
-    once; when it does not, it grows like any other. The located values
-    are certified to be eigenvalues lo..lo+count-1 when the windows are
-    disjoint, each holds exactly one eigenvalue, and a Sturm count finds
-    exactly lo + count eigenvalues in (floor, top of the last window].
+    window passes the top the row cut below is proved for). The guesses
+    are the same levels on a related grid (``fd_eigenvalues`` solves its
+    declared grid around the doubled-spacing grid's values, and each
+    check grid around the declared grid's), and a change of grid shifts
+    neighbouring eigenvalues by similar amounts, so that window usually
+    holds its eigenvalue at once; when it does not, it grows like any
+    other. The located values are certified to be eigenvalues
+    lo..lo+count-1 when the windows are disjoint, each holds exactly one
+    eigenvalue, and a Sturm count finds exactly lo + count eigenvalues in
+    (floor, top of the last window].
     The count runs with a tolerance wider than that interval, so only
     its endpoint counts are made. floor is min(v) less the rounding pad,
     a lower bound of the spectrum: the matrix is K + diag(v) with the
@@ -426,20 +445,17 @@ def _check_grids(grid: Grid) -> tuple[Grid, Grid]:
     return grid.doubled_spacing(), grid.doubled_cutoff()
 
 
-def _check_grid_error(sample, grid: Grid, kinetic: float, values: np.ndarray, lo: int = 0) -> np.ndarray:
-    """Error estimate of eigenvalues lo..lo+len(values)-1, found on ``grid``, from its two check grids.
+def _check_grid_error(grid: Grid, values: np.ndarray, e_coarse: np.ndarray, e_cut: np.ndarray) -> np.ndarray:
+    """Error estimate of eigenvalues ``values`` found on ``grid``, from the same levels on its two check grids.
 
-    ``sample(g)`` is the potential on grid g. Each check grid of
-    ``_check_grids`` is solved by ``_tridiag_near`` around ``values``.
-    The estimate is 1.5 |e - e_coarse| / (r^2 - 1) + |e - e_cut| + 1e-10,
-    r the spacing ratio of the doubled-spacing grid to ``grid``: the
-    coarse pair's two-grid Richardson bound with safety, plus the wall
-    sensitivity. It bounds the error only for xi >= 1/2 (see
-    ``_RICHARDSON_SAFETY``).
+    ``e_coarse`` and ``e_cut`` are those levels on the doubled-spacing and
+    doubled-cutoff grids of ``_check_grids``. The estimate is
+    1.5 |e - e_coarse| / (r^2 - 1) + |e - e_cut| + 1e-10, r the spacing
+    ratio of the doubled-spacing grid to ``grid``: the coarse pair's
+    two-grid Richardson bound with safety, plus the wall sensitivity. It
+    bounds the error only for xi >= 1/2 (see ``_RICHARDSON_SAFETY``).
     """
-    coarse, cut = _check_grids(grid)
-    factor = _RICHARDSON_SAFETY / ((coarse.spacing / grid.spacing) ** 2 - 1.0)
-    e_coarse, e_cut = (_tridiag_near(sample(g), g.spacing, kinetic, values, lo) for g in (coarse, cut))
+    factor = _RICHARDSON_SAFETY / ((grid.doubled_spacing().spacing / grid.spacing) ** 2 - 1.0)
     return factor * np.abs(values - e_coarse) + np.abs(values - e_cut) + _RICHARDSON_FLOOR
 
 
@@ -458,24 +474,30 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     the inner wall's error is under-read (ROADMAP item 4). Raises
     GridTooCoarse when any estimate exceeds 1e-3.
 
-    Every grid is solved by value. The declared grid is bisected in one
-    window (floor, top] (``_tridiag_bracketed``): floor is a proven lower
-    bound of the spectrum, min V plus the least eigenvalue of the
-    kinetic matrix, and top is grown from a width set by the grid, then
-    bisected, until Sturm counts find exactly ``count`` eigenvalues
-    below it. When no top isolates them (a pair closer than the float
-    spacing), that grid takes the index solve. The two check grids are
-    solved by value too (``_check_grid_error``, which ``dirac_selfconsistent``
-    shares): each of their eigenvalues is bisected in a small window
-    around the declared grid's value, which locates it to within the
-    1e-3 limit whenever the grid is fine enough to pass. After a grid's
-    first eigenvalue, each window opens at four times the shift just
-    measured on that grid (about 1e-10 relative on the doubled-cutoff
-    grid) rather than at 1e-7 of the value, and grows tenfold while it
-    is empty. The set is kept only when the windows are disjoint, each
-    holds exactly one eigenvalue, and a Sturm count above a proven lower
-    bound of the spectrum finds exactly ``count`` eigenvalues up to the
-    last window; otherwise that grid takes the index solve. Raises
+    Every grid is solved by value, coarsest first, so the one wide
+    window is bisected on the fewest rows. The doubled-spacing grid is
+    bisected in one window (floor, top] (``_tridiag_bracketed``): floor
+    is a proven lower bound of the spectrum, min V plus the least
+    eigenvalue of the kinetic matrix, and top is grown from a width set
+    by the grid, then bisected, until Sturm counts find exactly
+    ``count`` eigenvalues below it. When no top isolates them (a pair
+    closer than the float spacing), that grid takes the index solve.
+    The declared grid is then solved in small windows around the
+    doubled-spacing grid's values, and the doubled-cutoff grid in
+    small windows around the declared grid's (``_tridiag_near``), which
+    locates each eigenvalue to within the 1e-3 limit whenever the grid
+    is fine enough to pass. After a grid's first eigenvalue, each window
+    opens at four times the shift just measured on that grid (about
+    1e-10 relative on the doubled-cutoff grid) rather than at 1e-7 of
+    the value, and grows tenfold while it is empty. The set is kept only
+    when the windows are disjoint, each holds exactly one eigenvalue,
+    and a Sturm count above a proven lower bound of the spectrum finds
+    exactly ``count`` eigenvalues up to the last window; otherwise that
+    grid takes the index solve. Near the 1e-3 limit a declared level can
+    lie farther than any window from its coarse value; the declared grid
+    then takes the index solve. Every value, windowed or not, is
+    bisected to 1e-12. The estimate is ``_check_grid_error``, which
+    ``dirac_selfconsistent`` shares. Raises
     ValueError before any solve when the grid has fewer than 199 points,
     which leaves no doubled-spacing grid of 100, or when 2 x_min >= x_max,
     which leaves no doubled-cutoff grid, and DivergenceError naming the
@@ -517,9 +539,11 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
             raise ValueError("potential must be finite on the grid interior")
         return v
 
-    _check_grids(grid)  # raises before any solve when a check grid cannot be built
-    e_h = _tridiag_bracketed(sample(grid), grid.spacing, kinetic, count)
-    estimate = _check_grid_error(sample, grid, kinetic, e_h)
+    coarse, cut = _check_grids(grid)  # raises before any solve when a check grid cannot be built
+    e_coarse = _tridiag_bracketed(sample(coarse), coarse.spacing, kinetic, count)
+    e_h = _tridiag_near(sample(grid), grid.spacing, kinetic, e_coarse)
+    e_cut = _tridiag_near(sample(cut), cut.spacing, kinetic, e_h)
+    estimate = _check_grid_error(grid, e_h, e_coarse, e_cut)
     if np.any(estimate > _COARSE_LIMIT):
         raise GridTooCoarse(f"worst error estimate {float(np.max(estimate)):.3e} exceeds {_COARSE_LIMIT:.0e}")
     return OracleReport(
@@ -670,9 +694,19 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     value at w, r = w'/w. The eigensolve bisects only that window and
     falls back to the index solve when the window does not hold exactly
     one eigenvalue; a well with U <= 0 anywhere (g < 0) always takes the
-    index solve. Raises UnphysicalRegime when a sweep's weight puts the
-    1/x^2 term below the Hardy bound, 1 + 2 g weight < 0, and
-    GridTooCoarse when the error estimate exceeds 1e-3.
+    index solve. Each windowed sweep bisects its eigenvalue only to
+    1e-3 of its window's width (and to no less than 1e-12): the next
+    sweep moves the eigenvalue by about that width, and an inexact
+    fixed-point step needs a tolerance only in proportion to its step
+    (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 400 (1982)).
+    That value is then known only to within its tolerance, so the next
+    window is widened by the tolerance (times r when r > 1), and the
+    Courant-Fischer enclosure still holds. The first sweep, the solve at
+    the converged weight that the estimate starts from, and every
+    check-grid solve are bisected to 1e-12. Raises UnphysicalRegime when
+    a sweep's weight puts the 1/x^2 term below the Hardy bound,
+    1 + 2 g weight < 0, and GridTooCoarse when the error estimate
+    exceeds 1e-3.
 
     Each windowed solve also bisects only the leading rows that an
     eigenvector below the window's top can reach (``_live_rows``, which
@@ -731,7 +765,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     offset = p.sym_constant
     hc2 = p._hc2
     b_coef = 2.0 * mc2 - offset
-    _check_grids(grid)  # raises before any solve when a check grid cannot be built
+    coarse, cut = _check_grids(grid)  # raises before any solve when a check grid cannot be built
     x = grid.points()
 
     def in_float_range(v: np.ndarray, g: Grid, well: str) -> np.ndarray:
@@ -751,24 +785,27 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     with np.errstate(over="ignore"):  # an overflow is raised by name
         u = in_float_range(p.potential(x), grid, "well M omega^2 x^2 / 2 + g / (2 x^2)")
     positive = bool(np.all(u[1:-1] > 0.0))
-    last: tuple[float, float] | None = None  # (weight, eigenvalue) of the latest solve
+    last: tuple[float, float, float] | None = None  # (weight, eigenvalue, tolerance) of the latest solve
     # eigenvalue n is at least w min U (Courant-Fischer), and a level has lambda / w = E - M c^2,
     # so no level has a weight below (2 M c^2 - C + min U) / (hbar c)^2
     weighted_well(max((b_coef + float(np.min(u[1:-1]))) / hc2, 0.0), grid, u)
 
-    def nth_curvature(weight: float) -> float:
-        # -f'' + weight * U(x) f, eigenvalue number n
+    def nth_curvature(weight: float, fraction: float) -> float:
+        # -f'' + weight * U(x) f, eigenvalue number n, bisected to fraction times its enclosure's width
         nonlocal last
         under = 1.0 + 2.0 * p.g * weight
         if under < 0.0:
             raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
-        enclosure = None
+        enclosure, tol = None, _EIG_TOL
         if positive and last is not None:
-            w_prev, lam_prev = last
-            scaled = weight / w_prev * lam_prev
-            enclosure = (min(lam_prev, scaled), max(lam_prev, scaled))
-        lam = float(_tridiag_lowest(weighted_well(weight, grid, u), grid.spacing, 1.0, n, n, enclosure)[0])
-        last = (weight, lam)
+            w_prev, lam_prev, tol_prev = last
+            ratio = weight / w_prev
+            # lam_prev is within tol_prev of its eigenvalue, so the scaled end is within ratio times that
+            slack = max(1.0, ratio) * tol_prev
+            enclosure = (min(lam_prev, ratio * lam_prev) - slack, max(lam_prev, ratio * lam_prev) + slack)
+            tol = max(_EIG_TOL, fraction * (enclosure[1] - enclosure[0]))
+        lam = float(_tridiag_lowest(weighted_well(weight, grid, u), grid.spacing, 1.0, n, n, enclosure, tol)[0])
+        last = (weight, lam, tol)
         return lam
 
     e_value = mc2 + p.hbar * p.omega * (2.0 * n + 1.5)
@@ -782,7 +819,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         weight = (mc2 + e_value - offset) / hc2
         if weight <= 0.0:
             raise NoConvergence(f"iteration left the admissible region (weight = {weight})")
-        lam = nth_curvature(weight)
+        lam = nth_curvature(weight, _SWEEP_TOL_FRACTION)
         disc = b_coef**2 + 4.0 * lam * hc2
         if disc < 0.0:
             raise NoConvergence("dispersion quadratic has no real branch for the grid eigenvalue")
@@ -801,12 +838,13 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     # Error estimate at the converged coefficient: grid sensitivity of
     # the eigenvalue, propagated through the self-consistent map.
     weight = (mc2 + e_value - offset) / hc2
-    lam_h = nth_curvature(weight)
+    lam_h = np.array([nth_curvature(weight, 0.0)])
     with np.errstate(over="ignore"):  # weighted_well names an overflow on a check grid
-        errors = _check_grid_error(
-            lambda g: weighted_well(weight, g, p.potential(g.points())), grid, 1.0, np.array([lam_h]), n
+        e_coarse, e_cut = (
+            _tridiag_near(weighted_well(weight, g, p.potential(g.points())), g.spacing, 1.0, lam_h, n)
+            for g in (coarse, cut)
         )
-    lam_err = float(errors[0])
+    lam_err = float(_check_grid_error(grid, lam_h, e_coarse, e_cut)[0])
     # with every U > 0 the feedback bounds the level's error by lam_err / weight
     factor = 1.0 / weight if positive else abs(hc2 / (2.0 * e_value - offset))
     estimate = lam_err * factor + _RICHARDSON_FLOOR

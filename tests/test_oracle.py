@@ -478,7 +478,7 @@ def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs
 
     bounded = oracle._tridiag_lowest
 
-    def index_only(v, spacing, kinetic, lo, hi, enclosure=None):
+    def index_only(v, spacing, kinetic, lo, hi, enclosure=None, tol=None):
         return bounded(v, spacing, kinetic, lo, hi)
 
     monkeypatch.setattr(oracle, "_tridiag_lowest", index_only)
@@ -489,6 +489,79 @@ def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs
     assert window_selects.count("i") == 1
     assert windowed.eigenvalues[0] == pytest.approx(reference.eigenvalues[0], abs=1e-10)
     assert windowed.richardson_error[0] == pytest.approx(reference.richardson_error[0], rel=1e-4)
+
+
+def _record_bisections(monkeypatch):
+    # (select, rows, select_range, tol) of each eigensolve
+    solves = []
+    real = oracle.eigh_tridiagonal
+
+    def recording(diag, off, **kwargs):
+        solves.append((kwargs["select"], diag.size, kwargs["select_range"], kwargs["tol"]))
+        return real(diag, off, **kwargs)
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "n,g,cs,grid",
+    [
+        (0, 0.5, 0.0, FAST_GRID),
+        (1, 2.0, 1.0, FAST_GRID),
+        (3, 6.0, 2.0, FAST_GRID),
+        (2, 0.0, 0.5, FAST_GRID),
+        pytest.param(0, 2.0, 0.0, Grid(), id="pinned-level"),
+    ],
+)
+def test_sweep_tolerance_keeps_level_estimate_and_solve_count(monkeypatch, n, g, cs, grid):
+    p = spin_params(g, cs)
+    solves = _record_bisections(monkeypatch)
+    scaled = dirac_selfconsistent(n, p, grid)
+    scaled_solves = list(solves)
+    solves.clear()
+    monkeypatch.setattr(oracle, "_SWEEP_TOL_FRACTION", 0.0)
+    full = dirac_selfconsistent(n, p, grid)
+    assert len(scaled_solves) == len(solves)
+    for run in (scaled_solves, solves):
+        assert [select for select, *_ in run].count("i") == 1 and run[0][0] == "i"  # the first sweep's
+    # the fraction is what widens the sweeps' tolerance
+    assert any(a[3] > b[3] for a, b in zip(scaled_solves, solves))
+    assert scaled.eigenvalues[0] == pytest.approx(full.eigenvalues[0], abs=1e-10)
+    assert scaled.richardson_error[0] == pytest.approx(full.richardson_error[0], rel=1e-4)
+
+
+def test_enclosure_padded_by_the_previous_tolerance_holds_its_eigenvalue(monkeypatch):
+    # a sweep bisected to 1e-6, then a weight that moves the eigenvalue by
+    # far less than that: the unpadded window misses the eigenvalue
+    h = FAST_GRID.spacing
+    w0, w1, tol = 3.2, 3.2 * (1.0 + 1e-10), 1e-6
+    lam0 = float(oracle._tridiag_lowest(_weighted_well(w0), h, 1.0, 0, 0, tol=tol)[0])
+    v = _weighted_well(w1)
+    expected = float(oracle._tridiag_lowest(v, h, 1.0, 0, 0)[0])
+    r = w1 / w0
+    bare = (lam0, r * lam0)
+    assert not bare[0] - 1e-9 <= expected <= bare[1] + 1e-9
+    selects = _record_selects(monkeypatch)
+    # as dirac_selfconsistent pads it: by max(1, r) times the previous tolerance
+    got = oracle._tridiag_lowest(v, h, 1.0, 0, 0, (bare[0] - tol, bare[1] + r * tol))
+    assert selects == ["v"]
+    assert abs(float(got[0]) - expected) <= 1e-12
+    selects.clear()
+    oracle._tridiag_lowest(v, h, 1.0, 0, 0, bare)
+    assert selects == ["v", "i"]
+
+
+def test_fast_converging_sweeps_keep_their_padded_windows(monkeypatch):
+    # at c = 100 a sweep moves the level by far less than the previous
+    # sweep's tolerance; without the pad its window would miss the
+    # eigenvalue and take a second index solve
+    p = DiracParams(g=2.0, c=100.0)
+    selects = _record_selects(monkeypatch)
+    rep = dirac_selfconsistent(0, p, FAST_GRID)
+    assert selects.count("i") == 1 and selects[0] == "i"
+    monkeypatch.setattr(oracle, "_SWEEP_TOL_FRACTION", 0.0)
+    assert rep.eigenvalues[0] == pytest.approx(dirac_selfconsistent(0, p, FAST_GRID).eigenvalues[0], abs=1e-10)
 
 
 @pytest.mark.xfail(
@@ -578,6 +651,23 @@ def test_fd_solves_every_grid_by_value_within_the_tolerance_of_the_index_solve(m
     reference = fd_eigenvalues(potential, count, FAST_GRID)
     assert np.max(np.abs(np.subtract(bracketed.eigenvalues, reference.eigenvalues))) <= 2.0 * oracle._EIG_TOL
     assert bracketed.richardson_error == pytest.approx(reference.richardson_error, rel=1e-4)
+
+
+@pytest.mark.parametrize("g", [-0.05, 0.5, 2.0, 6.0])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+def test_fd_bisects_its_one_wide_window_on_the_coarse_grid(monkeypatch, g, count):
+    solves = _record_bisections(monkeypatch)
+    _outcome(lambda: fd_eigenvalues(OscillatorParams(g=g).potential, count, FAST_GRID))
+    # a Sturm count's tolerance is wider than its window (it makes only its
+    # endpoint counts), and a window around a guess stops growing below a
+    # half-width of 10 times the coarse-grid limit
+    wide = [
+        rows
+        for select, rows, (a, b), tol in solves
+        if select == "v" and tol == oracle._EIG_TOL and b - a > 2.0 * oracle._WINDOW_GROWTH * oracle._COARSE_LIMIT
+    ]
+    assert len(wide) == 1
+    assert wide[0] <= FAST_GRID.doubled_spacing().n_points - 2
 
 
 def test_fd_coarse_grid_message_unchanged(monkeypatch):
