@@ -188,15 +188,24 @@ def classify_regime(alpha: float) -> Regime:
     return Regime.IMPENETRABLE_BARRIER
 
 
+def _rung(n: int) -> float:
+    """float(n), or inf for an n past the float range, where float(n) raises OverflowError."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
 def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     """Closed-form level E_n = hbar omega (2n + 1 + (1/2) sqrt(1 + 4 alpha)).
 
     Equidistant with spacing 2 hbar omega; reduces to the odd harmonic
-    half-line levels at g = 0.
+    half-line levels at g = 0. A level past the float range raises
+    DivergenceError naming hbar omega (2n + 1 + xi).
     """
     n = _check_index(n)
     d = p._ladder
-    value = p.hbar * p.omega * (2.0 * n + 1.0 + d.xi)
+    value = _in_float_range(p.hbar * p.omega * (2.0 * _rung(n) + 1.0 + d.xi), "hbar omega (2n + 1 + xi)")
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
 
 
@@ -207,9 +216,9 @@ def _log_norm(n: int, beta: float, zeta: float) -> float:
     With this N, the envelope times L_n^(zeta)(beta x^2) has unit norm
     on x > 0. N is assembled in log space so large n stays finite. A
     quadrature samples one state thousands of times, so the latest
-    constants are cached by value. This calls math.lgamma, not the public
-    ``specfun.log_gamma``, so a cache hit skips no call that a counting
-    wrapper of the public functions would see.
+    constants are cached by value; a cache hit skips no call of a public
+    ``specfun`` function, so a wrapper that counts those calls sees every
+    sampling pass alike.
     """
     return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
 
@@ -321,9 +330,9 @@ def parity_extend(n: int, m: float, psi_pos: float, x: float):
 
 
 def harmonic_energy(n: int, p: OscillatorParams) -> float:
-    """Full-line harmonic level hbar omega (n + 1/2), the g = 0 reference."""
+    """Full-line harmonic level hbar omega (n + 1/2), the g = 0 reference; DivergenceError past the float range."""
     n = _check_index(n)
-    return p.hbar * p.omega * (n + 0.5)
+    return _in_float_range(p.hbar * p.omega * (_rung(n) + 0.5), "hbar omega (n + 1/2)")
 
 
 def harmonic_wavefunction(n: int, p: OscillatorParams, x):
@@ -362,11 +371,12 @@ def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
 
     Coincides with the isotonic ladder at g = l(l+1): the half-line
     problem is the angular-momentum radial equation with l continued
-    off the integers.
+    off the integers. A level past the float range raises
+    DivergenceError naming hbar omega (2n + l + 3/2).
     """
     n = _check_index(n)
     l = _check_index(l, "orbital index")
-    return p.hbar * p.omega * (2.0 * n + l + 1.5)
+    return _in_float_range(p.hbar * p.omega * (2.0 * _rung(n) + _rung(l) + 1.5), "hbar omega (2n + l + 3/2)")
 
 
 def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):

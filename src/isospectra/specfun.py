@@ -1,16 +1,13 @@
 """Special-function kernels behind the closed-form spectra.
 
-Associated Laguerre and Hermite polynomials are evaluated by their
-three-term recurrences and the confluent hypergeometric function by
-direct series summation, so the bound-state wavefunctions depend on
-nothing heavier than numpy. The Laguerre recurrence coefficients of
-each (degree, order) are computed once and kept in a bounded cache, as
-a quadrature samples one state thousands of times. ``log_gamma`` keeps
-factorial ratios in log space for the checks in ``validate``. The
-normalization constants of the states (``nonrel._log_norm``) are cached,
-so they call math.lgamma directly: a cache hit then skips no call to a
-public function here, and a wrapper that counts these calls sees the
-same counts on every pass.
+The associated Laguerre polynomial, the one special function every state
+and spinor is built from, is evaluated by its three-term recurrence, so
+the bound-state wavefunctions depend on nothing heavier than numpy. Its
+recurrence coefficients of each (degree, order) are computed once and
+kept in a bounded cache, as a quadrature samples one state thousands of
+times. The confluent hypergeometric function, summed as a direct series,
+is the independent route that ``validate`` checks the recurrence
+against.
 """
 from __future__ import annotations
 
@@ -22,13 +19,7 @@ import numpy as np
 
 from .errors import DivergenceError, _check_finite, _check_index
 
-__all__ = [
-    "laguerre",
-    "laguerre_derivative",
-    "kummer_1f1",
-    "hermite",
-    "log_gamma",
-]
+__all__ = ["laguerre", "kummer_1f1"]
 
 # Relative term size below which the hypergeometric series is considered
 # converged; two consecutive hits required so a single accidental zero
@@ -96,14 +87,6 @@ def laguerre(n: int, alpha: float, z):
     return cur
 
 
-def laguerre_derivative(n: int, alpha: float, z):
-    """d/dz of L_n^(alpha)(z), via d/dz L_n^(a) = -L_{n-1}^(a+1)."""
-    n = _check_index(n, "degree")
-    if n == 0:
-        return 0.0 * laguerre(0, alpha + 1.0, z)  # zero in the shape of z
-    return -laguerre(n - 1, alpha + 1.0, z)
-
-
 def kummer_1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function 1F1(a; b; z) by direct series.
 
@@ -155,43 +138,3 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
         else:
             small_streak = 0
     raise DivergenceError(f"series for 1F1({a}; {b}; {z}) did not converge in {_SERIES_MAX_TERMS} terms")
-
-
-def hermite(n: int, y):
-    """Physicists' Hermite polynomial H_n(y).
-
-    Upward recurrence H_{k+1} = 2 y H_k - 2 k H_{k-1}. Scalar or array y;
-    a scalar y gives a float, must be finite (ValueError) and raises
-    DivergenceError where the result leaves the float range. Array
-    entries must not be NaN; +inf gives non-finite entries, as in
-    ``laguerre``.
-    """
-    n = _check_index(n, "degree")
-    scalar = isinstance(y, float) or np.ndim(y) == 0
-    if scalar:
-        y = float(y)
-        if not -math.inf < y < math.inf:
-            raise ValueError(f"argument must be finite, got {y}")
-        prev = 1.0
-    else:
-        y = np.asarray(y, dtype=float)
-        if np.isnan(y).any():
-            raise ValueError("argument must not be NaN")
-        prev = np.ones_like(y)
-    if n == 0:
-        return prev
-    cur = 2.0 * y
-    for k in range(1, n):
-        prev, cur = cur, 2.0 * y * cur - 2.0 * k * prev
-    if scalar and not -math.inf < cur < math.inf:
-        raise DivergenceError(f"the Hermite recurrence overflows the float range at n = {n}, y = {y}")
-    return cur
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
-    x = float(x)
-    _check_finite("x", x)
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

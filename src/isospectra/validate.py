@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import golden, nonrel, nu, oracle, rel
-from .specfun import hermite, kummer_1f1, laguerre, laguerre_derivative, log_gamma
+from .specfun import kummer_1f1, laguerre
 
 __all__ = [
     "CheckResult",
@@ -64,7 +64,7 @@ def kummer_laguerre_deviation(n_max: int = 20) -> float:
     zs = np.linspace(0.0, 30.0, 100)
     for alpha in (0.5, 1.5, 2.5):
         for n in range(n_max + 1):
-            ln_binom = log_gamma(n + alpha + 1.0) - log_gamma(n + 1.0) - log_gamma(alpha + 1.0)
+            ln_binom = math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0) - math.lgamma(alpha + 1.0)
             binom = math.exp(ln_binom)
             lag = laguerre(n, alpha, zs)
             for z, lv in zip(zs, lag):
@@ -89,33 +89,61 @@ def laguerre_recurrence_deviation() -> float:
 
 
 def hermite_parity_deviation() -> float:
+    """Harmonic states on both signs of x against N exp(-beta x^2 / 2) H_n(sqrt(beta) x).
+
+    ``harmonic_wavefunction`` maps H_n onto a Laguerre state of |x|
+    (DLMF 18.7.19-20) and restores the sign (-1)^k sign(x)^n; numpy's
+    Clenshaw sum of the Hermite series is the independent route, and its
+    H_n carries the parity. Normalized by max(1, |psi|).
+    """
+    from numpy.polynomial.hermite import hermval  # here, so that the CLI, which imports this module, starts without it
+
+    p = nonrel.OscillatorParams(mass=1.3, omega=0.8, hbar=1.1)
+    beta = p.mass * p.omega / p.hbar
+    ys = np.linspace(-4.0, 4.0, 81)
+    xs = ys / math.sqrt(beta)
     worst = 0.0
-    ys = np.linspace(0.0, 4.0, 41)
     for n in range(13):
-        plus = hermite(n, ys)
-        minus = hermite(n, -ys)
-        sign = -1.0 if n % 2 else 1.0
-        worst = max(worst, float(np.max(np.abs(minus - sign * plus) / np.maximum(1.0, np.abs(plus)))))
+        ln_norm = 0.5 * (0.5 * math.log(beta / math.pi) - n * math.log(2.0) - math.lgamma(n + 1.0))
+        written_out = math.exp(ln_norm) * np.exp(-0.5 * ys**2) * hermval(ys, [0.0] * n + [1.0])
+        state = nonrel.harmonic_wavefunction(n, p, xs)
+        worst = max(worst, float(np.max(np.abs(state - written_out) / np.maximum(1.0, np.abs(written_out)))))
     return worst
 
 
 def log_gamma_recurrence_deviation() -> float:
+    """Step of the normalization, ln N_n - ln N_(n-1) = (1/2) ln(n / (n + zeta)), of ``nonrel._log_norm``.
+
+    Gamma(n + 1) / Gamma(n + zeta + 1) gains n / (n + zeta) per step; the
+    orders are those of the harmonic, radial and isotonic states.
+    """
     worst = 0.0
-    for x in np.linspace(0.5, 25.0, 99):
-        lhs = log_gamma(float(x) + 1.0)
-        rhs = log_gamma(float(x)) + math.log(float(x))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    beta = 1.3 * 0.8 / 1.1
+    for zeta in (-0.5, 0.5, 1.5, 2.5):
+        for n in range(1, 13):
+            step = nonrel._log_norm(n, beta, zeta) - nonrel._log_norm(n - 1, beta, zeta)
+            worst = max(worst, abs(step - 0.5 * math.log(n / (n + zeta))))
     return worst
 
 
 def laguerre_derivative_fd_deviation() -> float:
-    """Derivative rule against a central difference of the recurrence route."""
-    worst = 0.0
+    """Spin lower spinor against (F' - F / x) / (M c^2 + E - sym_constant), F' a central difference of F.
+
+    F is the upper spinor. ``spin_lower_spinor`` leaves the factor hbar c
+    out of the coupling (ROADMAP item 9), so the check runs at hbar c = 1.
+    Normalized by the peak of the lower spinor.
+    """
+    p = rel.DiracParams(mass=1.3, omega=0.8, g=2.7, sym_constant=0.6)
+    xs = np.linspace(0.2, 4.0, 39)
     h = 1e-6
-    for n, alpha, z in ((1, 0.5, 1.0), (4, 1.5, 0.7), (6, 2.5, 3.0), (3, 0.5, 12.0)):
-        exact = laguerre_derivative(n, alpha, z)
-        fd = (laguerre(n, alpha, z + h) - laguerre(n, alpha, z - h)) / (2.0 * h)
-        worst = max(worst, abs(exact - fd) / max(1.0, abs(exact)))
+    worst = 0.0
+    for level in rel.solve_levels(3, p):
+        n, e = level.n, level.value
+        upper = rel.spin_upper_spinor(n, p, e, xs)
+        slope = (rel.spin_upper_spinor(n, p, e, xs + h) - rel.spin_upper_spinor(n, p, e, xs - h)) / (2.0 * h)
+        coupled = (slope - upper / xs) / (p.rest_energy + e - p.sym_constant)
+        lower = rel.spin_lower_spinor(n, p, e, xs)
+        worst = max(worst, float(np.max(np.abs(lower - coupled)) / np.max(np.abs(lower))))
     return worst
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import asdict, replace
 
@@ -28,7 +29,7 @@ from isospectra.nonrel import (
     wavefunction,
 )
 from isospectra.oracle import quadrature
-from isospectra.specfun import hermite, laguerre
+from isospectra.specfun import laguerre
 
 
 def test_energy_ladder_natural_units():
@@ -159,6 +160,28 @@ def test_alpha_beyond_the_float_range_is_named(params):
     for call in (lambda: derive(p), lambda: energy(0, p), lambda: wavefunction(0, p, 1.0)):
         with pytest.raises(DivergenceError, match=message):
             call()
+
+
+_HBAR_OMEGA_OVERFLOWS = OscillatorParams(omega=1e308, hbar=10.0)  # hbar omega = 1e309
+
+
+@pytest.mark.parametrize(
+    "call, scale",
+    [
+        (lambda: energy(0, _HBAR_OMEGA_OVERFLOWS), "hbar omega (2n + 1 + xi)"),
+        (lambda: harmonic_energy(0, _HBAR_OMEGA_OVERFLOWS), "hbar omega (n + 1/2)"),
+        (lambda: oscillator3d_energy(0, 0, _HBAR_OMEGA_OVERFLOWS), "hbar omega (2n + l + 3/2)"),
+        # float(10**400) raises OverflowError
+        (lambda: energy(10**400, OscillatorParams()), "hbar omega (2n + 1 + xi)"),
+        (lambda: harmonic_energy(10**400, OscillatorParams()), "hbar omega (n + 1/2)"),
+        (lambda: oscillator3d_energy(10**400, 0, OscillatorParams()), "hbar omega (2n + l + 3/2)"),
+        (lambda: oscillator3d_energy(0, 10**400, OscillatorParams()), "hbar omega (2n + l + 3/2)"),
+    ],
+    ids=["energy", "harmonic", "3d", "energy-huge-n", "harmonic-huge-n", "3d-huge-n", "3d-huge-l"],
+)
+def test_closed_form_level_beyond_the_float_range_is_named(call, scale):
+    with pytest.raises(DivergenceError, match=f"^the scale {re.escape(scale)} leaves the float range$"):
+        call()
 
 
 def test_wavefunction_rejects_nonpositive_x():
@@ -394,8 +417,7 @@ def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
     first = one_pass()
     assert first == one_pass()
     assert first["laguerre"] > 0
-    assert "laguerre_derivative" not in first  # the spin lower spinor is two states of the one kernel
-    assert "hermite" not in first  # the harmonic state never forms H_n, so n = 300 runs no overflowing recurrence
+    assert set(first) == {"laguerre"}  # every state and spinor, n = 300 harmonic included, is the one Laguerre kernel
 
 
 @pytest.mark.parametrize(
@@ -551,9 +573,14 @@ def test_harmonic_state_beyond_the_plain_hermite_range_has_unit_norm():
 
 
 def _written_out_harmonic(n, beta, x):
-    # N exp(-beta x^2 / 2) H_n(sqrt(beta) x), N = (beta / pi)^(1/4) / sqrt(2^n n!)
+    # N exp(-beta x^2 / 2) H_n(sqrt(beta) x), N = (beta / pi)^(1/4) / sqrt(2^n n!),
+    # with H_n by the recurrence H_(k+1) = 2 y H_k - 2 k H_(k-1)
     ln_norm = 0.5 * (0.5 * (math.log(beta) - math.log(math.pi)) - n * math.log(2.0) - math.lgamma(n + 1.0))
-    return np.exp(ln_norm - 0.5 * beta * x**2) * hermite(n, math.sqrt(beta) * x)
+    y = math.sqrt(beta) * x
+    prev, cur = np.ones_like(y), 2.0 * y
+    for k in range(1, n):
+        prev, cur = cur, 2.0 * y * cur - 2.0 * k * prev
+    return np.exp(ln_norm - 0.5 * beta * x**2) * (prev if n == 0 else cur)
 
 
 def test_scaled_harmonic_recurrence_matches_the_plain_one_where_both_are_finite():

@@ -1,7 +1,9 @@
 """The validation suites: every row of ``isospectra validate --suite all``, run in process."""
 from __future__ import annotations
 
-from isospectra import validate
+import pytest
+
+from isospectra import nonrel, rel, validate
 
 ALL_ROWS = [
     # identities
@@ -38,3 +40,21 @@ def test_every_suite_passes_every_row_in_order(monkeypatch):
     assert [row.check for row in rows] == ALL_ROWS
     assert [row.check for row in rows if not row.passed] == []
     assert calls == ["fd", "selfconsistent"]
+
+
+_harmonic, _log_norm, _lower = nonrel.harmonic_wavefunction, nonrel._log_norm, rel.spin_lower_spinor
+
+
+@pytest.mark.parametrize(
+    "check, module, name, faulty",
+    [
+        # the harmonic state without its (-1)^k, k = n // 2: a parity check of H_n alone cannot see this
+        ("hermite-parity", nonrel, "harmonic_wavefunction", lambda n, p, x: (-1) ** (n // 2) * _harmonic(n, p, x)),
+        ("log-gamma-recurrence", nonrel, "_log_norm", lambda n, beta, zeta: _log_norm(n, beta, zeta) + 1e-12 * n),
+        ("laguerre-derivative-fd", rel, "spin_lower_spinor", lambda n, p, e, x: (1.0 + 1e-6) * _lower(n, p, e, x)),
+    ],
+    ids=["hermite-parity", "log-gamma-recurrence", "laguerre-derivative-fd"],
+)
+def test_identity_row_exceeds_its_bound_on_a_fault_in_its_subject(check, module, name, faulty, monkeypatch):
+    monkeypatch.setattr(module, name, faulty)
+    assert check in [row.check for row in validate.suite_identities() if not row.passed]
