@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -196,16 +197,29 @@ def _rung(n: int) -> float:
         return math.inf
 
 
+def _quantum(p: OscillatorParams) -> float:
+    """hbar omega; DivergenceError names it below the smallest normal float, 0 included.
+
+    There the product has lost its digits (1e-150 * 1e-200 rounds to 0),
+    and so has every level it scales.
+    """
+    quantum = p.hbar * p.omega
+    if quantum < sys.float_info.min:
+        raise DivergenceError("the scale hbar omega leaves the float range")
+    return quantum
+
+
 def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     """Closed-form level E_n = hbar omega (2n + 1 + (1/2) sqrt(1 + 4 alpha)).
 
     Equidistant with spacing 2 hbar omega; reduces to the odd harmonic
     half-line levels at g = 0. A level past the float range raises
-    DivergenceError naming hbar omega (2n + 1 + xi).
+    DivergenceError naming hbar omega (2n + 1 + xi), and an hbar omega
+    below the normal floats one naming hbar omega.
     """
     n = _check_index(n)
     d = p._ladder
-    value = _in_float_range(p.hbar * p.omega * (2.0 * _rung(n) + 1.0 + d.xi), "hbar omega (2n + 1 + xi)")
+    value = _in_float_range(_quantum(p) * (2.0 * _rung(n) + 1.0 + d.xi), "hbar omega (2n + 1 + xi)")
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
 
 
@@ -330,9 +344,12 @@ def parity_extend(n: int, m: float, psi_pos: float, x: float):
 
 
 def harmonic_energy(n: int, p: OscillatorParams) -> float:
-    """Full-line harmonic level hbar omega (n + 1/2), the g = 0 reference; DivergenceError past the float range."""
+    """Full-line harmonic level hbar omega (n + 1/2), the g = 0 reference; DivergenceError past the float range.
+
+    An hbar omega below the normal floats raises DivergenceError naming it.
+    """
     n = _check_index(n)
-    return _in_float_range(p.hbar * p.omega * (_rung(n) + 0.5), "hbar omega (n + 1/2)")
+    return _in_float_range(_quantum(p) * (_rung(n) + 0.5), "hbar omega (n + 1/2)")
 
 
 def harmonic_wavefunction(n: int, p: OscillatorParams, x):
@@ -372,11 +389,12 @@ def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
     Coincides with the isotonic ladder at g = l(l+1): the half-line
     problem is the angular-momentum radial equation with l continued
     off the integers. A level past the float range raises
-    DivergenceError naming hbar omega (2n + l + 3/2).
+    DivergenceError naming hbar omega (2n + l + 3/2), and an hbar omega
+    below the normal floats one naming hbar omega.
     """
     n = _check_index(n)
     l = _check_index(l, "orbital index")
-    return _in_float_range(p.hbar * p.omega * (2.0 * _rung(n) + _rung(l) + 1.5), "hbar omega (2n + l + 3/2)")
+    return _in_float_range(_quantum(p) * (2.0 * _rung(n) + _rung(l) + 1.5), "hbar omega (2n + l + 3/2)")
 
 
 def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):

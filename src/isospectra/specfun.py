@@ -5,14 +5,13 @@ and spinor is built from, is evaluated by its three-term recurrence, so
 the bound-state wavefunctions depend on nothing heavier than numpy. Its
 recurrence coefficients of each (degree, order) are computed once and
 kept in a bounded cache, as a quadrature samples one state thousands of
-times. The confluent hypergeometric function, summed as a direct series,
-is the independent route that ``validate`` checks the recurrence
-against.
+times. The confluent hypergeometric function 1F1 comes from
+``scipy.special.hyp1f1``; it is the independent route that ``validate``
+checks the recurrence against.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -20,12 +19,6 @@ import numpy as np
 from .errors import DivergenceError, _check_finite, _check_index
 
 __all__ = ["laguerre", "kummer_1f1"]
-
-# Relative term size below which the hypergeometric series is considered
-# converged; two consecutive hits required so a single accidental zero
-# term (alternating z < 0 case) cannot stop the sum early.
-_SERIES_RTOL = 1e-15
-_SERIES_MAX_TERMS = 1000
 
 # (degree, order) pairs whose Laguerre recurrence coefficients are kept. A
 # quadrature integrand samples one to three states thousands of times; an
@@ -88,19 +81,18 @@ def laguerre(n: int, alpha: float, z):
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric function 1F1(a; b; z) by direct series.
+    """Confluent hypergeometric function 1F1(a; b; z), from ``scipy.special.hyp1f1``.
 
-    The sum terminates exactly when a is a non-positive integer, which
-    is the polynomial regime the spectra live in; that branch is summed
-    in exact rational arithmetic and rounded once at the end. A
-    non-positive integer b is a pole of the series and is accepted only
-    when the series terminates first (a a non-positive integer with
-    |a| <= |b|).
+    The series terminates when a is a non-positive integer, the
+    polynomial regime the spectra live in. A non-positive integer b is a
+    pole of the series and is accepted only when the series terminates
+    first (a a non-positive integer with |a| <= |b|).
 
-    a, b and z must be finite, else ValueError. Raises DivergenceError if
-    1000 terms fail to converge to 1e-15 relative accuracy or a partial sum
-    leaves the float range.
+    a, b and z must be finite, else ValueError. A value that is not
+    finite raises DivergenceError.
     """
+    from scipy.special import hyp1f1  # here, so that the sampling commands, which import this module, start without scipy
+
     a, b, z = float(a), float(b), float(z)
     for name, value in (("a", a), ("b", b), ("z", z)):
         _check_finite(name, value)
@@ -108,33 +100,9 @@ def kummer_1f1(a: float, b: float, z: float) -> float:
     b_is_pole = b <= 0.0 and b == math.floor(b)
     if b_is_pole and not (a_terminates and -a <= -b):
         raise ValueError(f"b={b} is a non-positive integer and the series does not terminate before its pole")
-
-    if a_terminates:
-        # Alternating terms can exceed the sum by ~1e10 for z ~ 30, so a
-        # float loop keeps only ~6 good digits. Floats are dyadic
-        # rationals, hence the finite sum is an exact Fraction.
-        total = term = Fraction(1)
-        ai, bf, zf = int(a), Fraction(b), Fraction(z)
-        for k in range(-ai):
-            term *= Fraction(ai + k) * zf / ((bf + k) * (k + 1))
-            total += term
-        try:
-            return float(total)
-        except OverflowError:
-            raise DivergenceError(f"terminating series for 1F1({a}; {b}; {z}) exceeds the float range") from None
-
-    total = 1.0
-    term = 1.0
-    small_streak = 0
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
-        if not (math.isfinite(term) and math.isfinite(total)):
-            raise DivergenceError(f"series for 1F1({a}; {b}; {z}) left the float range at term {k + 1}")
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            small_streak += 1
-            if small_streak >= 2:
-                return total
-        else:
-            small_streak = 0
-    raise DivergenceError(f"series for 1F1({a}; {b}; {z}) did not converge in {_SERIES_MAX_TERMS} terms")
+    if a == 0.0:
+        return 1.0  # the empty sum, which hyp1f1 reports as inf at a pole b
+    value = float(hyp1f1(a, b, z))
+    if not math.isfinite(value):
+        raise DivergenceError(f"1F1({a}; {b}; {z}) is not finite: hyp1f1 returned {value}")
+    return value

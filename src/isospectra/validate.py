@@ -33,7 +33,7 @@ _ODE_GRID = oracle.Grid(x_min=0.3, x_max=3.0, n_points=2001)
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One validation row; ``direction`` records which way the bound cuts."""
+    """One validation row: the check's name, its measured value, its bound and whether it passed."""
 
     check: str
     value: float
@@ -54,16 +54,16 @@ def _at_least(check: str, value: float, bound: float) -> CheckResult:
 
 # ---------------------------------------------------------------- identities
 
-def kummer_laguerre_deviation(n_max: int = 20) -> float:
-    """Worst mismatch between the Laguerre recurrence and the series route.
+def kummer_laguerre_deviation() -> float:
+    """Worst mismatch between the Laguerre recurrence and the 1F1 route.
 
-    L_n^(a)(z) equals binom(n+a, n) 1F1(-n; a+1; z); the two sides are
-    computed by unrelated algorithms. Normalized by max(1, |L|).
+    L_n^(a)(z) equals binom(n+a, n) 1F1(-n; a+1; z); one side is the Python
+    recurrence, the other scipy's compiled ``hyp1f1``. Normalized by max(1, |L|).
     """
     worst = 0.0
     zs = np.linspace(0.0, 30.0, 100)
     for alpha in (0.5, 1.5, 2.5):
-        for n in range(n_max + 1):
+        for n in range(21):
             ln_binom = math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0) - math.lgamma(alpha + 1.0)
             binom = math.exp(ln_binom)
             lag = laguerre(n, alpha, zs)
@@ -173,22 +173,22 @@ def _product_on_half_line(fa, fb):
     return integrand
 
 
-def nonrel_orthonormality_deviation(g: float, n_max: int = 6) -> float:
+def nonrel_orthonormality_deviation(g: float) -> float:
     p = nonrel.OscillatorParams(g=g)
-    funcs = [lambda x, n=n: nonrel.wavefunction(n, p, x) for n in range(n_max + 1)]
+    funcs = [lambda x, n=n: nonrel.wavefunction(n, p, x) for n in range(7)]
     worst = 0.0
-    for i in range(n_max + 1):
-        for j in range(i, n_max + 1):
+    for i in range(7):
+        for j in range(i, 7):
             val = oracle.quadrature(_product_on_half_line(funcs[i], funcs[j]), 0.0, math.inf, tol=1e-11)
             target = 1.0 if i == j else 0.0
             worst = max(worst, abs(val - target))
     return worst
 
 
-def harmonic_normalization_deviation(n_max: int = 6) -> float:
+def harmonic_normalization_deviation() -> float:
     p = nonrel.OscillatorParams()
     worst = 0.0
-    for n in range(n_max + 1):
+    for n in range(7):
         # |psi|^2 is even, so the full-line norm is twice the half-line one
         half = oracle.quadrature(lambda x, n=n: float(nonrel.harmonic_wavefunction(n, p, x)) ** 2, 0.0, math.inf, tol=1e-11)
         worst = max(worst, abs(2.0 * half - 1.0))
@@ -205,10 +205,10 @@ def radial3d_normalization_deviation() -> float:
     return worst
 
 
-def spin_upper_normalization_deviation(g: float = 2.0, sym_constant: float = 0.0, n_max: int = 4) -> float:
-    p = rel.DiracParams(g=g, sym_constant=sym_constant, branch=rel.Symmetry.SPIN)
+def spin_upper_normalization_deviation() -> float:
+    p = rel.DiracParams(g=2.0, sym_constant=0.0, branch=rel.Symmetry.SPIN)
     worst = 0.0
-    for n in range(n_max + 1):
+    for n in range(5):
         e_val = rel.solve_spin_energy(n, p).value
         val = oracle.quadrature(_sq_on_half_line(lambda x, n=n: rel.spin_upper_spinor(n, p, e_val, x)), 0.0, math.inf, tol=1e-11)
         worst = max(worst, abs(val - 1.0))
@@ -240,9 +240,9 @@ def suite_orthonormality() -> list[CheckResult]:
 
 # ------------------------------------------------------------------ ode
 
-def nonrel_ode_residual(n: int, g: float = 2.0, detune: float = 0.0) -> float:
-    """Grid defect of the half-line eigenfunction, optionally detuned."""
-    p = nonrel.OscillatorParams(g=g)
+def nonrel_ode_residual(n: int, detune: float = 0.0) -> float:
+    """Grid defect of the half-line eigenfunction at g = 2, optionally detuned."""
+    p = nonrel.OscillatorParams(g=2.0)
     d = nonrel.derive(p)
     e_val = nonrel.energy(n, p).value + detune
     eps = 2.0 * p.mass * e_val / p.hbar**2
@@ -254,11 +254,11 @@ def nonrel_ode_residual(n: int, g: float = 2.0, detune: float = 0.0) -> float:
     return oracle.ode_residual(samples, coefficient, _ODE_GRID)
 
 
-def spin_ode_residual(n: int = 0, g: float = 2.0, sym_constant: float = 0.0) -> float:
-    p = rel.DiracParams(g=g, sym_constant=sym_constant, branch=rel.Symmetry.SPIN)
-    e_val = rel.solve_spin_energy(n, p).value
+def spin_ode_residual() -> float:
+    p = rel.DiracParams(g=2.0, sym_constant=0.0, branch=rel.Symmetry.SPIN)
+    e_val = rel.solve_spin_energy(0, p).value
     d = rel.spin_derived(p, e_val)
-    samples = rel.spin_upper_spinor(n, p, e_val, _ODE_GRID.points())
+    samples = rel.spin_upper_spinor(0, p, e_val, _ODE_GRID.points())
 
     def coefficient(x):
         return d.constant_term + d.energy_weight * p.potential(x)
@@ -266,11 +266,11 @@ def spin_ode_residual(n: int = 0, g: float = 2.0, sym_constant: float = 0.0) -> 
     return oracle.ode_residual(samples, coefficient, _ODE_GRID)
 
 
-def pseudospin_ode_residual(n: int = 1, g: float = 2.0, sym_constant: float = 0.0) -> float:
-    p = rel.DiracParams(g=g, sym_constant=sym_constant, branch=rel.Symmetry.PSEUDOSPIN)
-    e_val = rel.solve_pseudospin_energy(n, p).value
+def pseudospin_ode_residual() -> float:
+    p = rel.DiracParams(g=2.0, sym_constant=0.0, branch=rel.Symmetry.PSEUDOSPIN)
+    e_val = rel.solve_pseudospin_energy(1, p).value
     d = rel.pseudospin_derived(p, e_val)
-    samples = rel.pseudospin_lower_spinor(n, p, e_val, _ODE_GRID.points())
+    samples = rel.pseudospin_lower_spinor(1, p, e_val, _ODE_GRID.points())
 
     def coefficient(x):
         return d.constant_term - d.energy_weight * p.potential(x)
@@ -290,19 +290,20 @@ def suite_ode() -> list[CheckResult]:
 
 # --------------------------------------------------------------- oracle
 
-def fd_oracle_stats(gs=(0.5, 2.0, 6.0), count: int = 6) -> dict[str, float]:
-    """Agreement of the grid eigensolver with the closed-form ladder.
+def fd_oracle_stats() -> dict[str, float]:
+    """Agreement of the grid eigensolver with the closed-form ladder, levels 0-5 at g = 0.5, 2 and 6.
 
     Returns the worst |difference| / estimate ratio, the worst error
     estimate, and the worst deviation of the measured convergence order
     from 2 on a spacing ladder.
     """
+    gs = (0.5, 2.0, 6.0)
     worst_ratio = 0.0
     worst_estimate = 0.0
     for g in gs:
         p = nonrel.OscillatorParams(g=g)
-        report = oracle.fd_eigenvalues(p.potential, count=count)
-        for n in range(count):
+        report = oracle.fd_eigenvalues(p.potential, count=6)
+        for n in range(6):
             exact = nonrel.energy(n, p).value
             diff = abs(report.eigenvalues[n] - exact)
             worst_ratio = max(worst_ratio, diff / report.richardson_error[n])
@@ -327,12 +328,12 @@ def fd_oracle_stats(gs=(0.5, 2.0, 6.0), count: int = 6) -> dict[str, float]:
     return {"ratio": worst_ratio, "estimate": worst_estimate, "order_dev": worst_order_dev}
 
 
-def selfconsistent_ratio(n_max: int = 3) -> float:
-    """Worst |self-consistent - root-solved| / max(1e-6, estimate) over the spin table."""
+def selfconsistent_ratio() -> float:
+    """Worst |self-consistent - root-solved| / max(1e-6, estimate) over levels 0-3 of the spin table."""
     worst = 0.0
     for col in golden.TABLE1_COLUMNS:
         p = golden.spin_params(col)
-        for n in range(n_max + 1):
+        for n in range(4):
             solved = rel.solve_spin_energy(n, p).value
             rep = oracle.dirac_selfconsistent(n, p)
             bound = max(1e-6, rep.richardson_error[0])
@@ -360,21 +361,21 @@ def root_uniqueness_defect() -> float:
     return float(worst)
 
 
-def xmin_sensitivity_ratio(gs=(0.5, 2.0, 6.0), count: int = 2) -> float:
+def xmin_sensitivity_ratio() -> float:
     """Inner-wall sensitivity against the reported error estimate.
 
     For x_min = 1e-3 and 1e-4, the eigenvalue shift from pushing the
     wall in by a decade must stay inside the coarser run's estimate.
     """
     worst = 0.0
-    for g in gs:
+    for g in (0.5, 2.0, 6.0):
         p = nonrel.OscillatorParams(g=g)
         reports = {
-            xm: oracle.fd_eigenvalues(p.potential, count=count, grid=oracle.Grid(x_min=xm))
+            xm: oracle.fd_eigenvalues(p.potential, count=2, grid=oracle.Grid(x_min=xm))
             for xm in (1e-3, 1e-4, 1e-5)
         }
         for coarse, fine in ((1e-3, 1e-4), (1e-4, 1e-5)):
-            for n in range(count):
+            for n in range(2):
                 shift = abs(reports[coarse].eigenvalues[n] - reports[fine].eigenvalues[n])
                 worst = max(worst, shift / reports[coarse].richardson_error[n])
     return worst
@@ -410,18 +411,18 @@ def suite_tables() -> list[CheckResult]:
 
 # --------------------------------------------------------------- duality
 
-def duality_deviation(gs=(2.0, 6.0), n_max: int = 10) -> float:
-    """Spin/pseudospin ladder correspondence.
+def duality_deviation() -> float:
+    """Spin/pseudospin ladder correspondence, levels 0-10 at g = 2 and 6.
 
     A spin problem with symmetry constant C maps onto the pseudospin
     problem with constant C - 4 M c^2, its levels shifted down by
     exactly twice the rest energy.
     """
     worst = 0.0
-    for g in gs:
+    for g in (2.0, 6.0):
         spin = rel.DiracParams(g=g, sym_constant=2.0, branch=rel.Symmetry.SPIN)
         pseudo = rel.DiracParams(g=g, sym_constant=spin.sym_constant - 4.0 * spin.rest_energy, branch=rel.Symmetry.PSEUDOSPIN)
-        for n in range(n_max + 1):
+        for n in range(11):
             e_spin = rel.solve_spin_energy(n, spin).value
             e_pseudo = rel.solve_pseudospin_energy(n, pseudo).value
             worst = max(worst, abs(e_spin - e_pseudo - 2.0 * spin.rest_energy))
@@ -453,8 +454,8 @@ def nu_klein_gordon_level(n: int, p: rel.DiracParams) -> float:
     return brentq(eigencondition, mc2, mc2 + width, xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
 
 
-def kg_spin_deviation(gs=(0.5, 2.0, 6.0), n_max: int = 10) -> float:
-    """Klein-Gordon levels from the NU reduction against the spin and Klein-Gordon solvers.
+def kg_spin_deviation() -> float:
+    """Klein-Gordon levels 0-10 at g = 0.5, 2 and 6 from the NU reduction against the spin and Klein-Gordon solvers.
 
     At zero symmetry constant the spin branch and the Klein-Gordon
     equation share their levels; the reference level comes from
@@ -462,9 +463,9 @@ def kg_spin_deviation(gs=(0.5, 2.0, 6.0), n_max: int = 10) -> float:
     route that does not share their residual.
     """
     worst = 0.0
-    for g in gs:
+    for g in (0.5, 2.0, 6.0):
         p = rel.DiracParams(g=g, sym_constant=0.0, branch=rel.Symmetry.SPIN)
-        for n in range(n_max + 1):
+        for n in range(11):
             e_nu = nu_klein_gordon_level(n, p)
             for level in (rel.klein_gordon_energy(n, p), rel.solve_spin_energy(n, p)):
                 worst = max(worst, abs(level.value - e_nu))
@@ -489,19 +490,22 @@ def suite_duality() -> list[CheckResult]:
 
 # --------------------------------------------------------------- limits
 
-def _limit_deviations(n_values, g: float, c_values) -> list[list[float]]:
-    """``rel.nonrel_limit_check`` of each spin level in n_values: one list of deviations per level."""
-    p = rel.DiracParams(g=g, branch=rel.Symmetry.SPIN)
-    return [rel.nonrel_limit_check(n, p, c_values) for n in n_values]
+_LIMIT_CS = (10.0, 100.0, 1000.0)
 
 
-def _slope_devs(level_deviations, c_values) -> list[float]:
-    return [abs(float(np.polyfit(np.log(c_values), np.log(d), 1)[0]) + 2.0) for d in level_deviations]
+def _limit_deviations() -> list[list[float]]:
+    """``rel.nonrel_limit_check`` of spin levels 0-2 at g = 2 over c in _LIMIT_CS: one list of deviations per level."""
+    p = rel.DiracParams(g=2.0, branch=rel.Symmetry.SPIN)
+    return [rel.nonrel_limit_check(n, p, _LIMIT_CS) for n in range(3)]
 
 
-def limit_slope_devs(n_values=(0, 1, 2), g: float = 2.0, c_values=(10.0, 100.0, 1000.0)) -> list[float]:
-    """|slope + 2| of log-deviation vs log-c for each level."""
-    return _slope_devs(_limit_deviations(n_values, g, c_values), c_values)
+def _slope_devs(level_deviations) -> list[float]:
+    return [abs(float(np.polyfit(np.log(_LIMIT_CS), np.log(d), 1)[0]) + 2.0) for d in level_deviations]
+
+
+def limit_slope_devs() -> list[float]:
+    """|slope + 2| of log-deviation vs log-c for each level of ``_limit_deviations``."""
+    return _slope_devs(_limit_deviations())
 
 
 def limit_monotone_defect(level_deviations) -> float:
@@ -509,37 +513,34 @@ def limit_monotone_defect(level_deviations) -> float:
     return float(any(b >= a for d in level_deviations for a, b in zip(d, d[1:])))
 
 
-def level_spacing_deviation(gs=(0.0, 0.5, 2.0, 6.0), n_max: int = 9) -> float:
+def level_spacing_deviation() -> float:
     worst = 0.0
-    for g in gs:
+    for g in (0.0, 0.5, 2.0, 6.0):
         p = nonrel.OscillatorParams(g=g)
-        for n in range(n_max + 1):
+        for n in range(10):
             diff = nonrel.energy(n + 1, p).value - nonrel.energy(n, p).value
             worst = max(worst, abs(diff - 2.0 * p.hbar * p.omega))
     return worst
 
 
-def harmonic_reduction_deviation(n_max: int = 10) -> float:
-    """g -> 0 reduces the ladder to the odd half-line harmonic levels."""
+def harmonic_reduction_deviation() -> float:
+    """g -> 0 reduces levels 0-10 of the ladder to the odd half-line harmonic levels."""
     p = nonrel.OscillatorParams(g=0.0)
     worst = 0.0
-    for n in range(n_max + 1):
+    for n in range(11):
         worst = max(worst, abs(nonrel.energy(n, p).value - (2.0 * n + 1.5)))
     return worst
 
 
 def suite_limits() -> list[CheckResult]:
-    c_values = (10.0, 100.0, 1000.0)
-    level_deviations = _limit_deviations((0, 1, 2), 2.0, c_values)  # both limit rows read the same 9 solves
+    level_deviations = _limit_deviations()  # both limit rows read the same 9 solves
     return [
-        _at_most("nonrel-limit-slope-dev", max(_slope_devs(level_deviations, c_values)), 0.2),
+        _at_most("nonrel-limit-slope-dev", max(_slope_devs(level_deviations)), 0.2),
         _at_most("nonrel-limit-monotone-defect", limit_monotone_defect(level_deviations), 0.5),
         _at_most("level-spacing", level_spacing_deviation(), 1e-14),
         _at_most("harmonic-reduction-g0", harmonic_reduction_deviation(), 0.0),
     ]
 
-
-SUITE_NAMES = ("identities", "orthonormality", "ode", "oracle", "tables", "duality", "limits")
 
 _SUITES = {
     "identities": suite_identities,
@@ -550,6 +551,8 @@ _SUITES = {
     "duality": suite_duality,
     "limits": suite_limits,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names) -> list[CheckResult]:

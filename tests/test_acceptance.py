@@ -38,7 +38,7 @@ def test_criterion_02_pseudospin_reference_ladder():
 
 def test_criterion_03_finite_difference_oracle():
     t0 = time.perf_counter()
-    stats = validate.fd_oracle_stats(gs=(0.5, 2.0, 6.0), count=6)
+    stats = validate.fd_oracle_stats()
     elapsed = time.perf_counter() - t0
     ok = stats["ratio"] <= 1.0 and stats["estimate"] <= 1e-5 and stats["order_dev"] <= 0.2 and elapsed < 10.0
     _line(
@@ -55,7 +55,7 @@ def test_criterion_03_finite_difference_oracle():
 
 def test_criterion_04_selfconsistent_dirac_oracle():
     t0 = time.perf_counter()
-    ratio = validate.selfconsistent_ratio(n_max=3)
+    ratio = validate.selfconsistent_ratio()
     elapsed = time.perf_counter() - t0
     ok = ratio <= 1.0 and elapsed < 60.0
     _line(4, ok, f"selfconsistent agreement ratio {ratio:.3f} (<=1) in {elapsed:.1f}s (bound 60s)")
@@ -67,14 +67,14 @@ def test_criterion_05_equidistant_spacing():
     # closed form gives consecutive gaps of exactly twice the harmonic
     # quantum; in float arithmetic the barrier shift rounds per level,
     # so "exactly" is read as agreement at the last representable digit
-    dev = validate.level_spacing_deviation(gs=(0.0, 0.5, 2.0, 6.0), n_max=9)
+    dev = validate.level_spacing_deviation()
     ok = dev <= 1e-14
     _line(5, ok, f"level spacing deviation from 2*hbar*omega {dev:.3e} (bound 1e-14)")
     assert dev <= 1e-14
 
 
 def test_criterion_06_harmonic_reduction_at_zero_coupling():
-    dev = validate.harmonic_reduction_deviation(n_max=10)
+    dev = validate.harmonic_reduction_deviation()
     ok = dev == 0.0
     _line(6, ok, f"zero-coupling ladder vs odd harmonic levels, deviation {dev:.3e} (bound exact)")
     assert dev == 0.0
@@ -88,7 +88,7 @@ def test_criterion_07_klein_gordon_matches_spin_branch():
 
 
 def test_criterion_08_duality_shift():
-    dev = validate.duality_deviation(gs=(2.0, 6.0), n_max=10)
+    dev = validate.duality_deviation()
     ref_dev = 0.0
     for row1, row2 in zip(golden.TABLE1_REFERENCE, golden.TABLE2_REFERENCE):
         for i1, i2 in ((3, 4), (4, 5)):  # cs=2 columns against cps=-2, same g
@@ -105,21 +105,21 @@ def test_criterion_08_duality_shift():
 
 
 def test_criterion_09_nonrelativistic_limit_slope():
-    devs = validate.limit_slope_devs(n_values=(0, 1, 2), g=2.0, c_values=(10.0, 100.0, 1000.0))
+    devs = validate.limit_slope_devs()
     ok = max(devs) <= 0.2
     _line(9, ok, f"limit deviation log-log slope within {max(devs):.3f} of -2 (bound 0.2)")
     assert max(devs) <= 0.2
 
 
 def test_criterion_10_function_space_properties():
-    ortho = max(validate.nonrel_orthonormality_deviation(g, n_max=6) for g in (0.5, 2.0, 6.0))
+    ortho = max(validate.nonrel_orthonormality_deviation(g) for g in (0.5, 2.0, 6.0))
     ode = max(
         validate.nonrel_ode_residual(0),
         validate.nonrel_ode_residual(3),
         validate.spin_ode_residual(),
         validate.pseudospin_ode_residual(),
     )
-    series = validate.kummer_laguerre_deviation(n_max=20)
+    series = validate.kummer_laguerre_deviation()
     ok = ortho <= 1e-9 and ode <= 1e-6 and series <= 1e-12
     _line(
         10,

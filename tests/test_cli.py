@@ -225,10 +225,11 @@ def test_spectrum_from_one_scan_equals_the_per_level_solves(argv, fmt, monkeypat
          "the scale M c^2 + sym_constant leaves the float range"),
         (["spectrum", "--omega", "1e308", "--hbar", "10", "--n-max", "0"],
          "the scale hbar omega (2n + 1 + xi) leaves the float range"),
+        (["spectrum", "--hbar", "1e-150", "--omega", "1e-200", "--n-max", "2"], "the scale hbar omega leaves the float range"),
     ],
     ids=["nonrel-spectrum-hbar", "nonrel-wavefunction-hbar", "nonrel-mass-g",
          "spin-hbar", "pseudospin-hbar", "pseudospin-g", "spin-wavefunction-g", "spin-ladder-term-g0", "spin-ladder-term-g2",
-         "pseudospin-window-edge", "nonrel-ladder"],
+         "pseudospin-window-edge", "nonrel-ladder", "nonrel-ladder-underflow"],
 )
 def test_overflowing_coupling_scale_exits_one_and_is_named(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -163,6 +163,7 @@ def test_alpha_beyond_the_float_range_is_named(params):
 
 
 _HBAR_OMEGA_OVERFLOWS = OscillatorParams(omega=1e308, hbar=10.0)  # hbar omega = 1e309
+_HBAR_OMEGA_UNDERFLOWS = OscillatorParams(omega=1e-200, hbar=1e-150)  # hbar omega = 1e-350 rounds to 0
 
 
 @pytest.mark.parametrize(
@@ -176,8 +177,12 @@ _HBAR_OMEGA_OVERFLOWS = OscillatorParams(omega=1e308, hbar=10.0)  # hbar omega =
         (lambda: harmonic_energy(10**400, OscillatorParams()), "hbar omega (n + 1/2)"),
         (lambda: oscillator3d_energy(10**400, 0, OscillatorParams()), "hbar omega (2n + l + 3/2)"),
         (lambda: oscillator3d_energy(0, 10**400, OscillatorParams()), "hbar omega (2n + l + 3/2)"),
+        (lambda: energy(2, _HBAR_OMEGA_UNDERFLOWS), "hbar omega"),
+        (lambda: harmonic_energy(2, _HBAR_OMEGA_UNDERFLOWS), "hbar omega"),
+        (lambda: oscillator3d_energy(2, 1, _HBAR_OMEGA_UNDERFLOWS), "hbar omega"),
     ],
-    ids=["energy", "harmonic", "3d", "energy-huge-n", "harmonic-huge-n", "3d-huge-n", "3d-huge-l"],
+    ids=["energy", "harmonic", "3d", "energy-huge-n", "harmonic-huge-n", "3d-huge-n", "3d-huge-l",
+         "energy-underflow", "harmonic-underflow", "3d-underflow"],
 )
 def test_closed_form_level_beyond_the_float_range_is_named(call, scale):
     with pytest.raises(DivergenceError, match=f"^the scale {re.escape(scale)} leaves the float range$"):

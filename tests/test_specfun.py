@@ -147,6 +147,36 @@ def test_kummer_overflow_raises():
         kummer_1f1(1.0, 2.0, 1e4)
 
 
+@pytest.mark.parametrize(
+    "a, b, z, expect",
+    [
+        # references from mpmath at 50 digits; a Taylor sum cancels at these z
+        (1.3, 2.1, -30.0, 0.010898633633475818),
+        (0.7, 1.9, -20.0, 0.12772067468587509),
+        (4.607580420766851, 0.5143619632407821, -29.220014120338078, -2.1750475003950666e-06),
+    ],
+)
+def test_kummer_frozen_values_at_negative_argument(a, b, z, expect):
+    assert kummer_1f1(a, b, z) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
+def test_kummer_at_zero_a_is_one_even_at_a_pole_b():
+    # the series is the empty sum before it reaches the pole, where hyp1f1 returns inf
+    for b in (2.5, 0.0, -3.0):
+        assert kummer_1f1(0.0, b, -2.0) == kummer_1f1(0.0, b, 7.0) == 1.0
+
+
+def test_kummer_transformation_on_a_seeded_sample():
+    # M(a, b, z) = e^z M(b - a, b, -z) (DLMF 13.2.39) relates a negative z to a positive one.
+    # A fixed sample, not hypothesis: near a zero of M the relative error has no bound.
+    rng = np.random.default_rng(20170821)
+    worst = 0.0
+    for a, b, z in zip(rng.uniform(-5.0, 5.0, 2000), rng.uniform(0.1, 6.0, 2000), rng.uniform(-30.0, 30.0, 2000)):
+        left, right = kummer_1f1(a, b, z), math.exp(z) * kummer_1f1(b - a, b, -z)
+        worst = max(worst, abs(left - right) / abs(left))
+    assert worst <= 1e-11
+
+
 def _reference_laguerre(n, alpha, z):
     """The recurrence as it was written before its coefficients were cached, for a bit-for-bit reference."""
     if np.ndim(z) == 0:
