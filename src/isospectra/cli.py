@@ -192,33 +192,14 @@ def _check_sample_range(parser: argparse.ArgumentParser, args: argparse.Namespac
 
 
 def manifest_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunManifest:
-    """Validate parsed flags and freeze them into a manifest."""
+    """Validate parsed flags and freeze them into a manifest: every flag but --format, with --g and --m as g."""
     command = args.command
-    if command == "reproduce-tables":
-        return RunManifest(command=command, parameters={"out": args.out}, output_format="csv")
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "format", "m")}
+    if "g" in params:
+        params["g"] = _resolve_g(parser, args)
 
-    if command == "validate":
-        return RunManifest(
-            command=command,
-            parameters={"suite": args.suite, "out": args.out},
-            output_format=args.format,
-        )
-
-    g = _resolve_g(parser, args)
-    base = {
-        "g": g,
-        "mass": args.mass,
-        "omega": args.omega,
-        "hbar": args.hbar,
-        "c": args.c,
-        "out": args.out,
-    }
-
-    if command == "spectrum":
-        if args.n_max < 0:
-            parser.error("--n-max must be non-negative")
-        params = dict(base, branch=args.branch, n_max=args.n_max, cs=args.cs, cps=args.cps)
-        return RunManifest(command=command, parameters=params, output_format=args.format)
+    if command == "spectrum" and args.n_max < 0:
+        parser.error("--n-max must be non-negative")
 
     if command == "wavefunction":
         if args.n < 0:
@@ -230,7 +211,7 @@ def manifest_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace
             if args.compare_harmonic:
                 parser.error("--compare-harmonic applies to the nonrel branch only")
         elif args.x_min < 0.0:
-            m = nonrel.derive(_nonrel_params(base)).m
+            m = nonrel.derive(_nonrel_params(params)).m
             # m is NaN where g < -1/4 leaves no ladder at all; the run reports that with exit 1
             if math.isfinite(m):
                 continued = nonrel.parity_extend(args.n, m, 1.0, args.x_min)
@@ -238,28 +219,13 @@ def manifest_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace
                     parser.error(
                         f"x < 0 requires an integer barrier index for a normalizable continuation (m = {m:.6f})"
                     )
-        params = dict(
-            base,
-            branch=args.branch,
-            n=args.n,
-            x_min=args.x_min,
-            x_max=args.x_max,
-            points=args.points,
-            compare_harmonic=bool(args.compare_harmonic),
-            cs=args.cs,
-            cps=args.cps,
-        )
-        return RunManifest(command=command, parameters=params, output_format=args.format)
 
     if command == "potential":
         _check_sample_range(parser, args)
         if args.x_min <= 0.0:
             parser.error("--x-min must be positive (the well diverges at the origin)")
-        params = dict(base, x_min=args.x_min, x_max=args.x_max, points=args.points)
-        return RunManifest(command=command, parameters=params, output_format=args.format)
 
-    parser.error(f"unknown command {command!r}")
-    raise AssertionError("unreachable")
+    return RunManifest(command=command, parameters=params, output_format=getattr(args, "format", "csv"))
 
 
 def _csv(lines: list[str]) -> str:

@@ -141,16 +141,6 @@ def _evaluate_on(func, x: np.ndarray) -> np.ndarray:
     return np.array([float(func(xi)) for xi in x])
 
 
-def _assemble(v: np.ndarray, spacing: float, kinetic: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of -kinetic f'' + v f with Dirichlet walls.
-
-    v is sampled on the full grid; the first and last points are the
-    walls themselves (f = 0 there), so the matrix acts on the interior.
-    """
-    k = kinetic / spacing**2
-    return 2.0 * k + v[1:-1], np.full(v.size - 3, -k)
-
-
 def eigh_tridiagonal(*args, **kwargs):
     """scipy.linalg.eigh_tridiagonal, imported on the first call.
 
@@ -162,100 +152,142 @@ def eigh_tridiagonal(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _rounding_pad(diag: np.ndarray) -> float:
-    """Bisection tolerance plus the rounding of the assembled diagonal."""
-    return _EIG_TOL + 8.0 * _EPS * float(np.max(np.abs(diag)))
+class _Sturm:
+    """Sturm bisection (LAPACK ``stebz``) of -kinetic f'' + v f with Dirichlet walls.
 
+    v is sampled on the full grid; the first and last points are the
+    walls themselves (f = 0 there), so the matrix T acts on the interior:
+    diagonal 2 k + v[1:-1] and off-diagonal -k, k = kinetic / spacing^2.
+    ``pad`` is the bisection tolerance plus the rounding of that
+    diagonal. Every LAPACK call is made by ``_solve``.
 
-def _bisect(diag: np.ndarray, off: np.ndarray, select: str, select_range, tol: float = _EIG_TOL) -> np.ndarray:
-    """Sturm bisection of the tridiagonal matrix: by index (``"i"``) or over the value interval (a, b] (``"v"``)."""
-    return eigh_tridiagonal(
-        diag,
-        off,
-        eigvals_only=True,
-        select=select,
-        select_range=select_range,
-        lapack_driver="stebz",
-        tol=tol,
-    )
+    Row cut. A value solve or a count over (bottom, top] bisects only
+    the leading ``live_rows(t)`` rows, for a t at or above ``top``: past
+    them every eigenvector below t has decayed beyond any effect on a
+    Sturm count at or below t (the proof is on ``live_rows``).
 
+    Clip rule. ``stebz`` clips a value window to the Gershgorin interval
+    of the matrix, widened by a term proportional to its row count.
+    Every leading block that keeps the row of min v[2:-2] (a row with two
+    neighbours, whose Gershgorin bound is that v up to ``pad``) has its
+    lower Gershgorin end below ``clip`` = min v[2:-2] + pad, and
+    ``live_rows`` keeps that row whenever the top lies above it. So a
+    window whose bottom is at or above ``clip`` starts at that bottom
+    whatever the row count, and ``values`` cuts rows only then: its
+    midpoints, counts and result are bit-identical to a solve over every
+    row. A window that starts lower keeps every row. The upper end never
+    binds: the last row kept is forbidden at the top, so its Gershgorin
+    bound lies above the top by more than 2 k. ``count`` uses only the
+    number found, which the proof covers from any start, so it always
+    cuts.
 
-def _start_clip(v: np.ndarray, pad: float) -> float:
-    """A value above where ``stebz`` may start a value solve of the matrix or of a leading block.
-
-    ``stebz`` clips a value window to the Gershgorin interval of the
-    matrix, widened by a term proportional to its row count. Every
-    leading block that keeps the row of min v[2:-2] (a row with two
-    neighbours, whose Gershgorin bound is that v up to the rounding
-    ``pad`` from ``_rounding_pad``) has its lower Gershgorin end below
-    this value. So a window whose bottom is at or above it starts at
-    that bottom whatever the row count; ``_live_rows`` keeps that row
-    whenever the window's top lies above it. The upper end never binds:
-    the last row that ``_live_rows`` keeps is forbidden at the top, so
-    its Gershgorin bound lies above the top by more than
-    2 kinetic / spacing^2.
+    Index solves keep every row: no top is known before them, and
+    ``stebz`` starts them from the Gershgorin interval, widened by a term
+    proportional to the row count, so a cut would move their results
+    within the tolerance.
     """
-    return float(np.min(v[2:-2])) + pad
 
+    def __init__(self, v: np.ndarray, spacing: float, kinetic: float) -> None:
+        self.v = v
+        self.k = kinetic / spacing**2
+        self.diag = 2.0 * self.k + v[1:-1]
+        self.off = np.full(v.size - 3, -self.k)
+        self.least = float(np.min(v[1:-1]))
+        self.pad = _EIG_TOL + 8.0 * _EPS * float(np.max(np.abs(self.diag)))
+        self.clip = float(np.min(v[2:-2])) + self.pad
 
-def _live_rows(v: np.ndarray, kinetic: float, spacing: float, top: float) -> int:
-    """Number m of leading interior rows that decide every Sturm count at or below ``top``.
+    def _solve(self, rows: int, select: str, select_range, tol: float) -> np.ndarray:
+        return eigh_tridiagonal(
+            self.diag[:rows],
+            self.off[: rows - 1],
+            eigvals_only=True,
+            select=select,
+            select_range=select_range,
+            lapack_driver="stebz",
+            tol=tol,
+        )
 
-    T is the ``_assemble`` matrix of v (walls excluded), T_m its leading
-    m x m block, k = kinetic / spacing^2 and a_i = (v_i - top) / k. Row
-    s is the first after the last row with a_i <= 0, so every row from
-    s on is classically forbidden at ``top``. From s on, c_i is the
-    minimum of a over rows i.. (non-decreasing by construction),
-    rho_i = 1 / (1 + c_i/2 + sqrt(c_i + c_i^2/4)) is the decaying root
-    of rho + 1/rho = 2 + c_i, and Q_i = rho_s rho_(s+1) ... rho_i. The
-    result is the first m > s with
+    def live_rows(self, top: float) -> int:
+        """Number m of leading rows that decide every Sturm count at or below ``top``.
 
-        B_m = Q_m^2 (k / rho_m + (1 + |top - min v|) / (1 - rho_m^2))
-            <= 1e-30 max(1, |top|),
+        T_m is the leading m x m block of T and a_i = (v_i - top) / k. Row
+        s is the first after the last row with a_i <= 0, so every row from
+        s on is classically forbidden at ``top``. From s on, c_i is the
+        minimum of a over rows i.. (non-decreasing by construction),
+        rho_i = 1 / (1 + c_i/2 + sqrt(c_i + c_i^2/4)) is the decaying root
+        of rho + 1/rho = 2 + c_i, and Q_i = rho_s rho_(s+1) ... rho_i. The
+        result is the first m > s with
 
-    or every row when there is none (also when the last row is allowed).
+            B_m = Q_m^2 (k / rho_m + (1 + |top - min v|) / (1 - rho_m^2))
+                <= 1e-30 max(1, |top|),
 
-    Proof that the counts agree. Let T u = lambda u with ||u|| = 1,
-    lambda <= top, n rows and q_i = u_(i+1) / u_i. Row i reads
-    1/q_(i-1) = 2 + (v_i - lambda)/k - q_i, and (v_i - lambda)/k >= c_i
-    for i >= s. The wall gives q_(n-1) = 0. If 0 <= q_i <= rho_(i+1)
-    <= rho_i, then 1/q_(i-1) >= 2 + c_i - rho_i = 1/rho_i, so induction
-    down to row s gives |u_i| <= rho_i |u_(i-1)| and |u_i| <= Q_i. The
-    step needs rho_(i+1) <= rho_i, which is why c is a suffix minimum:
-    a tail that dips again still gets a valid bound. The weight past
-    the cut is then tau^2 <= Q_m^2 / (1 - rho_m^2) <= B_m.
+        or every row when there is none (also when the last row is allowed).
 
-    Cauchy interlacing gives lambda_j(T) <= lambda_j(T_m). For the other
-    side, cut the eigenvectors of lambda_0..lambda_j (all <= top) to rows
-    [0, m). T_m maps each cut vector to lambda_b times itself plus
-    k u_m e_(m-1), the dropped coupling, with |k u_(m-1) u_m| <=
-    k Q_m^2 / rho_m. Their overlaps differ from the identity by at most
-    tau^2 each, weighted in the Rayleigh quotient by lambda_j - lambda_b
-    <= top - min v. On their span the quotient therefore bounds
+        Proof that the counts agree. Let T u = lambda u with ||u|| = 1,
+        lambda <= top, n rows and q_i = u_(i+1) / u_i. Row i reads
+        1/q_(i-1) = 2 + (v_i - lambda)/k - q_i, and (v_i - lambda)/k >= c_i
+        for i >= s. The wall gives q_(n-1) = 0. If 0 <= q_i <= rho_(i+1)
+        <= rho_i, then 1/q_(i-1) >= 2 + c_i - rho_i = 1/rho_i, so induction
+        down to row s gives |u_i| <= rho_i |u_(i-1)| and |u_i| <= Q_i. The
+        step needs rho_(i+1) <= rho_i, which is why c is a suffix minimum:
+        a tail that dips again still gets a valid bound. The weight past
+        the cut is then tau^2 <= Q_m^2 / (1 - rho_m^2) <= B_m.
 
-        lambda_j(T_m) <= lambda_j(T) + (j + 1) B_m / (1 - (j + 1) B_m).
+        Cauchy interlacing gives lambda_j(T) <= lambda_j(T_m). For the other
+        side, cut the eigenvectors of lambda_0..lambda_j (all <= top) to rows
+        [0, m). T_m maps each cut vector to lambda_b times itself plus
+        k u_m e_(m-1), the dropped coupling, with |k u_(m-1) u_m| <=
+        k Q_m^2 / rho_m. Their overlaps differ from the identity by at most
+        tau^2 each, weighted in the Rayleigh quotient by lambda_j - lambda_b
+        <= top - min v. On their span the quotient therefore bounds
 
-    So a Sturm count of T_m at any shift up to ``top`` equals the count
-    of T, unless the shift lies within about 1e-29 max(1, |top|) of an
-    eigenvalue, far below the float spacing there. The same holds for
-    LAPACK's float counts: the pivots of rows [0, m) are the same
-    operations in both, and the rounding of a and of the diagonal moves
-    each bound by a relative amount near eps, far inside the margin.
-    """
-    k = kinetic / spacing**2
-    a = (v[1:-1] - top) / k
-    allowed = np.flatnonzero(a <= 0.0)
-    s = int(allowed[-1]) + 1 if allowed.size else 0
-    if s + 1 >= a.size:
-        return a.size
-    tail = np.minimum.accumulate(a[s:][::-1])[::-1]
-    root = np.sqrt(tail + 0.25 * tail * tail)
-    rho = 1.0 / (1.0 + 0.5 * tail + root)
-    spread = 1.0 + abs(top - float(np.min(v[1:-1])))
-    # k / rho + spread / (1 - rho^2), with 1 - rho^2 = 2 rho root
-    log_bound = 2.0 * np.cumsum(np.log(rho)) + np.log((k + spread / (2.0 * root)) / rho)
-    past = np.flatnonzero(log_bound[1:] <= math.log(_TAIL_BOUND * max(1.0, abs(top))))
-    return s + 1 + int(past[0]) if past.size else a.size
+            lambda_j(T_m) <= lambda_j(T) + (j + 1) B_m / (1 - (j + 1) B_m).
+
+        So a Sturm count of T_m at any shift up to ``top`` equals the count
+        of T, unless the shift lies within about 1e-29 max(1, |top|) of an
+        eigenvalue, far below the float spacing there. The same holds for
+        LAPACK's float counts: the pivots of rows [0, m) are the same
+        operations in both, and the rounding of a and of the diagonal moves
+        each bound by a relative amount near eps, far inside the margin.
+        """
+        a = (self.v[1:-1] - top) / self.k
+        allowed = np.flatnonzero(a <= 0.0)
+        s = int(allowed[-1]) + 1 if allowed.size else 0
+        if s + 1 >= a.size:
+            return a.size
+        tail = np.minimum.accumulate(a[s:][::-1])[::-1]
+        root = np.sqrt(tail + 0.25 * tail * tail)
+        rho = 1.0 / (1.0 + 0.5 * tail + root)
+        spread = 1.0 + abs(top - self.least)
+        # k / rho + spread / (1 - rho^2), with 1 - rho^2 = 2 rho root
+        log_bound = 2.0 * np.cumsum(np.log(rho)) + np.log((self.k + spread / (2.0 * root)) / rho)
+        past = np.flatnonzero(log_bound[1:] <= math.log(_TAIL_BOUND * max(1.0, abs(top))))
+        return s + 1 + int(past[0]) if past.size else a.size
+
+    def values(self, bottom: float, top: float, tol: float = _EIG_TOL, rows: int | None = None) -> np.ndarray:
+        """Eigenvalues in (bottom, top], each within tol.
+
+        They are bisected on ``rows`` (default ``live_rows(top)``) when
+        bottom is at or above ``clip``, else on every row.
+        """
+        if bottom < self.clip:
+            rows = self.diag.size
+        elif rows is None:
+            rows = self.live_rows(top)
+        return self._solve(rows, "v", (bottom, top), tol)
+
+    def count(self, bottom: float, top: float, rows: int | None = None) -> int:
+        """Number of eigenvalues in (bottom, top], on ``rows`` (default ``live_rows(top)``).
+
+        The tolerance is wider than the interval, so only the two endpoint
+        counts are made.
+        """
+        rows = self.live_rows(top) if rows is None else rows
+        return self._solve(rows, "v", (bottom, top), 2.0 * (top - bottom)).size
+
+    def index(self, lo: int, hi: int, tol: float = _EIG_TOL) -> np.ndarray:
+        """Eigenvalues lo..hi, each within tol, over every row."""
+        return self._solve(self.diag.size, "i", (lo, hi), tol)
 
 
 def _tridiag_lowest(
@@ -267,51 +299,34 @@ def _tridiag_lowest(
     enclosure: tuple[float, float] | None = None,
     tol: float = _EIG_TOL,
 ) -> np.ndarray:
-    """Eigenvalues lo..hi of -kinetic f'' + v f with Dirichlet walls (see ``_assemble``).
+    """Eigenvalues lo..hi of the ``_Sturm`` operator, each within ``tol``.
 
     ``enclosure`` = (a, b), for a single index lo == hi, is an interval
-    known to hold that eigenvalue. It is padded by the bisection
-    tolerance plus the rounding of the assembled diagonal and solved by
-    value, which bisects only the window instead of the whole Gershgorin
-    interval. The result is kept only when the window holds exactly one
-    eigenvalue; otherwise the index solve runs as without an enclosure.
-    ``tol`` is the bisection's absolute tolerance, for the value solve
-    and its fallback alike: each value is returned within tol of its
-    eigenvalue, up to the diagonal's rounding. A wider tol costs fewer
-    bisection steps; the window, its padding and the acceptance are the
+    known to hold that eigenvalue. It is widened by the ``_Sturm`` pad
+    and solved by value, which bisects only the window instead of the
+    whole Gershgorin interval. The result is kept only when the window
+    holds exactly one eigenvalue; otherwise the index solve runs as
+    without an enclosure. ``tol`` applies to the value solve and its
+    fallback alike; the window, its padding and the acceptance are the
     same for every tol.
-
-    The value solve also drops the rows past ``_live_rows`` at the
-    window's top: every eigenvector below that top has decayed there
-    beyond any effect on a Sturm count (the proof is there). When the
-    window starts at or above ``_start_clip``, LAPACK bisects from the
-    window itself whatever the row count, so its midpoints, counts and
-    result are bit-identical to a solve over every row; a window that
-    starts lower keeps every row. The index solve keeps every row too:
-    no top is known before it, and ``stebz`` starts it from the
-    Gershgorin interval, widened by a term proportional to the row
-    count, so a cut would move its results within the tolerance.
 
     The index solves left are the first sweep of each
     ``dirac_selfconsistent`` level and the fallbacks: of an enclosure
     here, of ``_tridiag_near``'s windows and of ``_tridiag_bracketed``'s
     bracket. ``fd_eigenvalues`` solves every grid by value.
     """
-    diag, off = _assemble(v, spacing, kinetic)
+    sturm = _Sturm(v, spacing, kinetic)
     if enclosure is not None:
         if lo != hi:
             raise ValueError(f"an enclosure bounds one eigenvalue, got indices {lo}..{hi}")
-        pad = _rounding_pad(diag)
-        bottom, top = enclosure[0] - pad, enclosure[1] + pad
-        live = _live_rows(v, kinetic, spacing, top) if bottom >= _start_clip(v, pad) else diag.size
-        found = _bisect(diag[:live], off[: live - 1], "v", (bottom, top), tol)
+        found = sturm.values(enclosure[0] - sturm.pad, enclosure[1] + sturm.pad, tol)
         if found.size == 1:
             return found
-    return _bisect(diag, off, "i", (lo, hi), tol)
+    return sturm.index(lo, hi, tol)
 
 
 def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.ndarray, lo: int = 0) -> np.ndarray:
-    """Eigenvalues lo..lo+len(guesses)-1 of the ``_tridiag_lowest`` operator, each bisected near its guess.
+    """Eigenvalues lo..lo+len(guesses)-1 of the ``_Sturm`` operator, each bisected near its guess.
 
     Guess e_i (ascending) gets the value window (e_i - d, e_i + d], d
     growing tenfold while the window is empty, up to the 1e-3 coarse-grid
@@ -319,119 +334,89 @@ def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.nda
     opens at the shift just measured: once eigenvalue i is found at
     |found - e_i|, the window for i + 1 opens at four times that shift,
     but no narrower than 8 times the bisection tolerance (a zero shift
-    would never grow) and no wider than the coarse-grid limit (so no
-    window passes the top the row cut below is proved for). The guesses
-    are the same levels on a related grid (``fd_eigenvalues`` solves its
-    declared grid around the doubled-spacing grid's values, and each
-    check grid around the declared grid's), and a change of grid shifts
-    neighbouring eigenvalues by similar amounts, so that window usually
-    holds its eigenvalue at once; when it does not, it grows like any
-    other. The located values are certified to be eigenvalues
-    lo..lo+count-1 when the windows are disjoint, each holds exactly one
-    eigenvalue, and a Sturm count finds exactly lo + count eigenvalues in
-    (floor, top of the last window].
-    The count runs with a tolerance wider than that interval, so only
-    its endpoint counts are made. floor is min(v) less the rounding pad,
-    a lower bound of the spectrum: the matrix is K + diag(v) with the
-    Dirichlet second difference K positive definite. The openings only
-    decide how many windows are bisected, never what is accepted. When
-    any condition fails, the index solve (lo, lo+count-1) of
-    ``_tridiag_lowest`` runs instead, over every row.
+    would never grow) and no wider than the coarse-grid limit. The
+    guesses are the same levels on a related grid (``fd_eigenvalues``
+    solves its declared grid around the doubled-spacing grid's values,
+    and each check grid around the declared grid's), and a change of
+    grid shifts neighbouring eigenvalues by similar amounts, so that
+    window usually holds its eigenvalue at once.
 
-    The windows and the count bisect only the rows before ``_live_rows``
-    at the highest top a window can reach: max(guesses) plus 10 times
-    the coarse-grid limit scaled by max(1, |max guess|). Past those rows
-    every eigenvector below that top has decayed beyond any effect on a
-    Sturm count. A window that starts at or above ``_start_clip`` is
-    bisected from itself whatever the row count, so its value is
-    bit-identical to a solve over every row; a window that starts lower
-    keeps every row. The count uses only its size, which the proof
-    covers from any start.
+    The located values are certified to be eigenvalues lo..lo+count-1
+    when the windows are disjoint, each holds exactly one eigenvalue,
+    and a count finds exactly lo + count eigenvalues in (floor, top of
+    the last window]. floor is min v less the pad, a lower bound of the
+    spectrum: the matrix is K + diag(v) with the Dirichlet second
+    difference K positive definite. The openings only decide how many
+    windows are bisected, never what is accepted. When any condition
+    fails, the index solve runs instead.
+
+    The windows and the count keep the rows ``live_rows`` gives at the
+    highest top a window can reach: max(guesses) plus 10 times the
+    coarse-grid limit scaled by max(1, |max guess|).
     """
-    diag, off = _assemble(v, spacing, kinetic)
+    sturm = _Sturm(v, spacing, kinetic)
     highest = float(np.max(guesses))
-    live = _live_rows(v, kinetic, spacing, highest + _WINDOW_GROWTH * _COARSE_LIMIT * max(1.0, abs(highest)))
-    pad = _rounding_pad(diag)
-    clip = _start_clip(v, pad)
-
-    def window(guess: float, half: float) -> np.ndarray:
-        rows = live if guess - half >= clip else diag.size
-        return _bisect(diag[:rows], off[: rows - 1], "v", (guess - half, guess + half))
-
+    live = sturm.live_rows(highest + _WINDOW_GROWTH * _COARSE_LIMIT * max(1.0, abs(highest)))
     located = []
     top = -math.inf
     half = _WINDOW_SEED * max(1.0, abs(float(guesses[0])))
     for guess in guesses:
         guess = float(guess)
-        found = window(guess, half)
+        found = sturm.values(guess - half, guess + half, rows=live)
         while found.size == 0 and half < _COARSE_LIMIT:
             half *= _WINDOW_GROWTH
-            found = window(guess, half)
+            found = sturm.values(guess - half, guess + half, rows=live)
         if found.size != 1 or guess - half < top:
             break
         located.append(float(found[0]))
         top = guess + half
         half = min(max(_SHIFT_MARGIN * abs(located[-1] - guess), _SHIFT_FLOOR), _COARSE_LIMIT)
     else:
-        floor = float(np.min(v[1:-1])) - pad
-        if _bisect(diag[:live], off[: live - 1], "v", (floor, top), tol=2.0 * (top - floor)).size == lo + len(guesses):
+        if sturm.count(sturm.least - sturm.pad, top, live) == lo + len(guesses):
             return np.array(located)
-    return _bisect(diag, off, "i", (lo, lo + len(guesses) - 1))
+    return sturm.index(lo, lo + len(guesses) - 1)
 
 
 def _tridiag_bracketed(v: np.ndarray, spacing: float, kinetic: float, count: int) -> np.ndarray:
-    """Eigenvalues 0..count-1 of the ``_tridiag_lowest`` operator, bisected in one value window that Sturm counts isolate.
+    """Eigenvalues 0..count-1 of the ``_Sturm`` operator, bisected in one value window that counts isolate.
 
     The matrix is K + diag(v), K the Dirichlet second difference, whose
-    least eigenvalue is 4 k sin^2(pi / (2 (m + 1))) (k = kinetic /
-    spacing^2, m rows). By Weyl, floor = min v plus that value, less the
-    rounding pad, bounds the spectrum from below. The top opens 8 times
-    that value above the floor, a width set by the grid and not by |v|,
-    and grows until a Sturm count finds at least ``count`` eigenvalues
-    in (floor, top]: fourfold while it finds none, and by
-    (count + 1) / found once it finds ``found`` (one step on an evenly
-    spaced ladder). The top is then bisected between the last two tops
-    until the count is exactly ``count``. The counts alone decide what
-    is accepted. Each has a tolerance wider than its interval, so only
-    its endpoint counts are made, on the ``_live_rows`` rows of its top.
-    The window (floor, top] is bisected on those rows when floor is at
-    or above ``_start_clip``, else on every row, so its values are
-    bit-identical to a solve over every row. When the top passes the
-    Gershgorin end, or the bracket narrows to the pad (a pair closer
-    than the float spacing), the index solve (0, count - 1) runs instead.
+    least eigenvalue is 4 k sin^2(pi / (2 (m + 1))) (m rows). By Weyl,
+    floor = min v plus that value, less the pad, bounds the spectrum from
+    below. The top opens 8 times that value above the floor, a width set
+    by the grid and not by |v|, and grows until a count finds at least
+    ``count`` eigenvalues in (floor, top]: fourfold while it finds none,
+    and by (count + 1) / found once it finds ``found`` (one step on an
+    evenly spaced ladder). The top is then bisected between the last two
+    tops until the count is exactly ``count``. The counts alone decide
+    what is accepted. When the top passes the Gershgorin end, or the
+    bracket narrows to the pad (a pair closer than the float spacing),
+    the index solve runs instead.
     """
-    diag, off = _assemble(v, spacing, kinetic)
-    k = kinetic / spacing**2
-    box = 4.0 * k * math.sin(0.5 * math.pi / (diag.size + 1)) ** 2
-    pad = _rounding_pad(diag)
-    floor = float(np.min(v[1:-1])) + box - pad
-    end = float(np.max(diag)) + 2.0 * k
-
-    def counted(top: float) -> int:
-        rows = _live_rows(v, kinetic, spacing, top)
-        return _bisect(diag[:rows], off[: rows - 1], "v", (floor, top), tol=2.0 * (top - floor)).size
-
+    sturm = _Sturm(v, spacing, kinetic)
+    box = 4.0 * sturm.k * math.sin(0.5 * math.pi / (sturm.diag.size + 1)) ** 2
+    floor = sturm.least + box - sturm.pad
+    end = float(np.max(sturm.diag)) + 2.0 * sturm.k
     # the pad keeps the first top a float above the floor
-    width = max(8.0 * box, pad)
+    width = max(8.0 * box, sturm.pad)
     low, top = floor, floor + width
-    found = counted(top)
+    found = sturm.count(floor, top)
     while found < count and top < end:
         width *= (count + 1.0) / found if found else 4.0
         low, top = top, floor + width
-        found = counted(top)
-    while found > count and top - low > pad:
+        found = sturm.count(floor, top)
+    while found > count and top - low > sturm.pad:
         middle = 0.5 * (low + top)
-        inside = counted(middle)
+        inside = sturm.count(floor, middle)
         if inside < count:
             low = middle
         else:
             top, found = middle, inside
     if found == count:
-        rows = _live_rows(v, kinetic, spacing, top) if floor >= _start_clip(v, pad) else diag.size
-        values = _bisect(diag[:rows], off[: rows - 1], "v", (floor, top))
+        values = sturm.values(floor, top)
         if values.size == count:
             return values
-    return _bisect(diag, off, "i", (0, count - 1))
+    return sturm.index(0, count - 1)
 
 
 def _check_grids(grid: Grid) -> tuple[Grid, Grid]:
@@ -466,7 +451,8 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     one at twice the spacing ((n_points + 1) // 2 points on the same
     interval) and one with the inner wall pushed to 2 x_min. The
     reported eigenvalues come from the declared grid. The error estimate
-    is 1.5 |e - e_coarse| / (r^2 - 1), the coarse pair's two-grid
+    is ``_check_grid_error``, which ``dirac_selfconsistent`` shares:
+    1.5 |e - e_coarse| / (r^2 - 1), the coarse pair's two-grid
     Richardson bound with safety (r the spacing ratio: 2 for odd
     n_points, slightly more for even), plus the wall sensitivity
     |e - e_cut|. For a wall g / (2 x^2) it bounds the error only for
@@ -475,47 +461,23 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     GridTooCoarse when any estimate exceeds 1e-3.
 
     Every grid is solved by value, coarsest first, so the one wide
-    window is bisected on the fewest rows. The doubled-spacing grid is
-    bisected in one window (floor, top] (``_tridiag_bracketed``): floor
-    is a proven lower bound of the spectrum, min V plus the least
-    eigenvalue of the kinetic matrix, and top is grown from a width set
-    by the grid, then bisected, until Sturm counts find exactly
-    ``count`` eigenvalues below it. When no top isolates them (a pair
-    closer than the float spacing), that grid takes the index solve.
-    The declared grid is then solved in small windows around the
-    doubled-spacing grid's values, and the doubled-cutoff grid in
-    small windows around the declared grid's (``_tridiag_near``), which
-    locates each eigenvalue to within the 1e-3 limit whenever the grid
-    is fine enough to pass. After a grid's first eigenvalue, each window
-    opens at four times the shift just measured on that grid (about
-    1e-10 relative on the doubled-cutoff grid) rather than at 1e-7 of
-    the value, and grows tenfold while it is empty. The set is kept only
-    when the windows are disjoint, each holds exactly one eigenvalue,
-    and a Sturm count above a proven lower bound of the spectrum finds
-    exactly ``count`` eigenvalues up to the last window; otherwise that
-    grid takes the index solve. Near the 1e-3 limit a declared level can
-    lie farther than any window from its coarse value; the declared grid
-    then takes the index solve. Every value, windowed or not, is
-    bisected to 1e-12. The estimate is ``_check_grid_error``, which
-    ``dirac_selfconsistent`` shares. Raises
-    ValueError before any solve when the grid has fewer than 199 points,
-    which leaves no doubled-spacing grid of 100, or when 2 x_min >= x_max,
-    which leaves no doubled-cutoff grid, and DivergenceError naming the
-    scale when hbar^2 / (2M) leaves the float range or underflows to 0
-    (the matrix would lose its kinetic term and return the well's minimum).
+    window is bisected on the fewest rows: the doubled-spacing grid in
+    one window that counts isolate (``_tridiag_bracketed``), then the
+    declared grid in small windows around the doubled-spacing grid's
+    values, and the doubled-cutoff grid in small windows around the
+    declared grid's (``_tridiag_near``). A grid whose values those
+    strategies cannot certify takes the index solve; near the 1e-3
+    limit a declared level can lie farther than any window from its
+    coarse value. Every value is bisected to 1e-12, on the rows that
+    ``_Sturm``'s row cut and clip rule keep, so each is bit-identical
+    to a solve over every row.
 
-    Those value solves, and the Sturm counts, bisect only the leading
-    rows that an eigenvector below the window's top can reach
-    (``_live_rows``). Past the last classically allowed row such an
-    eigenvector decays at least as fast as a product of the decaying
-    roots of rho + 1/rho = 2 + a, with a the suffix minimum of
-    (V - top) / (hbar^2 / 2M h^2). Cauchy interlacing
-    and the cut eigenvectors then pin every eigenvalue up to the top
-    within about 1e-29 max(1, |top|) of the whole grid's, so every Sturm
-    count, and so every reported value and estimate, is bit-identical.
-    The index solves of the fallbacks keep every row: no top is known
-    before them, and LAPACK starts them from an interval that widens
-    with the row count.
+    Raises ValueError before any solve when the grid has fewer than 199
+    points, which leaves no doubled-spacing grid of 100, or when
+    2 x_min >= x_max, which leaves no doubled-cutoff grid, and
+    DivergenceError naming the scale when hbar^2 / (2M) leaves the float
+    range or underflows to 0 (the matrix would lose its kinetic term and
+    return the well's minimum).
 
     V is sampled on the interior points only: the walls are the
     Dirichlet boundary, so V may be infinite or undefined there.
@@ -531,7 +493,7 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
         raise DivergenceError(f"the scale hbar^2 / (2 M) = ({hbar})^2 / (2 * {mass}) underflows to 0")
 
     def sample(g: Grid) -> np.ndarray:
-        # only the interior enters the matrix (see _assemble): a potential
+        # only the interior enters the matrix (see _Sturm): a potential
         # may be infinite, or undefined, at the walls themselves
         v = np.full(g.n_points, math.nan)
         v[1:-1] = _evaluate_on(potential, g.points()[1:-1])
@@ -708,34 +670,24 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     1 + 2 g weight < 0, and GridTooCoarse when the error estimate
     exceeds 1e-3.
 
-    Each windowed solve also bisects only the leading rows that an
-    eigenvector below the window's top can reach (``_live_rows``, which
-    holds the proof: the eigenvector decays past the last classically
-    allowed row at least as a product of decaying roots, and Cauchy
-    interlacing plus the cut eigenvectors pin each eigenvalue to within
-    about 1e-29 max(1, |top|)). The levels and estimates are therefore
-    bit-identical to solves over every row. A window that starts below
-    where LAPACK would start a solve of the cut matrix keeps every row
-    (``_start_clip``), and so does the first solve, the one index solve
-    of a level: no top is known before it, and LAPACK starts it from an
-    interval that widens with the row count.
+    Every solve keeps only the rows that ``_Sturm``'s row cut and clip
+    rule keep, so the levels and estimates are bit-identical to solves
+    over every row.
 
     The error estimate re-solves eigenvalue n at the converged weight on
     the doubled-spacing and doubled-cutoff grids (``_check_grid_error``,
     shared with ``fd_eigenvalues``): 1.5 |lambda - lambda_coarse| /
     (r^2 - 1), r the spacing ratio (2 for odd n_points), plus
-    |lambda - lambda_cut|. Each is bisected in a window around
-    the declared grid's lambda_n and certified by a Sturm count that
-    finds exactly n + 1 eigenvalues up to the window's top; otherwise
-    that grid takes the index solve. Raises ValueError before any solve
-    when the grid has fewer than 199 points, which leaves no
-    doubled-spacing grid of 100, or when 2 x_min >= x_max, which leaves
-    no doubled-cutoff grid, and
-    DivergenceError naming the scale when (hbar c)^2 or omega^2 leaves
-    the float range or (hbar c)^2 underflows to 0, or naming the well
-    when it, or the weighted well w U on any grid solved, leaves the
-    float range at an interior grid point; at the least weight a level
-    can have, that is checked before any eigensolve.
+    |lambda - lambda_cut|. Each is bisected in a window around the
+    declared grid's lambda_n (``_tridiag_near``). Raises ValueError
+    before any solve when the grid has fewer than 199 points, which
+    leaves no doubled-spacing grid of 100, or when 2 x_min >= x_max,
+    which leaves no doubled-cutoff grid, and DivergenceError naming the
+    scale when (hbar c)^2 or omega^2 leaves the float range or (hbar c)^2
+    underflows to 0, or naming the well when it, or the weighted well
+    w U on any grid solved, leaves the float range at an interior grid
+    point; at the least weight a level can have, that is checked before
+    any eigensolve.
 
     The eigenvalue's grid error d_lambda feeds back through the weight:
     the converged level solves E = F(lambda(w(E))), so its error is

@@ -817,11 +817,52 @@ def test_oracles_never_solve_more_rows_than_the_declared_grid(monkeypatch, run):
     assert max(rows for _, rows in solves) <= FAST_GRID.n_points - 2
 
 
+def test_every_tridiagonal_solve_goes_through_the_module_binding(monkeypatch):
+    # the bench tracer counts eigensolves at oracle.eigh_tridiagonal, so a solve
+    # that reached scipy past that binding would go uncounted
+    import scipy.linalg
+
+    counts = {"scipy": 0, "oracle": 0}
+
+    def counting(module, name):
+        real = module.eigh_tridiagonal
+
+        def solve(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "eigh_tridiagonal", solve)
+
+    counting(scipy.linalg, "scipy")
+    counting(oracle, "oracle")
+    fd_eigenvalues(OscillatorParams(g=2.0).potential, 3, FAST_GRID)
+    dirac_selfconsistent(1, spin_params(2.0, 0.0), FAST_GRID)
+    assert counts["scipy"] == counts["oracle"] > 0
+
+
 # ------------------------------------------- forbidden-tail row cut
 
 
 def _every_row(monkeypatch):
-    monkeypatch.setattr(oracle, "_live_rows", lambda v, kinetic, spacing, top: v.size - 2)
+    """Keep every row in each solve; return (rows solved, interior rows of its grid) of each solve that follows."""
+    monkeypatch.setattr(oracle._Sturm, "live_rows", lambda self, top: self.diag.size)
+    solves = []
+    grids = []
+    build = oracle._Sturm.__init__
+
+    def building(self, v, spacing, kinetic):
+        grids.append(v.size - 2)
+        build(self, v, spacing, kinetic)
+
+    real = oracle.eigh_tridiagonal
+
+    def recording(diag, off, **kwargs):
+        solves.append((diag.size, grids[-1]))
+        return real(diag, off, **kwargs)
+
+    monkeypatch.setattr(oracle._Sturm, "__init__", building)
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", recording)
+    return solves
 
 
 def _record_rows(monkeypatch):
@@ -851,8 +892,9 @@ def test_row_cut_keeps_fd_report_bit_for_bit(monkeypatch, g, count):
         return fd_eigenvalues(OscillatorParams(g=g).potential, count, FAST_GRID)
 
     cut = _outcome(run)
-    _every_row(monkeypatch)
+    solves = _every_row(monkeypatch)
     assert cut == _outcome(run)
+    assert solves and all(rows == interior for rows, interior in solves)
 
 
 # in the last case one window starts below where LAPACK would start the cut matrix
@@ -860,8 +902,9 @@ def test_row_cut_keeps_fd_report_bit_for_bit(monkeypatch, g, count):
 def test_row_cut_keeps_selfconsistent_report_bit_for_bit(monkeypatch, n, g, cs):
     p = spin_params(g, cs)
     cut = dirac_selfconsistent(n, p, FAST_GRID)
-    _every_row(monkeypatch)
+    solves = _every_row(monkeypatch)
     assert cut == dirac_selfconsistent(n, p, FAST_GRID)
+    assert solves and all(rows == interior for rows, interior in solves)
 
 
 @pytest.mark.parametrize(
@@ -903,9 +946,10 @@ def test_live_rows_keeps_every_row_when_the_last_row_is_allowed():
     x = FAST_GRID.points()
     v = 0.5 * x**2 + 1.0 / x**2
     h = FAST_GRID.spacing
-    assert oracle._live_rows(v, 0.5, h, float(v[-2])) == x.size - 2
-    assert oracle._live_rows(v, 0.5, h, 1e3) == x.size - 2
-    assert oracle._live_rows(v, 0.5, h, 10.0) < x.size - 2
+    sturm = oracle._Sturm(v, h, 0.5)
+    assert sturm.live_rows(float(v[-2])) == x.size - 2
+    assert sturm.live_rows(1e3) == x.size - 2
+    assert sturm.live_rows(10.0) < x.size - 2
 
 
 def test_window_below_bisection_start_keeps_every_row(monkeypatch):
