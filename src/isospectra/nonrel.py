@@ -90,18 +90,20 @@ class OscillatorParams:
     def potential(self, x):
         """U(x) on x > 0, for a scalar or an array x.
 
-        At x = 0, and wherever x^2 underflows to 0, U is +inf for g > 0 and
-        -inf for g < 0, with no divide-by-zero warning; at g = 0 it is the
-        harmonic well's 0. Raises ValueError naming x when any x is NaN.
+        At x = 0, and wherever x^2 underflows to 0 or g / (2 x^2)
+        overflows, U is +inf for g > 0 and -inf for g < 0; at g = 0 it is
+        the harmonic well's value there. Where x^2 overflows, U is +inf.
+        None of these warns. Raises ValueError naming x when any x is NaN.
         """
         x = np.asarray(x, dtype=float)
         if np.isnan(x).any():
             raise ValueError("x must not be NaN")
-        well = 0.5 * self.mass * _square(self.omega, "omega") * x**2
-        if self.g == 0.0:
-            return well  # no barrier: g / (2 x^2) would be 0/0 where x^2 underflows to 0
-        with np.errstate(divide="ignore"):
-            return well + self.g / (2.0 * x**2)
+        with np.errstate(divide="ignore", over="ignore"):
+            x2 = x**2
+            well = 0.5 * self.mass * _square(self.omega, "omega") * x2
+            if self.g == 0.0:
+                return well  # no barrier: g / (2 x^2) would be 0/0 where x^2 underflows to 0
+            return well + self.g / (2.0 * x2)
 
     # The ladder is computed on first use and kept on the instance; it is
     # not a field, so ==, hash, repr and dataclasses.replace see only the

@@ -164,7 +164,7 @@ class _Sturm:
     Row cut. A value solve or a count over (bottom, top] bisects only
     the leading ``live_rows(t)`` rows, for a t at or above ``top``: past
     them every eigenvector below t has decayed beyond any effect on a
-    Sturm count at or below t (the proof is on ``live_rows``).
+    Sturm count at or below t (``live_rows`` bounds it block by block).
 
     Clip rule. ``stebz`` clips a value window to the Gershgorin interval
     of the matrix, widened by a term proportional to its row count.
@@ -210,18 +210,19 @@ class _Sturm:
     def live_rows(self, top: float) -> int:
         """Number m of leading rows that decide every Sturm count at or below ``top``.
 
-        T_m is the leading m x m block of T and a_i = (v_i - top) / k. Row
-        s is the first after the last row with a_i <= 0, so every row from
-        s on is classically forbidden at ``top``. From s on, c_i is the
-        minimum of a over rows i.. (non-decreasing by construction),
-        rho_i = 1 / (1 + c_i/2 + sqrt(c_i + c_i^2/4)) is the decaying root
-        of rho + 1/rho = 2 + c_i, and Q_i = rho_s rho_(s+1) ... rho_i. The
-        result is the first m > s with
+        T_m is the leading m x m submatrix of T and a_i = (v_i - top) / k.
+        Row s follows the last row with v_i <= top, so every row from s on
+        is forbidden at ``top``. There c_i = min a over rows i.. (it never
+        decreases), rho_i = exp(-2 asinh(sqrt(c_i) / 2)) is the decaying
+        root of rho + 1/rho = 2 + c_i, and Q_i = rho_s ... rho_i. With
 
-            B_m = Q_m^2 (k / rho_m + (1 + |top - min v|) / (1 - rho_m^2))
-                <= 1e-30 max(1, |top|),
+            B_m = Q_m^2 (k / rho_m + (1 + |top - min v|) / (1 - rho_m^2)),
 
-        or every row when there is none (also when the last row is allowed).
+        the result is the last row m of the first block of 64 rows from s on
+        with B_m <= 1e-30 max(1, |top|) once each rho_i is raised to the rho
+        of its block's first row, or every row when there is none (also when
+        the last row is allowed). As rho falls when c grows, the raise only
+        grows Q_m^2 / rho_m = Q_(m-1)^2 rho_m and Q_m^2 / (1 - rho_m^2).
 
         Proof that the counts agree. Let T u = lambda u with ||u|| = 1,
         lambda <= top, n rows and q_i = u_(i+1) / u_i. Row i reads
@@ -250,19 +251,18 @@ class _Sturm:
         operations in both, and the rounding of a and of the diagonal moves
         each bound by a relative amount near eps, far inside the margin.
         """
-        a = (self.v[1:-1] - top) / self.k
-        allowed = np.flatnonzero(a <= 0.0)
+        allowed = np.flatnonzero(self.v[1:-1] <= top)
         s = int(allowed[-1]) + 1 if allowed.size else 0
-        if s + 1 >= a.size:
-            return a.size
-        tail = np.minimum.accumulate(a[s:][::-1])[::-1]
-        root = np.sqrt(tail + 0.25 * tail * tail)
-        rho = 1.0 / (1.0 + 0.5 * tail + root)
+        if s + 1 >= self.diag.size:
+            return self.diag.size
+        edges = np.append(np.arange(s, self.diag.size, 64), self.diag.size)  # 64-row blocks: keeps < 128 rows extra
+        floor = np.minimum.accumulate(np.minimum.reduceat(self.v[1:-1], edges[:-1])[::-1])[::-1]
+        t = np.arcsinh(np.sqrt(floor - top) / (2.0 * math.sqrt(self.k)))  # rho = exp(-2 t), without overflow or log(0)
         spread = 1.0 + abs(top - self.least)
-        # k / rho + spread / (1 - rho^2), with 1 - rho^2 = 2 rho root
-        log_bound = 2.0 * np.cumsum(np.log(rho)) + np.log((self.k + spread / (2.0 * root)) / rho)
-        past = np.flatnonzero(log_bound[1:] <= math.log(_TAIL_BOUND * max(1.0, abs(top))))
-        return s + 1 + int(past[0]) if past.size else a.size
+        log_bound = np.logaddexp(math.log(self.k) + 2.0 * t, math.log(spread) - np.log(-np.expm1(-4.0 * t)))
+        log_bound -= 4.0 * np.cumsum(t * np.diff(edges))  # log Q_m^2
+        past = np.flatnonzero(log_bound <= math.log(_TAIL_BOUND * max(1.0, abs(top))))
+        return int(edges[past[0] + 1]) - 1 if past.size else self.diag.size
 
     def values(self, bottom: float, top: float, tol: float = _EIG_TOL, rows: int | None = None) -> np.ndarray:
         """Eigenvalues in (bottom, top], each within tol.

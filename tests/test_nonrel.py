@@ -137,6 +137,18 @@ def test_potential_names_nan_x_and_is_infinite_at_zero_without_a_warning(params,
         assert p.potential(np.array([0.0, 1.0])).tolist() == [at_zero, 0.5 + g / 2.0]
 
 
+@pytest.mark.parametrize("params", [OscillatorParams, rel.DiracParams])
+@pytest.mark.parametrize("g", [0.0, 2.0, -0.1])
+def test_potential_is_infinite_where_x_squared_or_the_barrier_overflows_without_a_warning(params, g):
+    p = params(g=g)
+    near_zero = 0.5 * 1e-160**2 if g == 0.0 else math.copysign(math.inf, g)  # g / (2 x^2) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert p.potential(1e200) == math.inf  # x^2 overflows
+        assert p.potential(1e-160) == near_zero
+        assert p.potential(np.array([1e-160, 1.0, 1e200])).tolist() == [near_zero, 0.5 + g / 2.0, math.inf]
+
+
 def test_scale_beyond_the_float_range_is_named():
     with pytest.raises(DivergenceError, match=r"^the scale omega\^2 = \(1e\+300\)\^2 leaves the float range$"):
         OscillatorParams(omega=1e300).potential(1.0)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isospectra import oracle
 from isospectra.errors import DivergenceError, GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
@@ -950,6 +952,73 @@ def test_live_rows_keeps_every_row_when_the_last_row_is_allowed():
     assert sturm.live_rows(float(v[-2])) == x.size - 2
     assert sturm.live_rows(1e3) == x.size - 2
     assert sturm.live_rows(10.0) < x.size - 2
+
+
+def test_row_cut_of_a_walled_well_keeps_its_levels_without_a_warning(monkeypatch):
+    # past the wall the forbidden tail reaches 1e200 / k, where c^2 overflows
+    isotonic = OscillatorParams(g=2.0).potential
+
+    def potential(x):
+        return np.where(x < 10.0, isotonic(x), 1e200)
+
+    grid = Grid(1e-4, 20.0, 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cut = fd_eigenvalues(potential, 3, grid)
+    assert len(cut.eigenvalues) == 3
+    _every_row(monkeypatch)
+    assert cut == fd_eigenvalues(potential, 3, grid)
+
+
+def _live_rows_per_row(sturm, top):
+    """``_Sturm.live_rows``'s decay bound taken at every row instead of at each block's last row."""
+    a = (sturm.v[1:-1] - top) / sturm.k
+    allowed = np.flatnonzero(a <= 0.0)
+    s = int(allowed[-1]) + 1 if allowed.size else 0
+    if s + 1 >= a.size:
+        return a.size
+    tail = np.minimum.accumulate(a[s:][::-1])[::-1]
+    root = np.sqrt(tail + 0.25 * tail * tail)
+    rho = 1.0 / (1.0 + 0.5 * tail + root)
+    spread = 1.0 + abs(top - sturm.least)
+    log_bound = 2.0 * np.cumsum(np.log(rho)) + np.log((sturm.k + spread / (2.0 * root)) / rho)
+    past = np.flatnonzero(log_bound[1:] <= math.log(oracle._TAIL_BOUND * max(1.0, abs(top))))
+    return s + 1 + int(past[0]) if past.size else a.size
+
+
+@st.composite
+def _forbidden_tails(draw):
+    """An isotonic well on FAST_GRID whose tail rises, dips again, levels off or meets a wall, and a top."""
+    x = FAST_GRID.points()
+    v = 0.5 * draw(st.floats(0.01, 100.0)) * x**2 + draw(st.floats(0.0, 10.0)) / (2.0 * x**2)
+    kind = draw(st.sampled_from(["monotone", "dip", "floor", "plateau", "wall"]))
+    if kind == "dip":
+        centre = draw(st.floats(3.0, 19.0))
+        depth = draw(st.floats(0.0, 1.5)) * 0.5 * centre**2
+        v = v - depth * np.exp(-(((x - centre) / draw(st.floats(0.1, 2.0))) ** 2))
+    elif kind in ("floor", "plateau"):
+        level = float(np.min(v)) + 10.0 ** draw(st.floats(-2.0, 3.0))
+        v = np.maximum(v, level) if kind == "floor" else np.minimum(v, level)
+    elif kind == "wall":
+        v = np.where(x < draw(st.floats(1.0, 19.0)), v, 10.0 ** draw(st.floats(0.0, 300.0)))
+    sturm = oracle._Sturm(v, FAST_GRID.spacing, draw(st.sampled_from([1e-3, 0.5, 50.0])))
+    return sturm, sturm.least + 10.0 ** draw(st.floats(-3.0, 4.0))
+
+
+@given(_forbidden_tails(), st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_live_rows_decide_every_sturm_count_up_to_the_top(well, fractions):
+    sturm, top = well
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        live = sturm.live_rows(top)
+    bottom = sturm.least - 1.0
+    for fraction in fractions:
+        shift = bottom + fraction * (top - bottom)
+        assert sturm.count(bottom, shift, live) == sturm.count(bottom, shift, sturm.diag.size)
+    if np.max(sturm.v[1:-1]) < 1e150 * sturm.k:  # the per-row bound squares the tail
+        per_row = _live_rows_per_row(sturm, top)
+        assert per_row <= live <= per_row + 128
 
 
 def test_window_below_bisection_start_keeps_every_row(monkeypatch):
