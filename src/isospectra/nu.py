@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnphysicalRegime, _check_finite, _check_index
+from .errors import UnphysicalRegime, _check_finite, _check_index, _in_float_range
 
 __all__ = ["HypergeometricForm", "NUReduction", "nu_reduce", "nu_eigencondition"]
 
@@ -67,13 +67,15 @@ def nu_reduce(form: HypergeometricForm) -> NUReduction:
 
     Requires finite coefficients and a2 < 0, else ValueError. Raises
     UnphysicalRegime when 1 - 4*a0 < 0, i.e. when the singular-point
-    coupling is too attractive for a square-integrable ladder.
+    coupling is too attractive for a square-integrable ladder, and
+    DivergenceError naming 1 - 4*a0 or k when either leaves the float
+    range; every other quantity of the reduction is then finite.
     """
     for name in ("a2", "a1", "a0"):
         _check_finite(name, getattr(form, name))
     if form.a2 >= 0.0:
         raise ValueError(f"a2 must be negative for bound states, got {form.a2}")
-    disc = 1.0 - 4.0 * form.a0
+    disc = _in_float_range(1.0 - 4.0 * form.a0, "1 - 4 a0")
     if disc < 0.0:
         raise UnphysicalRegime(f"1 - 4*a0 = {disc} < 0: coupling admits no bound-state ladder")
 
@@ -81,7 +83,7 @@ def nu_reduce(form: HypergeometricForm) -> NUReduction:
     root = math.sqrt(disc)
     # Minus branch of k: the only choice that gives tau_slope < 0 and a
     # normalizable weight.
-    k = 0.5 * (form.a1 - b * root)
+    k = _in_float_range(0.5 * (form.a1 - b * root), "k = (a1 - sqrt(-a2) sqrt(1 - 4 a0)) / 2")
     pi_const = 0.5 * (1.0 + root)
     pi_slope = -b
     tau_const = 1.0 + 2.0 * pi_const

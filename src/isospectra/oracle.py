@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, GridTooCoarse, NoConvergence, ToleranceNotMet, UnphysicalRegime
-from .errors import _check_index, _check_positive, _in_float_range, _square
+from .errors import _check_index, _check_positive, _divisor_square, _in_float_range, _square
 from .rel import DiracParams, Symmetry
 
 __all__ = [
@@ -477,7 +477,9 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     2 x_min >= x_max, which leaves no doubled-cutoff grid, and
     DivergenceError naming the scale when hbar^2 / (2M) leaves the float
     range or underflows to 0 (the matrix would lose its kinetic term and
-    return the well's minimum).
+    return the well's minimum), or when the square of the doubled-cutoff
+    grid's off-diagonal k = hbar^2 / (2 M h^2), the largest, does (LAPACK
+    forms it and fails), or h^2 underflows to 0.
 
     V is sampled on the interior points only: the walls are the
     Dirichlet boundary, so V may be infinite or undefined there.
@@ -502,6 +504,8 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
         return v
 
     coarse, cut = _check_grids(grid)  # raises before any solve when a check grid cannot be built
+    # stebz squares the off-diagonal k = hbar^2 / (2 M h^2), largest on the finest grid, the doubled-cutoff one
+    _square(kinetic / _divisor_square(cut.spacing, "h"), "(hbar^2 / (2 M h^2))")
     e_coarse = _tridiag_bracketed(sample(coarse), coarse.spacing, kinetic, count)
     e_h = _tridiag_near(sample(grid), grid.spacing, kinetic, e_coarse)
     e_cut = _tridiag_near(sample(cut), cut.spacing, kinetic, e_h)
@@ -642,7 +646,8 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
 
     The second-order equation for the upper component has an
     energy-dependent coefficient in front of the well. Starting from
-    the harmonic-ladder scale, each sweep freezes that coefficient,
+    the harmonic-ladder scale above the spin window's edge,
+    max(M c^2, C - M c^2), each sweep freezes that coefficient,
     solves the resulting tridiagonal eigenproblem for the n-th
     eigenvalue and maps it back to a new energy through the dispersion
     quadratic; steps are damped by half whenever they change sign.
@@ -687,7 +692,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     underflows to 0, or naming the well when it, or the weighted well
     w U on any grid solved, leaves the float range at an interior grid
     point; at the least weight a level can have, that is checked before
-    any eigensolve.
+    any eigensolve, and so is (2 M c^2 - C)^2 in the dispersion quadratic.
 
     The eigenvalue's grid error d_lambda feeds back through the weight:
     the converged level solves E = F(lambda(w(E))), so its error is
@@ -741,6 +746,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     # eigenvalue n is at least w min U (Courant-Fischer), and a level has lambda / w = E - M c^2,
     # so no level has a weight below (2 M c^2 - C + min U) / (hbar c)^2
     weighted_well(max((b_coef + float(np.min(u[1:-1]))) / hc2, 0.0), grid, u)
+    b_sq = _square(b_coef, "(2 M c^2 - C)")
 
     def nth_curvature(weight: float, fraction: float) -> float:
         # -f'' + weight * U(x) f, eigenvalue number n, bisected to fraction times its enclosure's width
@@ -760,7 +766,8 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         last = (weight, lam, tol)
         return lam
 
-    e_value = mc2 + p.hbar * p.omega * (2.0 * n + 1.5)
+    # the spin window opens at max(M c^2, C - M c^2)
+    e_value = max(mc2, offset - mc2) + p.hbar * p.omega * (2.0 * n + 1.5)
     if p.g < 0.0:
         # A bound level has 1 + 2 g weight >= 0, so start just inside
         # that edge rather than past it.
@@ -772,7 +779,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         if weight <= 0.0:
             raise NoConvergence(f"iteration left the admissible region (weight = {weight})")
         lam = nth_curvature(weight, _SWEEP_TOL_FRACTION)
-        disc = b_coef**2 + 4.0 * lam * hc2
+        disc = b_sq + 4.0 * lam * hc2
         if disc < 0.0:
             raise NoConvergence("dispersion quadratic has no real branch for the grid eigenvalue")
         e_next = mc2 + 0.5 * (-b_coef + math.sqrt(disc))

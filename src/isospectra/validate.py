@@ -159,18 +159,14 @@ def suite_identities() -> list[CheckResult]:
 
 # ------------------------------------------------------------ orthonormality
 
-def _sq_on_half_line(func):
+def _on_half_line(fa, fb=None) -> float:
+    """Integral of fa fb over x > 0, or of fa^2 when fb is None; the integrand is 0 at x <= 0, where no state is defined."""
     def integrand(x: float) -> float:
-        return 0.0 if x <= 0.0 else float(func(x)) ** 2
+        if x <= 0.0:
+            return 0.0
+        return float(fa(x)) ** 2 if fb is None else float(fa(x)) * float(fb(x))
 
-    return integrand
-
-
-def _product_on_half_line(fa, fb):
-    def integrand(x: float) -> float:
-        return 0.0 if x <= 0.0 else float(fa(x)) * float(fb(x))
-
-    return integrand
+    return oracle.quadrature(integrand, 0.0, math.inf, tol=1e-11)
 
 
 def nonrel_orthonormality_deviation(g: float) -> float:
@@ -179,9 +175,7 @@ def nonrel_orthonormality_deviation(g: float) -> float:
     worst = 0.0
     for i in range(7):
         for j in range(i, 7):
-            val = oracle.quadrature(_product_on_half_line(funcs[i], funcs[j]), 0.0, math.inf, tol=1e-11)
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(val - target))
+            worst = max(worst, abs(_on_half_line(funcs[i], funcs[j]) - float(i == j)))
     return worst
 
 
@@ -200,18 +194,15 @@ def radial3d_normalization_deviation() -> float:
     worst = 0.0
     for l in range(4):
         for n in range(4):
-            val = oracle.quadrature(_sq_on_half_line(lambda r, n=n, l=l: nonrel.oscillator3d_radial(n, l, p, r)), 0.0, math.inf, tol=1e-11)
-            worst = max(worst, abs(val - 1.0))
+            worst = max(worst, abs(_on_half_line(lambda r, n=n, l=l: nonrel.oscillator3d_radial(n, l, p, r)) - 1.0))
     return worst
 
 
 def spin_upper_normalization_deviation() -> float:
     p = rel.DiracParams(g=2.0, sym_constant=0.0, branch=rel.Symmetry.SPIN)
     worst = 0.0
-    for n in range(5):
-        e_val = rel.solve_spin_energy(n, p).value
-        val = oracle.quadrature(_sq_on_half_line(lambda x, n=n: rel.spin_upper_spinor(n, p, e_val, x)), 0.0, math.inf, tol=1e-11)
-        worst = max(worst, abs(val - 1.0))
+    for level in rel.solve_levels(4, p):
+        worst = max(worst, abs(_on_half_line(lambda x: rel.spin_upper_spinor(level.n, p, level.value, x)) - 1.0))
     return worst
 
 
@@ -219,10 +210,8 @@ def pseudospin_lower_normalization_deviation() -> float:
     worst = 0.0
     for g, sym_constant, n_max in ((2.0, 0.0, 3), (6.0, -13.0, 2)):
         p = rel.DiracParams(g=g, sym_constant=sym_constant, branch=rel.Symmetry.PSEUDOSPIN)
-        for n in range(n_max + 1):
-            e_val = rel.solve_pseudospin_energy(n, p).value
-            val = oracle.quadrature(_sq_on_half_line(lambda x, n=n: rel.pseudospin_lower_spinor(n, p, e_val, x)), 0.0, math.inf, tol=1e-11)
-            worst = max(worst, abs(val - 1.0))
+        for level in rel.solve_levels(n_max, p):
+            worst = max(worst, abs(_on_half_line(lambda x: rel.pseudospin_lower_spinor(level.n, p, level.value, x)) - 1.0))
     return worst
 
 
@@ -254,28 +243,25 @@ def nonrel_ode_residual(n: int, detune: float = 0.0) -> float:
     return oracle.ode_residual(samples, coefficient, _ODE_GRID)
 
 
-def spin_ode_residual() -> float:
-    p = rel.DiracParams(g=2.0, sym_constant=0.0, branch=rel.Symmetry.SPIN)
-    e_val = rel.solve_spin_energy(0, p).value
-    d = rel.spin_derived(p, e_val)
-    samples = rel.spin_upper_spinor(0, p, e_val, _ODE_GRID.points())
+def _spinor_ode_residual(branch: rel.Symmetry, n: int, derived, spinor) -> float:
+    """Grid defect of level n's spinor at g = 2 in f'' = (constant_term + |energy_weight| U) f; the pseudospin weight is negative."""
+    p = rel.DiracParams(g=2.0, sym_constant=0.0, branch=branch)
+    e_val = rel.solve_levels(n, p)[n].value
+    d = derived(p, e_val)
+    samples = spinor(n, p, e_val, _ODE_GRID.points())
 
     def coefficient(x):
-        return d.constant_term + d.energy_weight * p.potential(x)
+        return d.constant_term + abs(d.energy_weight) * p.potential(x)
 
     return oracle.ode_residual(samples, coefficient, _ODE_GRID)
+
+
+def spin_ode_residual() -> float:
+    return _spinor_ode_residual(rel.Symmetry.SPIN, 0, rel.spin_derived, rel.spin_upper_spinor)
 
 
 def pseudospin_ode_residual() -> float:
-    p = rel.DiracParams(g=2.0, sym_constant=0.0, branch=rel.Symmetry.PSEUDOSPIN)
-    e_val = rel.solve_pseudospin_energy(1, p).value
-    d = rel.pseudospin_derived(p, e_val)
-    samples = rel.pseudospin_lower_spinor(1, p, e_val, _ODE_GRID.points())
-
-    def coefficient(x):
-        return d.constant_term - d.energy_weight * p.potential(x)
-
-    return oracle.ode_residual(samples, coefficient, _ODE_GRID)
+    return _spinor_ode_residual(rel.Symmetry.PSEUDOSPIN, 1, rel.pseudospin_derived, rel.pseudospin_lower_spinor)
 
 
 def suite_ode() -> list[CheckResult]:
@@ -333,11 +319,10 @@ def selfconsistent_ratio() -> float:
     worst = 0.0
     for col in golden.TABLE1_COLUMNS:
         p = golden.spin_params(col)
-        for n in range(4):
-            solved = rel.solve_spin_energy(n, p).value
-            rep = oracle.dirac_selfconsistent(n, p)
+        for level in rel.solve_levels(3, p):
+            rep = oracle.dirac_selfconsistent(level.n, p)
             bound = max(1e-6, rep.richardson_error[0])
-            worst = max(worst, abs(rep.eigenvalues[0] - solved) / bound)
+            worst = max(worst, abs(rep.eigenvalues[0] - level.value) / bound)
     return worst
 
 
@@ -422,10 +407,8 @@ def duality_deviation() -> float:
     for g in (2.0, 6.0):
         spin = rel.DiracParams(g=g, sym_constant=2.0, branch=rel.Symmetry.SPIN)
         pseudo = rel.DiracParams(g=g, sym_constant=spin.sym_constant - 4.0 * spin.rest_energy, branch=rel.Symmetry.PSEUDOSPIN)
-        for n in range(11):
-            e_spin = rel.solve_spin_energy(n, spin).value
-            e_pseudo = rel.solve_pseudospin_energy(n, pseudo).value
-            worst = max(worst, abs(e_spin - e_pseudo - 2.0 * spin.rest_energy))
+        for e_spin, e_pseudo in zip(rel.solve_levels(10, spin), rel.solve_levels(10, pseudo)):
+            worst = max(worst, abs(e_spin.value - e_pseudo.value - 2.0 * spin.rest_energy))
     return worst
 
 
@@ -465,9 +448,9 @@ def kg_spin_deviation() -> float:
     worst = 0.0
     for g in (0.5, 2.0, 6.0):
         p = rel.DiracParams(g=g, sym_constant=0.0, branch=rel.Symmetry.SPIN)
-        for n in range(11):
-            e_nu = nu_klein_gordon_level(n, p)
-            for level in (rel.klein_gordon_energy(n, p), rel.solve_spin_energy(n, p)):
+        for spin in rel.solve_levels(10, p):
+            e_nu = nu_klein_gordon_level(spin.n, p)
+            for level in (rel.klein_gordon_energy(spin.n, p), spin):
                 worst = max(worst, abs(level.value - e_nu))
     return worst
 

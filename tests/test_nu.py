@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isospectra.errors import UnphysicalRegime
+from isospectra.errors import DivergenceError, UnphysicalRegime
 from isospectra.nu import HypergeometricForm, NUReduction, nu_eigencondition, nu_reduce
 from isospectra.oracle import scan_roots
 
@@ -48,6 +48,20 @@ def test_reduce_rejects_non_confining():
 def test_reduce_rejects_overcritical_coupling():
     with pytest.raises(UnphysicalRegime):
         nu_reduce(HypergeometricForm(a2=-1.0, a1=1.0, a0=0.2500001))
+
+
+@pytest.mark.parametrize(
+    "form, scale",
+    [
+        (HypergeometricForm(a2=-1.0, a1=1.0, a0=-1e308), r"1 - 4 a0"),
+        (HypergeometricForm(a2=-1.7e308, a1=-1.7e308, a0=-1e307), r"k = \(a1 - sqrt\(-a2\) sqrt\(1 - 4 a0\)\) / 2"),
+    ],
+    ids=["disc", "k"],
+)
+def test_reduce_names_a_quantity_that_leaves_the_float_range(form, scale):
+    # every coefficient is finite; 1 - 4 a0 = 4e308, or a1 - sqrt(-a2 (1 - 4 a0)), is not
+    with pytest.raises(DivergenceError, match=rf"^the scale {scale} leaves the float range$"):
+        nu_reduce(form)
 
 
 def test_eigencondition_rejects_bad_level():

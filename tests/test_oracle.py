@@ -293,6 +293,14 @@ def test_selfconsistent_matches_tabulated(n, g, cs, target):
     assert abs(rep.eigenvalues[0] - target) <= max(1e-6, rep.richardson_error[0])
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_selfconsistent_sweep_starts_inside_the_window_above_twice_the_rest_energy(n):
+    # at C = 10 the window opens at C - M c^2 = 9, and a sweep from M c^2 + hbar omega (2n + 1.5) had weight -6.5
+    p = spin_params(2.0, 10.0)
+    rep = dirac_selfconsistent(n, p, FAST_GRID)
+    assert abs(rep.eigenvalues[0] - solve_spin_energy(n, p).value) <= rep.richardson_error[0]
+
+
 def test_selfconsistent_rejects_bad_input():
     with pytest.raises(ValueError):
         dirac_selfconsistent(0, DiracParams(branch=Symmetry.PSEUDOSPIN))
@@ -329,6 +337,16 @@ _HC2_UNDERFLOWS = r"^the scale \(hbar c\)\^2 = \(1e-170\)\^2 underflows to 0$"
             r"at M = 1\.0, omega = 1\.0, g = 1e\+301$",
             id="selfconsistent-weighted-well",
         ),
+        pytest.param(
+            # 2 M c^2 - C = 2e306 is finite, its square in the dispersion quadratic is not
+            "selfconsistent", {"c": 1e153}, r"^the scale \(2 M c\^2 - C\)\^2 = \(2e\+306\)\^2 leaves the float range$",
+            id="selfconsistent-c-large",
+        ),
+        pytest.param(
+            "selfconsistent", {"sym_constant": -1e300},
+            r"^the scale \(2 M c\^2 - C\)\^2 = \(1e\+300\)\^2 leaves the float range$",
+            id="selfconsistent-sym-constant",
+        ),
         pytest.param("fd", {"hbar": 1e200}, r"^the scale hbar\^2 = \(1e\+200\)\^2 leaves the float range$", id="fd-hbar-large"),
         pytest.param(
             "fd", {"hbar": 1e-170}, r"^the scale hbar\^2 / \(2 M\) = \(1e-170\)\^2 / \(2 \* 1.0\) underflows to 0$",
@@ -336,6 +354,12 @@ _HC2_UNDERFLOWS = r"^the scale \(hbar c\)\^2 = \(1e-170\)\^2 underflows to 0$"
         ),
         pytest.param(
             "fd", {"hbar": 1e10, "mass": 1e-300}, r"^the scale hbar\^2 / \(2 M\) leaves the float range$", id="fd-mass-small"
+        ),
+        pytest.param(
+            # hbar^2 / (2 M) is finite; the off-diagonal k = hbar^2 / (2 M h^2), which stebz squares, is 5.5e154
+            "fd", {"mass": 1.45e-150},
+            r"^the scale \(hbar\^2 / \(2 M h\^2\)\)\^2 = \(5\.5\d*e\+154\)\^2 leaves the float range$",
+            id="fd-kinetic-scale",
         ),
     ],
 )
@@ -347,6 +371,15 @@ def test_oracle_scale_outside_the_float_range_is_named_before_any_eigensolve(mon
             fd_eigenvalues(OscillatorParams().potential, 2, FAST_GRID, **kwargs)
         else:
             dirac_selfconsistent(0, DiracParams(**kwargs))
+    assert selects == []
+
+
+@pytest.mark.parametrize("g", [0.0, 2.0])
+def test_fd_names_a_spacing_whose_square_underflows_before_any_eigensolve(monkeypatch, g):
+    # h = 1e-163: k = hbar^2 / (2 M h^2) would divide by zero
+    selects = _record_selects(monkeypatch)
+    with pytest.raises(DivergenceError, match=r"^the scale h\^2 = \(1\.001\d*e-163\)\^2 underflows to 0$"):
+        fd_eigenvalues(OscillatorParams(g=g).potential, 2, Grid(1e-300, 1e-160, 1000))
     assert selects == []
 
 

@@ -1,9 +1,11 @@
 """The validation suites: every row of ``isospectra validate --suite all``, run in process."""
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from isospectra import nonrel, rel, validate
+from isospectra import golden, nonrel, rel, validate
 
 ALL_ROWS = [
     # identities
@@ -58,3 +60,55 @@ _harmonic, _log_norm, _lower = nonrel.harmonic_wavefunction, nonrel._log_norm, r
 def test_identity_row_exceeds_its_bound_on_a_fault_in_its_subject(check, module, name, faulty, monkeypatch):
     monkeypatch.setattr(module, name, faulty)
     assert check in [row.check for row in validate.suite_identities() if not row.passed]
+
+
+_wavefunction, _radial, _upper, _pseudo_lower = (
+    nonrel.wavefunction, nonrel.oscillator3d_radial, rel.spin_upper_spinor, rel.pseudospin_lower_spinor
+)
+_spin_derived, _pseudospin_derived, _ladder = rel.spin_derived, rel.pseudospin_derived, rel.solve_levels
+
+
+def _shifted_constant(derived):
+    def shifted(p, e):
+        d = derived(p, e)
+        return dataclasses.replace(d, constant_term=d.constant_term + 1e-3)
+
+    return shifted
+
+
+def _shifted_spin_ladder(n_max, p):
+    # the spin levels alone move by 1e-3; pseudospin ladders and every Klein-Gordon level stay
+    levels = _ladder(n_max, p)
+    if p.branch is rel.Symmetry.SPIN:
+        return [dataclasses.replace(level, value=level.value + 1e-3) for level in levels]
+    return levels
+
+
+@pytest.mark.parametrize(
+    "row, bound, module, name, faulty",
+    [
+        (lambda: validate.nonrel_orthonormality_deviation(2.0), 1e-9, nonrel, "wavefunction",
+         lambda n, p, x: (1.0 + 1e-6) * _wavefunction(n, p, x)),
+        (validate.radial3d_normalization_deviation, 1e-9, nonrel, "oscillator3d_radial",
+         lambda n, l, p, r: (1.0 + 1e-6) * _radial(n, l, p, r)),
+        (validate.spin_upper_normalization_deviation, 1e-9, rel, "spin_upper_spinor",
+         lambda n, p, e, x: (1.0 + 1e-6) * _upper(n, p, e, x)),
+        (validate.pseudospin_lower_normalization_deviation, 1e-9, rel, "pseudospin_lower_spinor",
+         lambda n, p, e, x: (1.0 + 1e-6) * _pseudo_lower(n, p, e, x)),
+        (validate.spin_ode_residual, 1e-6, rel, "spin_derived", _shifted_constant(_spin_derived)),
+        (validate.pseudospin_ode_residual, 1e-6, rel, "pseudospin_derived", _shifted_constant(_pseudospin_derived)),
+        (validate.selfconsistent_ratio, 1.0, rel, "solve_levels", _shifted_spin_ladder),
+        (validate.duality_deviation, 1e-9, rel, "solve_levels", _shifted_spin_ladder),
+        (validate.kg_spin_deviation, 1e-10, rel, "solve_levels", _shifted_spin_ladder),
+    ],
+    ids=[
+        "nonrel-orthonormality-g2", "radial3d-normalization", "spin-upper-normalization", "pseudospin-lower-normalization",
+        "spin-ode-residual", "pseudospin-ode-residual", "selfconsistent-agreement-ratio", "duality-shift",
+        "kg-spin-equality",
+    ],
+)
+def test_norm_ode_and_ladder_row_exceeds_its_bound_on_a_fault_in_its_subject(row, bound, module, name, faulty, monkeypatch):
+    # the first table column alone keeps the self-consistent row to 4 of its 20 grid solves
+    monkeypatch.setattr(golden, "TABLE1_COLUMNS", golden.TABLE1_COLUMNS[:1])
+    monkeypatch.setattr(module, name, faulty)
+    assert row() > bound
