@@ -162,9 +162,9 @@ class _Sturm:
     diagonal. Every LAPACK call is made by ``_solve``.
 
     Row cut. A value solve or a count over (bottom, top] bisects only
-    the leading ``live_rows(t)`` rows, for a t at or above ``top``: past
-    them every eigenvector below t has decayed beyond any effect on a
-    Sturm count at or below t (``live_rows`` bounds it block by block).
+    the leading ``live_rows(top)`` rows, cut at its own top: past them
+    every eigenvector below the top has decayed beyond any effect on a
+    Sturm count at or below it (``live_rows`` bounds it block by block).
 
     Clip rule. ``stebz`` clips a value window to the Gershgorin interval
     of the matrix, widened by a term proportional to its row count.
@@ -264,26 +264,22 @@ class _Sturm:
         past = np.flatnonzero(log_bound <= math.log(_TAIL_BOUND * max(1.0, abs(top))))
         return int(edges[past[0] + 1]) - 1 if past.size else self.diag.size
 
-    def values(self, bottom: float, top: float, tol: float = _EIG_TOL, rows: int | None = None) -> np.ndarray:
+    def values(self, bottom: float, top: float, tol: float = _EIG_TOL) -> np.ndarray:
         """Eigenvalues in (bottom, top], each within tol.
 
-        They are bisected on ``rows`` (default ``live_rows(top)``) when
-        bottom is at or above ``clip``, else on every row.
+        They are bisected on ``live_rows(top)`` rows when bottom is at or
+        above ``clip``, else on every row.
         """
-        if bottom < self.clip:
-            rows = self.diag.size
-        elif rows is None:
-            rows = self.live_rows(top)
+        rows = self.diag.size if bottom < self.clip else self.live_rows(top)
         return self._solve(rows, "v", (bottom, top), tol)
 
-    def count(self, bottom: float, top: float, rows: int | None = None) -> int:
-        """Number of eigenvalues in (bottom, top], on ``rows`` (default ``live_rows(top)``).
+    def count(self, bottom: float, top: float) -> int:
+        """Number of eigenvalues in (bottom, top], on ``live_rows(top)`` rows.
 
         The tolerance is wider than the interval, so only the two endpoint
         counts are made.
         """
-        rows = self.live_rows(top) if rows is None else rows
-        return self._solve(rows, "v", (bottom, top), 2.0 * (top - bottom)).size
+        return self._solve(self.live_rows(top), "v", (bottom, top), 2.0 * (top - bottom)).size
 
     def index(self, lo: int, hi: int, tol: float = _EIG_TOL) -> np.ndarray:
         """Eigenvalues lo..hi, each within tol, over every row."""
@@ -348,31 +344,26 @@ def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.nda
     spectrum: the matrix is K + diag(v) with the Dirichlet second
     difference K positive definite. The openings only decide how many
     windows are bisected, never what is accepted. When any condition
-    fails, the index solve runs instead.
-
-    The windows and the count keep the rows ``live_rows`` gives at the
-    highest top a window can reach: max(guesses) plus 10 times the
-    coarse-grid limit scaled by max(1, |max guess|).
+    fails, the index solve runs instead. Each window and the count keep
+    the rows that ``_Sturm`` keeps at their own top.
     """
     sturm = _Sturm(v, spacing, kinetic)
-    highest = float(np.max(guesses))
-    live = sturm.live_rows(highest + _WINDOW_GROWTH * _COARSE_LIMIT * max(1.0, abs(highest)))
     located = []
     top = -math.inf
     half = _WINDOW_SEED * max(1.0, abs(float(guesses[0])))
     for guess in guesses:
         guess = float(guess)
-        found = sturm.values(guess - half, guess + half, rows=live)
+        found = sturm.values(guess - half, guess + half)
         while found.size == 0 and half < _COARSE_LIMIT:
             half *= _WINDOW_GROWTH
-            found = sturm.values(guess - half, guess + half, rows=live)
+            found = sturm.values(guess - half, guess + half)
         if found.size != 1 or guess - half < top:
             break
         located.append(float(found[0]))
         top = guess + half
         half = min(max(_SHIFT_MARGIN * abs(located[-1] - guess), _SHIFT_FLOOR), _COARSE_LIMIT)
     else:
-        if sturm.count(sturm.least - sturm.pad, top, live) == lo + len(guesses):
+        if sturm.count(sturm.least - sturm.pad, top) == lo + len(guesses):
             return np.array(located)
     return sturm.index(lo, lo + len(guesses) - 1)
 
@@ -419,15 +410,27 @@ def _tridiag_bracketed(v: np.ndarray, spacing: float, kinetic: float, count: int
     return sturm.index(0, count - 1)
 
 
-def _check_grids(grid: Grid) -> tuple[Grid, Grid]:
-    """The doubled-spacing and doubled-cutoff check grids of ``grid``; ValueError when either cannot be built."""
+def _check_grids(grid: Grid, levels: int, kinetic: float, name: str) -> tuple[Grid, Grid]:
+    """The doubled-spacing and doubled-cutoff check grids of ``grid``, checked before any eigensolve.
+
+    ValueError when ``grid`` has under 10 points per level of ``levels``
+    or under 199 points (no doubled-spacing grid of 100), or when
+    2 x_min >= x_max (no doubled-cutoff grid). DivergenceError when the
+    finest grid, the doubled-cutoff one, has an h^2 that underflows to 0
+    or an off-diagonal k = kinetic / h^2 (spelt ``name``) whose square,
+    which LAPACK forms, leaves the float range.
+    """
+    if levels > grid.n_points // 10:
+        raise ValueError(f"levels 0..{levels - 1} need at least {10 * levels} grid points, got {grid.n_points}")
     if grid.n_points < 199:
         raise ValueError(f"the doubled-spacing check grid needs at least 199 grid points, got {grid.n_points}")
     if not 2.0 * grid.x_min < grid.x_max:
         raise ValueError(
             f"the doubled-cutoff check grid needs 2 x_min < x_max, got x_min = {grid.x_min}, x_max = {grid.x_max}"
         )
-    return grid.doubled_spacing(), grid.doubled_cutoff()
+    cut = grid.doubled_cutoff()
+    _square(kinetic / _divisor_square(cut.spacing, "h"), f"({name})")
+    return grid.doubled_spacing(), cut
 
 
 def _check_grid_error(grid: Grid, values: np.ndarray, e_coarse: np.ndarray, e_cut: np.ndarray) -> np.ndarray:
@@ -472,22 +475,16 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
     ``_Sturm``'s row cut and clip rule keep, so each is bit-identical
     to a solve over every row.
 
-    Raises ValueError before any solve when the grid has fewer than 199
-    points, which leaves no doubled-spacing grid of 100, or when
-    2 x_min >= x_max, which leaves no doubled-cutoff grid, and
-    DivergenceError naming the scale when hbar^2 / (2M) leaves the float
-    range or underflows to 0 (the matrix would lose its kinetic term and
-    return the well's minimum), or when the square of the doubled-cutoff
-    grid's off-diagonal k = hbar^2 / (2 M h^2), the largest, does (LAPACK
-    forms it and fails), or h^2 underflows to 0.
+    Raises DivergenceError naming the scale when hbar^2 / (2M) leaves the
+    float range or underflows to 0 (the matrix would lose its kinetic
+    term and return the well's minimum), then ``_check_grids``' errors
+    before any solve, with k = hbar^2 / (2 M h^2).
 
     V is sampled on the interior points only: the walls are the
     Dirichlet boundary, so V may be infinite or undefined there.
     """
     grid = grid if grid is not None else Grid()
     _check_index(count, "count", 1)
-    if count > grid.n_points // 10:
-        raise ValueError(f"count = {count} too large for {grid.n_points} grid points")
     _check_positive("mass", mass)
     _check_positive("hbar", hbar)
     kinetic = _in_float_range(_square(hbar, "hbar") / (2.0 * mass), "hbar^2 / (2 M)")
@@ -503,9 +500,7 @@ def fd_eigenvalues(potential, count: int, grid: Grid | None = None, mass: float 
             raise ValueError("potential must be finite on the grid interior")
         return v
 
-    coarse, cut = _check_grids(grid)  # raises before any solve when a check grid cannot be built
-    # stebz squares the off-diagonal k = hbar^2 / (2 M h^2), largest on the finest grid, the doubled-cutoff one
-    _square(kinetic / _divisor_square(cut.spacing, "h"), "(hbar^2 / (2 M h^2))")
+    coarse, cut = _check_grids(grid, count, kinetic, "hbar^2 / (2 M h^2)")
     e_coarse = _tridiag_bracketed(sample(coarse), coarse.spacing, kinetic, count)
     e_h = _tridiag_near(sample(grid), grid.spacing, kinetic, e_coarse)
     e_cut = _tridiag_near(sample(cut), cut.spacing, kinetic, e_h)
@@ -684,15 +679,14 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     shared with ``fd_eigenvalues``): 1.5 |lambda - lambda_coarse| /
     (r^2 - 1), r the spacing ratio (2 for odd n_points), plus
     |lambda - lambda_cut|. Each is bisected in a window around the
-    declared grid's lambda_n (``_tridiag_near``). Raises ValueError
-    before any solve when the grid has fewer than 199 points, which
-    leaves no doubled-spacing grid of 100, or when 2 x_min >= x_max,
-    which leaves no doubled-cutoff grid, and DivergenceError naming the
-    scale when (hbar c)^2 or omega^2 leaves the float range or (hbar c)^2
-    underflows to 0, or naming the well when it, or the weighted well
-    w U on any grid solved, leaves the float range at an interior grid
-    point; at the least weight a level can have, that is checked before
-    any eigensolve, and so is (2 M c^2 - C)^2 in the dispersion quadratic.
+    declared grid's lambda_n (``_tridiag_near``). Before any solve it
+    raises ``_check_grids``' errors, with k = 1 / h^2, and
+    DivergenceError naming the scale when (hbar c)^2 or omega^2 leaves
+    the float range or (hbar c)^2 underflows to 0, or naming the well
+    when it, or the weighted well w U on any grid solved, leaves the
+    float range at an interior grid point; at the least weight a level
+    can have, that is checked before any eigensolve, and so is
+    (2 M c^2 - C)^2 in the dispersion quadratic.
 
     The eigenvalue's grid error d_lambda feeds back through the weight:
     the converged level solves E = F(lambda(w(E))), so its error is
@@ -715,14 +709,12 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     if p.branch is not Symmetry.SPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     grid = grid if grid is not None else Grid()
-    if n + 1 > grid.n_points // 10:
-        raise ValueError(f"level {n} too high for {grid.n_points} grid points")
+    coarse, cut = _check_grids(grid, n + 1, 1.0, "1 / h^2")
 
     mc2 = p.rest_energy
     offset = p.sym_constant
     hc2 = p._hc2
     b_coef = 2.0 * mc2 - offset
-    coarse, cut = _check_grids(grid)  # raises before any solve when a check grid cannot be built
     x = grid.points()
 
     def in_float_range(v: np.ndarray, g: Grid, well: str) -> np.ndarray:

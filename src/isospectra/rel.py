@@ -523,7 +523,9 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
     triple) and compares the resulting eigencondition, rescaled to
     residual units, against pseudospin_energy_residual on a 100-point
     energy grid spanning the bound region around the n-th level. Returns the maximum absolute difference; nonzero values mean
-    the two derivation routes disagree.
+    the two derivation routes disagree. Raises NoRootInRange, as the
+    level scan does, when a grid energy rounds onto the window edge
+    M c^2 + sym_constant, where the reduction has no bound state.
     """
     n = _check_index(n)
     if p.branch is not Symmetry.PSEUDOSPIN:
@@ -536,6 +538,11 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
     worst = 0.0
     for e_value in energies:
         u = float(e_value) - p.rest_energy - p.sym_constant
+        if u <= 0.0:
+            raise NoRootInRange(
+                f"the map check's energy E = {e_value} sits on the window edge M c^2 + sym_constant = {lower}: "
+                f"the binding gap is below the float resolution {math.ulp(e_value)} of E"
+            )
         weight_mag = u / p._hc2
         form = HypergeometricForm(
             a2=-0.5 * p.mass * p.omega**2 * weight_mag,

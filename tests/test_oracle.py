@@ -383,6 +383,24 @@ def test_fd_names_a_spacing_whose_square_underflows_before_any_eigensolve(monkey
     assert selects == []
 
 
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        # h = 1e-81: the off-diagonal k = 1 / h^2 = 1e162 is finite, its square, which stebz forms, is not
+        (Grid(1e-90, 1e-78, 1000), r"^the scale \(1 / h\^2\)\^2 = \(9\.98\d*e\+161\)\^2 leaves the float range$"),
+        # h = 1e-163: k = 1 / h^2 would divide by zero
+        (Grid(1e-300, 1e-160, 1000), r"^the scale h\^2 = \(1\.001\d*e-163\)\^2 underflows to 0$"),
+    ],
+    ids=["square-overflows", "spacing-underflows"],
+)
+def test_selfconsistent_names_its_kinetic_scale_before_any_eigensolve(monkeypatch, grid, message):
+    selects = _record_selects(monkeypatch)
+    with warnings.catch_warnings(), pytest.raises(DivergenceError, match=message):
+        warnings.simplefilter("error", RuntimeWarning)
+        dirac_selfconsistent(0, DiracParams(g=0.0), grid)
+    assert selects == []
+
+
 # --------------------------------------------------------- ode residual
 
 
@@ -1048,10 +1066,39 @@ def test_live_rows_decide_every_sturm_count_up_to_the_top(well, fractions):
     bottom = sturm.least - 1.0
     for fraction in fractions:
         shift = bottom + fraction * (top - bottom)
-        assert sturm.count(bottom, shift, live) == sturm.count(bottom, shift, sturm.diag.size)
+        counts = [sturm._solve(rows, "v", (bottom, shift), 2.0 * (shift - bottom)).size for rows in (live, sturm.diag.size)]
+        assert counts[0] == counts[1]
     if np.max(sturm.v[1:-1]) < 1e150 * sturm.k:  # the per-row bound squares the tail
         per_row = _live_rows_per_row(sturm, top)
         assert per_row <= live <= per_row + 128
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: fd_eigenvalues(OscillatorParams(g=2).potential, 6),
+        lambda: dirac_selfconsistent(1, DiracParams(g=2, sym_constant=1)),
+    ],
+    ids=["fd", "selfconsistent"],
+)
+def test_every_sturm_solve_keeps_the_rows_of_its_own_top(monkeypatch, run):
+    # index solves and value solves that start below clip keep every row; every
+    # other value solve and every count (its tolerance is twice its window) keeps
+    # live_rows of its own top
+    kept = []
+    solve = oracle._Sturm._solve
+
+    def recording(self, rows, select, select_range, tol):
+        bottom, top = select_range
+        if select == "i" or (tol != 2.0 * (top - bottom) and bottom < self.clip):
+            kept.append((rows, self.diag.size))
+        else:
+            kept.append((rows, self.live_rows(top)))
+        return solve(self, rows, select, select_range, tol)
+
+    monkeypatch.setattr(oracle._Sturm, "_solve", recording)
+    run()
+    assert kept and all(rows == rule for rows, rule in kept), kept
 
 
 def test_window_below_bisection_start_keeps_every_row(monkeypatch):

@@ -533,6 +533,21 @@ def test_pseudospin_reduction_map(g, cps, n):
     assert pseudospin_map_check(n, pseudo_params(g, cps)) <= 1e-10
 
 
+@pytest.mark.parametrize("c", [1e2, 1e3])
+def test_map_check_holds_where_the_binding_is_resolved(c):
+    assert pseudospin_map_check(0, DiracParams(c=c, branch=Symmetry.PSEUDOSPIN)) <= 1e-10
+
+
+def test_map_check_names_an_energy_on_the_window_edge():
+    # the level is M c^2 + C + 1 ulp, so the grid's first energies round onto the edge
+    with pytest.raises(
+        NoRootInRange,
+        match=r"^the map check's energy E = 100000000\.0 sits on the window edge M c\^2 \+ sym_constant = 100000000\.0: "
+        r"the binding gap is below the float resolution 1\.49\d*e-08 of E$",
+    ):
+        pseudospin_map_check(0, DiracParams(c=1e4, branch=Symmetry.PSEUDOSPIN))
+
+
 def test_map_check_rejects_spin_branch():
     with pytest.raises(ValueError):
         pseudospin_map_check(0, spin_params(2.0, 0.0))
