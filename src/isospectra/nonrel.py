@@ -234,8 +234,11 @@ def _log_norm(n: int, beta: float, zeta: float) -> float:
     quadrature samples one state thousands of times, so the latest
     constants are cached by value; a cache hit skips no call of a public
     ``specfun`` function, so a wrapper that counts those calls sees every
-    sampling pass alike.
+    sampling pass alike. A beta that underflows to 0 (M omega / hbar, or a
+    spinor's falloff) has no normalizable envelope: DivergenceError names it.
     """
+    if beta == 0.0:
+        raise DivergenceError("the scale beta of the envelope exp(-beta x^2 / 2) underflows to 0")
     return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
 
 

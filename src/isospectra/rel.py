@@ -180,6 +180,8 @@ def _derived(p: DiracParams, e_value: float, sign: float) -> SpinDerived:
 
     The magnitude of the energy weight is (E + sign M c^2 - sym_constant)
     / (hbar c)^2 and must be positive; the weight itself carries the sign.
+    DivergenceError names 1 + 2 g |energy_weight| or constant_term where
+    either leaves the float range.
     """
     _check_finite("energy", e_value)
     w = e_value + sign * p.rest_energy - p.sym_constant
@@ -190,9 +192,10 @@ def _derived(p: DiracParams, e_value: float, sign: float) -> SpinDerived:
     under = 1.0 + 2.0 * p.g * magnitude
     if under < 0.0:
         raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
+    _in_float_range(under, "1 + 2 g |energy_weight|")
     return (SpinDerived if sign > 0.0 else PseudospinDerived)(
         energy_weight=weight,
-        constant_term=weight * (p.rest_energy - sign * e_value),
+        constant_term=_in_float_range(weight * (p.rest_energy - sign * e_value), "constant_term"),
         singular_coeff=0.5 * p.g * weight,
         falloff=math.sqrt(0.5 * p.mass * _square(p.omega, "omega") * magnitude),
         ladder_order=0.5 * math.sqrt(under),
@@ -217,14 +220,18 @@ def energy_residual(e_value: float, n: int, p: DiracParams, sign: float, offset:
     (s, C) = (sign, offset) is (+1, sym_constant) for spin, (-1,
     sym_constant) for pseudospin and (+1, 0) for Klein-Gordon. Strictly
     increasing in E on the admissible side w >= 0, and decreasing in n at
-    fixed E; the shared root scan relies on both.
+    fixed E; the shared root scan relies on both. A NaN or infinite
+    energy raises ValueError.
     """
     if type(n) is not int or n < 0:  # a valid plain int skips _check_index: a level solve calls this ~500 times
         n = _check_index(n)
     mc2 = sign * p.rest_energy
     w = e_value + mc2 - offset
-    if w < 0.0:
-        raise ValueError(f"E {'+' if sign > 0.0 else '-'} M c^2 - {offset} = {w} must be non-negative")
+    # one branch for w < 0 and for a NaN or +inf w; a finite E whose w overflows goes on as before
+    if not 0.0 <= w <= 1.7976931348623157e308:
+        _check_finite("energy", e_value)
+        if w < 0.0:
+            raise ValueError(f"E {'+' if sign > 0.0 else '-'} M c^2 - {offset} = {w} must be non-negative")
     under = 1.0 + 2.0 * p.g * w / p._hc2
     if under < 0.0:
         raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")

@@ -88,6 +88,7 @@ def test_spectrum_json_payload(capsys):
     )
     assert code == 0
     doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
     assert doc["manifest"]["command"] == "spectrum"
     assert doc["manifest"]["seedless"] is True
     assert doc["levels"][0] == {"n": 0, "energy": 2.5, "residual": 0.0, "branch": "nonrel-isotonic"}
@@ -199,6 +200,8 @@ def test_spectrum_from_one_scan_equals_the_per_level_solves(argv, fmt, monkeypat
     monkeypatch.setattr(rel, "solve_levels", lambda n_max, p: [solve[p.branch](n, p) for n in range(n_max + 1)])
     assert run_cli(argv, capsys) == shared
     assert shared[0] == 0 and len(shared[1].splitlines()) > 41
+    if fmt == "json":
+        assert shared[1] == json.dumps(json.loads(shared[1]), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -480,6 +483,9 @@ def test_scale_beyond_the_float_range_in_the_parser_checks_exits_one(capsys):
     assert err == "error: the scale hbar^2 = (1e+300)^2 leaves the float range\n"
 
 
+_BETA = "beta of the envelope exp(-beta x^2 / 2)"
+
+
 @pytest.mark.parametrize(
     "argv, scale",
     [
@@ -488,8 +494,14 @@ def test_scale_beyond_the_float_range_in_the_parser_checks_exits_one(capsys):
         (["spectrum", "--hbar", "1e-300"], "hbar^2 = (1e-300)^2"),
         (["wavefunction", "--hbar", "1e-300", "--points", "3"], "hbar^2 = (1e-300)^2"),
         (["wavefunction", "--hbar", "1e-300", "--x-min", "-1", "--points", "3"], "hbar^2 = (1e-300)^2"),
+        # beta = M omega / hbar = 1e-330, and the spinors' falloff, round to 0
+        (["wavefunction", "--mass", "1e-300", "--omega", "1e-30", "--points", "3"], _BETA),
+        (["wavefunction", "--mass", "1e-300", "--omega", "1e-30", "--points", "3", "--compare-harmonic"], _BETA),
+        (["wavefunction", "--branch", "spin", "--mass", "1e-300", "--points", "3"], _BETA),
+        (["wavefunction", "--branch", "pseudospin", "--omega", "1e-160", "--points", "3"], _BETA),
     ],
-    ids=["spin-c", "pseudospin-hbar", "nonrel-spectrum", "nonrel-wavefunction", "parser-checks"],
+    ids=["spin-c", "pseudospin-hbar", "nonrel-spectrum", "nonrel-wavefunction", "parser-checks",
+         "nonrel-beta", "harmonic-beta", "spin-falloff", "pseudospin-falloff"],
 )
 def test_divisor_scale_that_underflows_to_zero_exits_one(argv, scale, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -543,6 +555,9 @@ def test_potential_rejects_origin(capsys):
         (["wavefunction", "--branch", "spin", "--g", "6", "--cs", "2", "--x-max", "3", "--points", "6"],
          ["manifest", "energy", "samples"]),
         (["potential", "--g", "2", "--x-min", "0.1", "--x-max", "3", "--points", "6"], ["manifest", "samples"]),
+        # integer, zero and e-3xx sample tokens, each of which the JSON writer respells
+        (["wavefunction", "--branch", "spin", "--n", "20", "--x-max", "40", "--points", "41"],
+         ["manifest", "energy", "samples"]),
     ],
 )
 def test_sample_json_matches_csv(argv, head, capsys):
@@ -551,6 +566,7 @@ def test_sample_json_matches_csv(argv, head, capsys):
     code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
     assert code == 0
     doc = json.loads(json_out)
+    assert json_out == json.dumps(doc, indent=2) + "\n"
     assert list(doc) == head
     assert doc["manifest"]["command"] == argv[0]
     header, rows = csv_rows(csv_out)

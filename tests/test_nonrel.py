@@ -164,6 +164,20 @@ def test_hbar_squared_that_underflows_to_zero_is_named():
             call()
 
 
+def test_beta_that_underflows_to_zero_is_named():
+    # beta = M omega / hbar = 1e-330 rounds to 0, where ln N took math.log(0)
+    p = OscillatorParams(mass=1e-300, omega=1e-30)
+    message = r"^the scale beta of the envelope exp\(-beta x\^2 / 2\) underflows to 0$"
+    for call in (
+        lambda: wavefunction(0, p, 1.0),
+        lambda: wavefunction(2, p, np.array([1.0, 2.0])),
+        lambda: harmonic_wavefunction(0, p, 1.0),
+        lambda: oscillator3d_radial(0, 0, p, 1.0),
+    ):
+        with pytest.raises(DivergenceError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("params", [{"hbar": 1e-160}, {"mass": 1e300, "g": 1e300}], ids=["subnormal-hbar2", "huge-mass-g"])
 def test_alpha_beyond_the_float_range_is_named(params):
     # hbar^2 = 1e-320 is subnormal, not 0, so only alpha = M g / hbar^2 overflows

@@ -706,11 +706,17 @@ def test_fd_solves_every_grid_by_value_within_the_tolerance_of_the_index_solve(m
     assert bracketed.richardson_error == pytest.approx(reference.richardson_error, rel=1e-4)
 
 
-@pytest.mark.parametrize("g", [-0.05, 0.5, 2.0, 6.0])
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
-def test_fd_bisects_its_one_wide_window_on_the_coarse_grid(monkeypatch, g, count):
+@pytest.mark.parametrize(
+    "g,count,grid",
+    [pytest.param(g, count, FAST_GRID, id=f"{count}-{g}") for count in range(1, 7) for g in (-0.05, 0.5, 2.0, 6.0)]
+    + [pytest.param(2.0, 6, Grid(), id="default-grid")],
+)
+def test_fd_bisects_its_one_wide_window_on_the_coarse_grid(monkeypatch, g, count, grid):
     solves = _record_bisections(monkeypatch)
-    _outcome(lambda: fd_eigenvalues(OscillatorParams(g=g).potential, count, FAST_GRID))
+    _outcome(lambda: fd_eigenvalues(OscillatorParams(g=g).potential, count, grid))
+    # every grid is solved by value, on no more rows than the declared grid has
+    assert {select for select, *_ in solves} == {"v"}
+    assert max(rows for _, rows, _, _ in solves) <= grid.n_points - 2
     # a Sturm count's tolerance is wider than its window (it makes only its
     # endpoint counts), and a window around a guess stops growing below a
     # half-width of 10 times the coarse-grid limit
@@ -720,7 +726,7 @@ def test_fd_bisects_its_one_wide_window_on_the_coarse_grid(monkeypatch, g, count
         if select == "v" and tol == oracle._EIG_TOL and b - a > 2.0 * oracle._WINDOW_GROWTH * oracle._COARSE_LIMIT
     ]
     assert len(wide) == 1
-    assert wide[0] <= FAST_GRID.doubled_spacing().n_points - 2
+    assert wide[0] <= grid.doubled_spacing().n_points - 2
 
 
 def test_fd_coarse_grid_message_unchanged(monkeypatch):
@@ -965,16 +971,18 @@ def test_row_cut_keeps_selfconsistent_report_bit_for_bit(monkeypatch, n, g, cs):
     [
         lambda: fd_eigenvalues(OscillatorParams(g=2.0).potential, 3),
         lambda: dirac_selfconsistent(1, spin_params(2.0, 1.0)),
+        lambda: fd_eigenvalues(OscillatorParams(g=2.0).potential, 6),
+        lambda: dirac_selfconsistent(0, spin_params(2.0, 0.0)),
     ],
-    ids=["fd", "selfconsistent"],
+    ids=["fd", "selfconsistent", "fd-six-levels", "selfconsistent-ground-level"],
 )
 def test_row_cut_shortens_every_value_solve_on_default_grid(monkeypatch, run):
     solves = _record_rows(monkeypatch)
-    run()
+    report = run()
     cut = list(solves)
     solves.clear()
     _every_row(monkeypatch)
-    run()
+    assert run() == report  # bit for bit
     assert [select for select, _ in cut] == [select for select, _ in solves]
     assert "v" in {select for select, _ in cut}
     for (select, rows), (_, every) in zip(cut, solves):

@@ -7,6 +7,7 @@ import re
 import pytest
 
 import isospectra
+from isospectra import specfun
 from isospectra.nu import HypergeometricForm, nu_reduce
 from isospectra.specfun import kummer_1f1
 
@@ -28,6 +29,7 @@ def test_package_reexports_each_module_surface_in_order():
     for mod in modules:
         for name in mod.__all__:
             assert getattr(isospectra, name) is getattr(mod, name), f"{mod.__name__}.{name}"
+    assert specfun.__all__ == ["laguerre", "kummer_1f1"]  # not re-exported
 
 
 def test_readme_library_example_runs():

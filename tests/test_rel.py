@@ -390,6 +390,14 @@ def test_residual_rejects_energy_outside_window():
         pseudospin_energy_residual(0.9, 0, pseudo_params(2.0, 0.0))
 
 
+@pytest.mark.parametrize("residual", [spin_energy_residual, pseudospin_energy_residual, klein_gordon_residual])
+@pytest.mark.parametrize("e_value", [math.nan, math.inf])
+def test_residual_rejects_a_non_finite_energy(residual, e_value):
+    # w is NaN or +inf there, which passed the check of w >= 0, and the residual was nan
+    with pytest.raises(ValueError, match=f"^energy must be finite, got {e_value}$"):
+        residual(e_value, 0, DiracParams(g=2.0))
+
+
 def test_derived_guards():
     with pytest.raises(ValueError):
         spin_derived(spin_params(2.0, 5.0), 3.0)
@@ -399,6 +407,25 @@ def test_derived_guards():
         pseudospin_derived(pseudo_params(2.0, 0.0), 0.9)
     with pytest.raises(UnphysicalRegime):
         pseudospin_derived(pseudo_params(-1.0, -10.0), 3.0)
+
+
+@pytest.mark.parametrize(
+    "call, scale",
+    [
+        # constant_term = energy_weight (M c^2 -+ E), that is +-1e200 (1 -+ 1e200), was returned as -inf
+        (lambda: spin_derived(DiracParams(), 1e200), "constant_term"),
+        (lambda: pseudospin_derived(DiracParams(branch=Symmetry.PSEUDOSPIN), 1e200), "constant_term"),
+        # 1 + 2 g |energy_weight| = 1 + 4e308: specfun was handed the Laguerre order inf
+        (lambda: spin_upper_spinor(0, DiracParams(), 1e308, 1.0), "1 + 2 g |energy_weight|"),
+        (lambda: spin_lower_spinor(0, DiracParams(), 1e308, 1.0), "1 + 2 g |energy_weight|"),
+        (lambda: pseudospin_lower_spinor(0, DiracParams(branch=Symmetry.PSEUDOSPIN), 1e308, 1.0),
+         "1 + 2 g |energy_weight|"),
+    ],
+    ids=["spin-constant-term", "pseudospin-constant-term", "spin-upper-order", "spin-lower-order", "pseudospin-lower-order"],
+)
+def test_derived_value_beyond_the_float_range_is_named(call, scale):
+    with pytest.raises(DivergenceError, match=f"^the scale {re.escape(scale)} leaves the float range$"):
+        call()
 
 
 def test_derived_signs():
@@ -795,6 +822,15 @@ def test_spinor_is_zero_where_the_falloff_times_x2_overflows(spinor, symmetry):
         warnings.simplefilter("error")
         column = spinor(2, p, e, np.array([1e200, 1.0]))
     assert column[0] == 0.0 and column[1] == pytest.approx(spinor(2, p, e, 1.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("spinor,symmetry", _SPINOR_BRANCHES)
+def test_spinor_whose_falloff_underflows_to_zero_is_named(spinor, symmetry):
+    # at M = 1e-300 the falloff sqrt(M omega^2 |energy_weight| / 2) rounds to 0, where ln N took math.log(0)
+    p = DiracParams(mass=1e-300, branch=symmetry)
+    e = (solve_spin_energy if symmetry is Symmetry.SPIN else solve_pseudospin_energy)(1, p).value
+    with pytest.raises(DivergenceError, match=r"^the scale beta of the envelope exp\(-beta x\^2 / 2\) underflows to 0$"):
+        spinor(1, p, e, 1.0)
 
 
 @pytest.mark.parametrize("g", [2.0, -0.1])
