@@ -425,7 +425,7 @@ def _run_potential(manifest: RunManifest) -> RunResult:
     # At the ends of the float range x^2 overflows, or underflows to 0 and
     # g / x^2 is inf or NaN; the sample writer reports the non-finite column.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        columns = {"isotonic": p.potential(xs), "harmonic": 0.5 * p.mass * p.omega**2 * xs**2}
+        columns = {"isotonic": p.potential(xs), "harmonic": 0.5 * p.mass * p._omega2 * xs**2}
 
     def overflow(name: str) -> str:
         return (

@@ -8,8 +8,7 @@ raise DivergenceError naming a derived scale that leaves the float range.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from numbers import Integral
 
 __all__ = [
     "SpectraError",
@@ -62,7 +61,7 @@ class DegenerateEnergy(SpectraError):
 
 def _check_index(value, name: str = "level index", least: int = 0) -> int:
     """value as an int; ValueError unless it is an integer, not a bool, of at least ``least``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         bound = "non-negative" if least == 0 else f">= {least}"

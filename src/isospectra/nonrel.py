@@ -100,14 +100,32 @@ class OscillatorParams:
             raise ValueError("x must not be NaN")
         with np.errstate(divide="ignore", over="ignore"):
             x2 = x**2
-            well = 0.5 * self.mass * _square(self.omega, "omega") * x2
+            well = 0.5 * self.mass * self._omega2 * x2
             if self.g == 0.0:
                 return well  # no barrier: g / (2 x^2) would be 0/0 where x^2 underflows to 0
             return well + self.g / (2.0 * x2)
 
-    # The ladder is computed on first use and kept on the instance; it is
-    # not a field, so ==, hash, repr and dataclasses.replace see only the
-    # four parameters above. ln N is cached by value in _log_norm instead.
+    # The scales and the ladder are computed on first use and kept on the
+    # instance; not fields, so ==, hash, repr and dataclasses.replace see
+    # only the four parameters above. ln N is cached by value in _log_norm.
+
+    @cached_property
+    def _quantum(self) -> float:
+        """hbar omega; DivergenceError names it below the smallest normal float, where the levels lose their digits."""
+        quantum = self.hbar * self.omega
+        if quantum < sys.float_info.min:
+            raise DivergenceError("the scale hbar omega leaves the float range")
+        return quantum
+
+    @cached_property
+    def _omega2(self) -> float:
+        """omega^2; DivergenceError names it where it leaves the float range."""
+        return _square(self.omega, "omega")
+
+    @cached_property
+    def _beta(self) -> float:
+        """beta = M omega / hbar; ``_log_norm`` names it where it is 0 or inf."""
+        return self.mass * self.omega / self.hbar
 
     @cached_property
     def _ladder(self) -> DerivedNonrel:
@@ -168,11 +186,10 @@ def derive(p: OscillatorParams) -> DerivedNonrel:
     Total on all finite g: quantities that do not exist (too-attractive
     coupling) come back as NaN and the regime classifier says why.
     """
-    beta = p.mass * p.omega / p.hbar
     alpha = _in_float_range(p.mass * p.g / _divisor_square(p.hbar, "hbar"), "alpha = M g / hbar^2")
     xi = 0.5 * math.sqrt(1.0 + 4.0 * alpha) if 1.0 + 4.0 * alpha >= 0.0 else math.nan
     m = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * p.g)) if 1.0 + 4.0 * p.g >= 0.0 else math.nan
-    return DerivedNonrel(beta=beta, alpha=alpha, xi=xi, m=m)
+    return DerivedNonrel(beta=p._beta, alpha=alpha, xi=xi, m=m)
 
 
 def classify_regime(alpha: float) -> Regime:
@@ -199,18 +216,6 @@ def _rung(n: int) -> float:
         return math.inf
 
 
-def _quantum(p: OscillatorParams) -> float:
-    """hbar omega; DivergenceError names it below the smallest normal float, 0 included.
-
-    There the product has lost its digits (1e-150 * 1e-200 rounds to 0),
-    and so has every level it scales.
-    """
-    quantum = p.hbar * p.omega
-    if quantum < sys.float_info.min:
-        raise DivergenceError("the scale hbar omega leaves the float range")
-    return quantum
-
-
 def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     """Closed-form level E_n = hbar omega (2n + 1 + (1/2) sqrt(1 + 4 alpha)).
 
@@ -221,7 +226,7 @@ def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     """
     n = _check_index(n)
     d = p._ladder
-    value = _in_float_range(_quantum(p) * (2.0 * _rung(n) + 1.0 + d.xi), "hbar omega (2n + 1 + xi)")
+    value = _in_float_range(p._quantum * (2.0 * _rung(n) + 1.0 + d.xi), "hbar omega (2n + 1 + xi)")
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
 
 
@@ -234,11 +239,12 @@ def _log_norm(n: int, beta: float, zeta: float) -> float:
     quadrature samples one state thousands of times, so the latest
     constants are cached by value; a cache hit skips no call of a public
     ``specfun`` function, so a wrapper that counts those calls sees every
-    sampling pass alike. A beta that underflows to 0 (M omega / hbar, or a
-    spinor's falloff) has no normalizable envelope: DivergenceError names it.
+    sampling pass alike. A beta (M omega / hbar, or a spinor's falloff) of 0
+    or inf has no envelope in floats: DivergenceError names it.
     """
-    if beta == 0.0:
-        raise DivergenceError("the scale beta of the envelope exp(-beta x^2 / 2) underflows to 0")
+    if not 0.0 < beta < math.inf:
+        fate = "underflows to 0" if beta == 0.0 else "leaves the float range"
+        raise DivergenceError(f"the scale beta of the envelope exp(-beta x^2 / 2) {fate}")
     return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
 
 
@@ -354,7 +360,7 @@ def harmonic_energy(n: int, p: OscillatorParams) -> float:
     An hbar omega below the normal floats raises DivergenceError naming it.
     """
     n = _check_index(n)
-    return _in_float_range(_quantum(p) * (_rung(n) + 0.5), "hbar omega (n + 1/2)")
+    return _in_float_range(p._quantum * (_rung(n) + 0.5), "hbar omega (n + 1/2)")
 
 
 def harmonic_wavefunction(n: int, p: OscillatorParams, x):
@@ -371,7 +377,7 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
         n = _check_index(n)
     k, odd = divmod(n, 2)
     zeta = odd - 0.5
-    beta = p.mass * p.omega / p.hbar
+    beta = p._beta
     ln_norm = _log_norm(k, beta, zeta) - 0.5 * math.log(2.0)
     # The origin is sampled at the least positive float, where beta x^2 is 0: an even state is
     # N L_k^(-1/2)(0) there, and sign(x) makes an odd one 0. _laguerre_state rejects a NaN or infinite x.
@@ -399,7 +405,7 @@ def oscillator3d_energy(n: int, l: int, p: OscillatorParams) -> float:
     """
     n = _check_index(n)
     l = _check_index(l, "orbital index")
-    return _in_float_range(_quantum(p) * (2.0 * _rung(n) + _rung(l) + 1.5), "hbar omega (2n + l + 3/2)")
+    return _in_float_range(p._quantum * (2.0 * _rung(n) + _rung(l) + 1.5), "hbar omega (2n + l + 3/2)")
 
 
 def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
@@ -414,5 +420,4 @@ def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
     if type(l) is not int or l < 0:
         l = _check_index(l, "orbital index")
     zeta = l + 0.5
-    beta = p.mass * p.omega / p.hbar
-    return _laguerre_state(n, _log_norm(n, beta, zeta), beta, zeta, r, "radial coordinate must be finite and positive")
+    return _laguerre_state(n, _log_norm(n, p._beta, zeta), p._beta, zeta, r, "radial coordinate must be finite and positive")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ _COARSE_LIMIT = 1e-3
 _EIG_TOL = 1e-12  # absolute eigenvalue tolerance for the Sturm bisection;
 # the LAPACK default scales with the matrix norm, which the 1/x^2
 # diagonal inflates past any useful accuracy
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 # a grid's first value window around a known eigenvalue opens at this
 # fraction of max(1, |lambda|); every window grows by the factor until
 # it reaches _COARSE_LIMIT
@@ -759,7 +760,7 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         return lam
 
     # the spin window opens at max(M c^2, C - M c^2)
-    e_value = max(mc2, offset - mc2) + p.hbar * p.omega * (2.0 * n + 1.5)
+    e_value = max(mc2, offset - mc2) + p._well._quantum * (2.0 * n + 1.5)
     if p.g < 0.0:
         # A bound level has 1 + 2 g weight >= 0, so start just inside
         # that edge rather than past it.

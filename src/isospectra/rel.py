@@ -83,7 +83,8 @@ class DiracParams:
     (additive to the energy denominator in the spin case, subtractive
     in the pseudospin case). kappa is the angular quantum number of the
     lowest partial wave for the chosen branch and is filled in
-    automatically: -1 for spin, +1 for pseudospin.
+    automatically: -1 for spin, +1 for pseudospin. ``_well``, not a field,
+    is the OscillatorParams of mass, omega, g and hbar, whose scales p reads.
     """
 
     mass: float = 1.0
@@ -96,10 +97,9 @@ class DiracParams:
     kappa: int | None = field(default=None)
 
     def __post_init__(self) -> None:
-        for name in ("mass", "omega", "hbar", "c"):
-            _check_positive(name, getattr(self, name))
-        for name in ("g", "sym_constant"):
-            _check_finite(name, getattr(self, name))
+        object.__setattr__(self, "_well", OscillatorParams(mass=self.mass, omega=self.omega, g=self.g, hbar=self.hbar))
+        _check_positive("c", self.c)
+        _check_finite("sym_constant", self.sym_constant)
         if not isinstance(self.branch, Symmetry):
             raise ValueError(f"branch must be a Symmetry, got {self.branch!r}")
         expected = -1 if self.branch is Symmetry.SPIN else 1
@@ -140,7 +140,7 @@ class DiracParams:
 
     def potential(self, x):
         """The isotonic well U(x) shared by both branches (``OscillatorParams.potential``: +-inf at x = 0, ValueError for NaN x)."""
-        return OscillatorParams(mass=self.mass, omega=self.omega, g=self.g).potential(x)
+        return self._well.potential(x)
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def _derived(p: DiracParams, e_value: float, sign: float) -> SpinDerived:
         energy_weight=weight,
         constant_term=_in_float_range(weight * (p.rest_energy - sign * e_value), "constant_term"),
         singular_coeff=0.5 * p.g * weight,
-        falloff=math.sqrt(0.5 * p.mass * _square(p.omega, "omega") * magnitude),
+        falloff=math.sqrt(0.5 * p.mass * p._well._omega2 * magnitude),
         ladder_order=0.5 * math.sqrt(under),
     )
 
@@ -552,7 +552,7 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
             )
         weight_mag = u / p._hc2
         form = HypergeometricForm(
-            a2=-0.5 * p.mass * p.omega**2 * weight_mag,
+            a2=-0.5 * p.mass * p._well._omega2 * weight_mag,
             a1=weight_mag * (p.rest_energy + float(e_value)),
             a0=-0.5 * p.g * weight_mag,
         )
@@ -580,7 +580,7 @@ def nonrel_limit_check(n: int, p: DiracParams, c_values) -> list[float]:
     cs = [float(v) for v in c_values]
     if len(cs) < 2 or any(b <= a for a, b in zip(cs, cs[1:])) or cs[0] <= 0.0:
         raise ValueError("c_values must be at least two strictly increasing positive speeds")
-    target = nonrel_energy(n, OscillatorParams(mass=p.mass, omega=p.omega, g=p.g, hbar=p.hbar)).value
+    target = nonrel_energy(n, p._well).value
     deviations = []
     for c_val in cs:
         pc = replace(p, c=c_val)

@@ -509,6 +509,13 @@ def test_divisor_scale_that_underflows_to_zero_exits_one(argv, scale, capsys):
     assert err == f"error: the scale {scale} underflows to 0\n"
 
 
+def test_beta_that_overflows_exits_one_and_is_named(capsys):
+    # beta = M omega / hbar = 1e400 is inf, where the samples read 0.0 or NaN
+    code, out, err = run_cli(["wavefunction", "--mass", "1e200", "--omega", "1e200", "--points", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: the scale {_BETA} leaves the float range\n"
+
+
 def test_well_scale_that_underflows_still_samples(capsys):
     # omega^2 only multiplies, so its underflow to 0 leaves a finite well
     code, out, err = run_cli(["potential", "--omega", "1e-200", "--points", "3"], capsys)

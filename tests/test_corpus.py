@@ -6,8 +6,8 @@ request writes, and the platform and library versions that recorded them.
 Each request runs in process through ``cli.main`` in an empty directory
 and must give the recorded bytes again. The corpus holds every command
 (only the ``tables``, ``limits`` and ``ode`` suites of ``validate``, the
-fast ones), the README examples, the edge requests of the CI workflow, a
-negative coupling, ``--c 1e4`` and ``--c 3``, and JSON ``wavefunction``
+fast ones), the README examples, edge requests at the ends of the float
+range, a negative coupling, ``--c 1e4`` and ``--c 3``, and JSON ``wavefunction``
 and ``potential`` requests that reach each token the JSON sample writer
 respells: integers and ±0 (an x grid through 0 and the integers, a
 spinor's 0 at the origin), exponents e+12 to e+15, and exponents of -308

@@ -154,6 +154,9 @@ def test_scale_beyond_the_float_range_is_named():
         OscillatorParams(omega=1e300).potential(1.0)
     with pytest.raises(DivergenceError, match=r"^the scale hbar\^2 = \(1e\+300\)\^2 leaves the float range$"):
         energy(0, OscillatorParams(hbar=1e300))
+    # the pseudospin level solves to E = 1.414e160; the map check's own coefficient a2 needs omega^2
+    with pytest.raises(DivergenceError, match=r"^the scale omega\^2 = \(1e\+160\)\^2 leaves the float range$"):
+        rel.pseudospin_map_check(0, rel.DiracParams(omega=1e160, branch=rel.Symmetry.PSEUDOSPIN))
 
 
 def test_hbar_squared_that_underflows_to_zero_is_named():
@@ -164,18 +167,31 @@ def test_hbar_squared_that_underflows_to_zero_is_named():
             call()
 
 
-def test_beta_that_underflows_to_zero_is_named():
-    # beta = M omega / hbar = 1e-330 rounds to 0, where ln N took math.log(0)
-    p = OscillatorParams(mass=1e-300, omega=1e-30)
-    message = r"^the scale beta of the envelope exp\(-beta x\^2 / 2\) underflows to 0$"
+@pytest.mark.parametrize(
+    "params, fate, level",
+    [({"mass": 1e-300, "omega": 1e-30}, "underflows to 0", 1.5000000000000001e-30),
+     ({"mass": 1e200, "omega": 1e200}, "leaves the float range", 1.414213562373095e300)],
+    ids=["underflow", "overflow"],
+)
+def test_beta_beyond_the_float_range_is_named(params, fate, level):
+    # beta = M omega / hbar = 1e-330 rounds to 0, where ln N took math.log(0); 1e400 is inf, where a
+    # sample read 0.0 or NaN and an x of 1e-300 reached specfun's bare ValueError. The ladder stands.
+    p = OscillatorParams(**params)
+    message = rf"^the scale beta of the envelope exp\(-beta x\^2 / 2\) {fate}$"
     for call in (
         lambda: wavefunction(0, p, 1.0),
+        lambda: wavefunction(0, p, 0.5),
         lambda: wavefunction(2, p, np.array([1.0, 2.0])),
+        lambda: wavefunction(0, p, np.array([0.5, 1.0])),
+        lambda: wavefunction(0, p, np.array([1e-300])),
         lambda: harmonic_wavefunction(0, p, 1.0),
+        lambda: harmonic_wavefunction(0, p, 0.5),
         lambda: oscillator3d_radial(0, 0, p, 1.0),
+        lambda: oscillator3d_radial(0, 0, p, 0.5),
     ):
         with pytest.raises(DivergenceError, match=message):
             call()
+    assert energy(0, p).value == level
 
 
 @pytest.mark.parametrize("params", [{"hbar": 1e-160}, {"mass": 1e300, "g": 1e300}], ids=["subnormal-hbar2", "huge-mass-g"])
@@ -389,11 +405,11 @@ def test_log_norm_caches_stay_bounded():
 
 def test_log_norm_caches_are_invisible_on_the_params():
     p = OscillatorParams(mass=1.5, g=2.7)
-    energy(0, p)  # the ladder is the one constant kept on p
+    energy(0, p)  # the ladder and the scales energy reads are the constants kept on p
     before = (dict(vars(p)), repr(p), hash(p))
     _samples(p)
     assert (dict(vars(p)), repr(p), hash(p)) == before
-    assert set(vars(p)) == {"mass", "omega", "g", "hbar", "_ladder"}
+    assert set(vars(p)) == {"mass", "omega", "g", "hbar", "_ladder", "_beta", "_quantum"}
     assert p == OscillatorParams(mass=1.5, g=2.7)
 
 
@@ -455,6 +471,7 @@ def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
     "n,message",
     [
         (True, "level index must be an integer, got True"),
+        (np.bool_(True), f"level index must be an integer, got {np.bool_(True)!r}"),
         (-1, "level index must be non-negative, got -1"),
         (1.0, "level index must be an integer, got 1.0"),
     ],
