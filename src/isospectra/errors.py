@@ -89,9 +89,9 @@ def _in_float_range(value: float, scale: str) -> float:
 
 
 def _square(value: float, name: str) -> float:
-    """value^2 by _in_float_range; float ** raises OverflowError where * gives inf."""
+    """value^2 by _in_float_range; float ** raises OverflowError where * gives inf and numpy ** warns."""
     try:
-        squared = value**2
+        squared = float(value) ** 2
     except OverflowError:
         squared = math.inf
     return _in_float_range(squared, f"{name}^2 = ({value})^2")

@@ -287,41 +287,6 @@ class _Sturm:
         return self._solve(self.diag.size, "i", (lo, hi), tol)
 
 
-def _tridiag_lowest(
-    v: np.ndarray,
-    spacing: float,
-    kinetic: float,
-    lo: int,
-    hi: int,
-    enclosure: tuple[float, float] | None = None,
-    tol: float = _EIG_TOL,
-) -> np.ndarray:
-    """Eigenvalues lo..hi of the ``_Sturm`` operator, each within ``tol``.
-
-    ``enclosure`` = (a, b), for a single index lo == hi, is an interval
-    known to hold that eigenvalue. It is widened by the ``_Sturm`` pad
-    and solved by value, which bisects only the window instead of the
-    whole Gershgorin interval. The result is kept only when the window
-    holds exactly one eigenvalue; otherwise the index solve runs as
-    without an enclosure. ``tol`` applies to the value solve and its
-    fallback alike; the window, its padding and the acceptance are the
-    same for every tol.
-
-    The index solves left are the first sweep of each
-    ``dirac_selfconsistent`` level and the fallbacks: of an enclosure
-    here, of ``_tridiag_near``'s windows and of ``_tridiag_bracketed``'s
-    bracket. ``fd_eigenvalues`` solves every grid by value.
-    """
-    sturm = _Sturm(v, spacing, kinetic)
-    if enclosure is not None:
-        if lo != hi:
-            raise ValueError(f"an enclosure bounds one eigenvalue, got indices {lo}..{hi}")
-        found = sturm.values(enclosure[0] - sturm.pad, enclosure[1] + sturm.pad, tol)
-        if found.size == 1:
-            return found
-    return sturm.index(lo, hi, tol)
-
-
 def _tridiag_near(v: np.ndarray, spacing: float, kinetic: float, guesses: np.ndarray, lo: int = 0) -> np.ndarray:
     """Eigenvalues lo..lo+len(guesses)-1 of the ``_Sturm`` operator, each bisected near its guess.
 
@@ -643,10 +608,11 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
     The second-order equation for the upper component has an
     energy-dependent coefficient in front of the well. Starting from
     the harmonic-ladder scale above the spin window's edge,
-    max(M c^2, C - M c^2), each sweep freezes that coefficient,
-    solves the resulting tridiagonal eigenproblem for the n-th
-    eigenvalue and maps it back to a new energy through the dispersion
-    quadratic; steps are damped by half whenever they change sign.
+    max(M c^2, C - M c^2) (``DiracParams._window``), each sweep
+    freezes that coefficient, solves the resulting tridiagonal
+    eigenproblem for the n-th eigenvalue and maps it back to a new
+    energy through the dispersion quadratic; steps are damped by half
+    whenever they change sign.
     Stops when the energy moves by no more than 1e-9, raises
     NoConvergence after 200 sweeps.
 
@@ -747,20 +713,23 @@ def dirac_selfconsistent(n: int, p: DiracParams, grid: Grid | None = None) -> Or
         under = 1.0 + 2.0 * p.g * weight
         if under < 0.0:
             raise UnphysicalRegime(f"1 + 2 g |energy_weight| = {under} < 0: no bound ladder at this energy")
-        enclosure, tol = None, _EIG_TOL
+        sturm = _Sturm(weighted_well(weight, grid, u), grid.spacing, 1.0)
+        found, tol = (), _EIG_TOL
         if positive and last is not None:
             w_prev, lam_prev, tol_prev = last
             ratio = weight / w_prev
             # lam_prev is within tol_prev of its eigenvalue, so the scaled end is within ratio times that
             slack = max(1.0, ratio) * tol_prev
-            enclosure = (min(lam_prev, ratio * lam_prev) - slack, max(lam_prev, ratio * lam_prev) + slack)
-            tol = max(_EIG_TOL, fraction * (enclosure[1] - enclosure[0]))
-        lam = float(_tridiag_lowest(weighted_well(weight, grid, u), grid.spacing, 1.0, n, n, enclosure, tol)[0])
+            low, high = min(lam_prev, ratio * lam_prev) - slack, max(lam_prev, ratio * lam_prev) + slack
+            tol = max(_EIG_TOL, fraction * (high - low))
+            found = sturm.values(low - sturm.pad, high + sturm.pad, tol)
+        if len(found) != 1:
+            found = sturm.index(n, n, tol)
+        lam = float(found[0])
         last = (weight, lam, tol)
         return lam
 
-    # the spin window opens at max(M c^2, C - M c^2)
-    e_value = max(mc2, offset - mc2) + p._well._quantum * (2.0 * n + 1.5)
+    e_value = p._window[1] + p._well._quantum * (2.0 * n + 1.5)
     if p.g < 0.0:
         # A bound level has 1 + 2 g weight >= 0, so start just inside
         # that edge rather than past it.

@@ -128,6 +128,13 @@ class DiracParams:
         return _in_float_range(scale, "hbar c omega sqrt(2 M)")
 
     @cached_property
+    def _window(self) -> tuple[Branch, float]:
+        """(branch, lower edge of the admissible window), where the levels and the self-consistent sweep start."""
+        if self.branch is Symmetry.SPIN:
+            return Branch.DIRAC_SPIN, max(self.rest_energy, self.sym_constant - self.rest_energy)
+        return Branch.DIRAC_PSEUDOSPIN, _in_float_range(self.rest_energy + self.sym_constant, "M c^2 + sym_constant")
+
+    @cached_property
     def _spinor_memo(self) -> list:
         """[((sign, E, n), derived, ln N)] of the latest spinor state sampled; see _spinor_state.
 
@@ -378,13 +385,6 @@ def _refine(
     return b, 0.0
 
 
-def _dirac_window(p: DiracParams) -> tuple[Branch, float]:
-    """(branch, lower edge of the admissible window) of p's Dirac branch."""
-    if p.branch is Symmetry.SPIN:
-        return Branch.DIRAC_SPIN, max(p.rest_energy, p.sym_constant - p.rest_energy)
-    return Branch.DIRAC_PSEUDOSPIN, _in_float_range(p.rest_energy + p.sym_constant, "M c^2 + sym_constant")
-
-
 def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
     """Energy of the n-th spin-branch level by bracketed root solving.
 
@@ -394,7 +394,7 @@ def solve_spin_energy(n: int, p: DiracParams) -> EnergyLevel:
     n = _check_index(n)
     if p.branch is not Symmetry.SPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
-    return _solve_levels(n, n, p, *_dirac_window(p))[0]
+    return _solve_levels(n, n, p, *p._window)[0]
 
 
 def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -406,7 +406,7 @@ def solve_pseudospin_energy(n: int, p: DiracParams) -> EnergyLevel:
     n = _check_index(n)
     if p.branch is not Symmetry.PSEUDOSPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
-    return _solve_levels(n, n, p, *_dirac_window(p))[0]
+    return _solve_levels(n, n, p, *p._window)[0]
 
 
 def solve_levels(n_max: int, p: DiracParams) -> list[EnergyLevel]:
@@ -419,7 +419,7 @@ def solve_levels(n_max: int, p: DiracParams) -> list[EnergyLevel]:
     its own. Each level is bisected to adjacent floats.
     """
     n_max = _check_index(n_max)
-    return _solve_levels(0, n_max, p, *_dirac_window(p))
+    return _solve_levels(0, n_max, p, *p._window)
 
 
 def klein_gordon_energy(n: int, p: DiracParams) -> EnergyLevel:
@@ -538,7 +538,7 @@ def pseudospin_map_check(n: int, p: DiracParams) -> float:
     if p.branch is not Symmetry.PSEUDOSPIN:
         raise ValueError(f"params are for the {p.branch.value} branch")
     level = solve_pseudospin_energy(n, p)
-    _, lower = _dirac_window(p)
+    _, lower = p._window
     span = level.value - lower
     energies = np.linspace(lower + 0.01 * span, level.value + 0.5 * span, 100)
 

@@ -339,7 +339,7 @@ def root_uniqueness_defect() -> float:
     ):
         for col in columns:
             p = params(col)
-            _, lo = rel._dirac_window(p)
+            _, lo = p._window
             for n in range(golden.N_LEVELS):
                 roots = oracle.scan_roots(lambda e: residual(e, n, p), lo, 50.0, 400)
                 worst = max(worst, abs(len(roots) - 1))

@@ -140,6 +140,11 @@ def test_spectrum_bad_flags_exit_two(argv, capsys):
         (["wavefunction", "--x-max", "inf"], "argument --x-max: must be finite, got 'inf'"),
         (["wavefunction", "--x-min=-1e308", "--x-max", "1e308"], "--x-max - --x-min must stay inside the float range"),
         (["wavefunction", "--m", "1e200", "--x-min", "-1"], "--m 1e+200 gives g = m (m + 1) beyond the float range"),
+        (["spectrum", "--g", "abc"], "argument --g: invalid float value: 'abc'"),
+        (["potential", "--points", "1"], "--points must be at least 2"),
+        (["wavefunction", "--x-min", "2", "--x-max", "1"], "--x-min must be below --x-max"),
+        (["wavefunction", "--n", "-1"], "--n must be non-negative"),
+        (["wavefunction", "--branch", "spin", "--x-min", "-1"], "spinor components live on x >= 0"),
     ],
 )
 def test_nonfinite_flags_exit_two(argv, message, capsys):

@@ -155,8 +155,10 @@ def test_scale_beyond_the_float_range_is_named():
     with pytest.raises(DivergenceError, match=r"^the scale hbar\^2 = \(1e\+300\)\^2 leaves the float range$"):
         energy(0, OscillatorParams(hbar=1e300))
     # the pseudospin level solves to E = 1.414e160; the map check's own coefficient a2 needs omega^2
-    with pytest.raises(DivergenceError, match=r"^the scale omega\^2 = \(1e\+160\)\^2 leaves the float range$"):
-        rel.pseudospin_map_check(0, rel.DiracParams(omega=1e160, branch=rel.Symmetry.PSEUDOSPIN))
+    # a numpy float too, whose ** overflows with a RuntimeWarning where a float's raises OverflowError
+    for omega in (1e160, np.float64(1e160)):
+        with pytest.raises(DivergenceError, match=r"^the scale omega\^2 = \(1e\+160\)\^2 leaves the float range$"):
+            rel.pseudospin_map_check(0, rel.DiracParams(omega=omega, branch=rel.Symmetry.PSEUDOSPIN))
 
 
 def test_hbar_squared_that_underflows_to_zero_is_named():
@@ -467,6 +469,20 @@ def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
     assert set(first) == {"laguerre"}  # every state and spinor, n = 300 harmonic included, is the one Laguerre kernel
 
 
+# every sampler that skips _check_index for a valid plain int
+@pytest.mark.parametrize(
+    "sample",
+    [
+        lambda n: wavefunction(n, OscillatorParams(), 1.0),
+        lambda n: harmonic_wavefunction(n, OscillatorParams(), 1.0),
+        lambda n: oscillator3d_radial(n, 1, OscillatorParams(), 1.0),
+        lambda n: rel.energy_residual(2.0, n, rel.DiracParams(), 1.0, 0.0),
+        lambda n: rel.spin_upper_spinor(n, rel.DiracParams(), 2.0, 1.0),
+        lambda n: rel.spin_lower_spinor(n, rel.DiracParams(), 2.0, 1.0),
+        lambda n: rel.pseudospin_lower_spinor(n, rel.DiracParams(branch=rel.Symmetry.PSEUDOSPIN), 2.0, 1.0),
+    ],
+    ids=["wavefunction", "harmonic", "oscillator3d", "residual", "spin-upper", "spin-lower", "pseudospin-lower"],
+)
 @pytest.mark.parametrize(
     "n,message",
     [
@@ -476,9 +492,9 @@ def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
         (1.0, "level index must be an integer, got 1.0"),
     ],
 )
-def test_level_check_rejects(n, message):
+def test_level_check_rejects(sample, n, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        wavefunction(n, OscillatorParams(), 1.0)
+        sample(n)
 
 
 def test_level_check_accepts_numpy_integers():

@@ -103,7 +103,6 @@ def test_fd_estimate_bounds_error_per_regime(g, n_points):
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=AssertionError,
     reason="below xi = 1/2 (g < 0) the doubled-cutoff re-solve under-reads the inner wall's error (ROADMAP item 4)",
 )
@@ -478,15 +477,49 @@ def _record_selects(monkeypatch):
     return selects
 
 
+def _sweep_solves(monkeypatch, move=None):
+    """("v", eigenvalues found) or ("i",) of each solve on FAST_GRID, the sweep's grid (the check grids have other spacings).
+
+    ``move(sturm, bottom, top)``, if given, replaces each sweep window before it is bisected.
+    """
+    solves = []
+    values, index = oracle._Sturm.values, oracle._Sturm.index
+    declared = 1.0 / FAST_GRID.spacing**2
+
+    def recording_values(self, bottom, top, tol=oracle._EIG_TOL):
+        if self.k != declared:
+            return values(self, bottom, top, tol)
+        if move is not None:
+            bottom, top = move(self, bottom, top)
+        found = values(self, bottom, top, tol)
+        solves.append(("v", found.size))
+        return found
+
+    def recording_index(self, lo, hi, tol=oracle._EIG_TOL):
+        if self.k == declared:
+            solves.append(("i",))
+        return index(self, lo, hi, tol)
+
+    monkeypatch.setattr(oracle._Sturm, "values", recording_values)
+    monkeypatch.setattr(oracle._Sturm, "index", recording_index)
+    return solves
+
+
+def _empty_window(sturm, bottom, top):
+    # the spectrum lies above min v less the pad: K + diag(v) with K positive definite
+    return sturm.least - sturm.pad - 2.0, sturm.least - sturm.pad - 1.0
+
+
 @pytest.mark.parametrize("n", [0, 3])
 def test_windowed_solve_equals_index_solve(monkeypatch, n):
+    # the Courant-Fischer window of a weight step holds eigenvalue n alone: one value solve finds it
     h = FAST_GRID.spacing
     w0, w1 = 3.2, 3.35
-    lam0 = float(oracle._tridiag_lowest(_weighted_well(w0), h, 1.0, n, n)[0])
-    expected = float(oracle._tridiag_lowest(_weighted_well(w1), h, 1.0, n, n)[0])
+    lam0 = float(oracle._Sturm(_weighted_well(w0), h, 1.0).index(n, n)[0])
+    sturm = oracle._Sturm(_weighted_well(w1), h, 1.0)
+    expected = float(sturm.index(n, n)[0])
     selects = _record_selects(monkeypatch)
-    window = (lam0, w1 / w0 * lam0)
-    got = oracle._tridiag_lowest(_weighted_well(w1), h, 1.0, n, n, window)
+    got = sturm.values(lam0 - sturm.pad, w1 / w0 * lam0 + sturm.pad)
     assert selects == ["v"]
     assert got.shape == (1,)
     assert abs(float(got[0]) - expected) <= 1e-12
@@ -494,21 +527,24 @@ def test_windowed_solve_equals_index_solve(monkeypatch, n):
 
 @pytest.mark.parametrize("case", ["empty", "two"])
 def test_windowed_solve_falls_back_to_index_solve(monkeypatch, case):
-    h = FAST_GRID.spacing
-    v = _weighted_well(3.0)
-    lams = oracle._tridiag_lowest(v, h, 1.0, 0, 3)
-    # eigenvalue 1, but the window misses it or also holds eigenvalue 2
-    window = {"empty": (lams[3] + 1.0, lams[3] + 2.0), "two": (lams[1], lams[2])}[case]
-    expected = oracle._tridiag_lowest(v, h, 1.0, 1, 1)
-    selects = _record_selects(monkeypatch)
-    got = oracle._tridiag_lowest(v, h, 1.0, 1, 1, window)
-    assert selects == ["v", "i"]
-    assert float(got[0]) == float(expected[0])
-
-
-def test_enclosure_needs_a_single_index():
-    with pytest.raises(ValueError, match="one eigenvalue"):
-        oracle._tridiag_lowest(_weighted_well(3.0), FAST_GRID.spacing, 1.0, 0, 1, (1.0, 2.0))
+    # every sweep window after the first sweep misses its eigenvalue, or also holds the ones above it
+    p = spin_params(2.0, 1.0)
+    windowed = dirac_selfconsistent(1, p, FAST_GRID)
+    runs = {}
+    for name, move in (("empty", _empty_window), ("two", lambda sturm, bottom, top: (bottom, top + 100.0))):
+        solves = _sweep_solves(monkeypatch, move)
+        runs[name] = dirac_selfconsistent(1, p, FAST_GRID)
+        monkeypatch.undo()
+        if name == case:
+            # after the first sweep's index solve, each window is bisected and then solved by index
+            sweeps = (len(solves) - 1) // 2
+            assert solves[0] == ("i",) and solves[2::2] == [("i",)] * sweeps
+            found = [size for _, size in solves[1::2]]
+            assert len(found) == sweeps and all(size == 0 if case == "empty" else size >= 2 for size in found)
+    # the same index solves either way, so the same report; within the tolerances of the windowed one
+    assert runs["empty"] == runs["two"]
+    assert runs[case].eigenvalues[0] == pytest.approx(windowed.eigenvalues[0], abs=1e-10)
+    assert runs[case].richardson_error[0] == pytest.approx(windowed.richardson_error[0], rel=1e-4)
 
 
 def test_negative_coupling_never_takes_the_window(monkeypatch):
@@ -525,21 +561,21 @@ def test_negative_coupling_never_takes_the_window(monkeypatch):
 def test_selfconsistent_window_keeps_solve_count_and_level(monkeypatch, n, g, cs):
     p = spin_params(g, cs)
     selects = _record_selects(monkeypatch)
+    solves = _sweep_solves(monkeypatch)
     windowed = dirac_selfconsistent(n, p, FAST_GRID)
-    window_selects = list(selects)
-    selects.clear()
-
-    bounded = oracle._tridiag_lowest
-
-    def index_only(v, spacing, kinetic, lo, hi, enclosure=None, tol=None):
-        return bounded(v, spacing, kinetic, lo, hi)
-
-    monkeypatch.setattr(oracle, "_tridiag_lowest", index_only)
+    monkeypatch.undo()
+    # the reference solves every sweep by index, to 1e-12
+    monkeypatch.setattr(oracle, "_SWEEP_TOL_FRACTION", 0.0)
+    reference_solves = _sweep_solves(monkeypatch, _empty_window)
     reference = dirac_selfconsistent(n, p, FAST_GRID)
-    assert len(window_selects) == len(selects)
+    # as many sweeps: each one after the first a single value solve that
+    # finds one eigenvalue, where the reference's window finds none
+    sweeps = len(solves) - 1
+    assert solves == [("i",)] + [("v", 1)] * sweeps
+    assert reference_solves == [("i",)] + [("v", 0), ("i",)] * sweeps
     # every solve after the first on the declared grid is windowed, and
     # so is each check grid's solve (``_tridiag_near``)
-    assert window_selects.count("i") == 1
+    assert selects.count("i") == 1
     assert windowed.eigenvalues[0] == pytest.approx(reference.eigenvalues[0], abs=1e-10)
     assert windowed.richardson_error[0] == pytest.approx(reference.richardson_error[0], rel=1e-4)
 
@@ -589,20 +625,20 @@ def test_enclosure_padded_by_the_previous_tolerance_holds_its_eigenvalue(monkeyp
     # far less than that: the unpadded window misses the eigenvalue
     h = FAST_GRID.spacing
     w0, w1, tol = 3.2, 3.2 * (1.0 + 1e-10), 1e-6
-    lam0 = float(oracle._tridiag_lowest(_weighted_well(w0), h, 1.0, 0, 0, tol=tol)[0])
-    v = _weighted_well(w1)
-    expected = float(oracle._tridiag_lowest(v, h, 1.0, 0, 0)[0])
+    lam0 = float(oracle._Sturm(_weighted_well(w0), h, 1.0).index(0, 0, tol)[0])
+    sturm = oracle._Sturm(_weighted_well(w1), h, 1.0)
+    expected = float(sturm.index(0, 0)[0])
     r = w1 / w0
     bare = (lam0, r * lam0)
     assert not bare[0] - 1e-9 <= expected <= bare[1] + 1e-9
     selects = _record_selects(monkeypatch)
-    # as dirac_selfconsistent pads it: by max(1, r) times the previous tolerance
-    got = oracle._tridiag_lowest(v, h, 1.0, 0, 0, (bare[0] - tol, bare[1] + r * tol))
+    # as dirac_selfconsistent pads it: by max(1, r) times the previous tolerance, then by the _Sturm pad
+    got = sturm.values(bare[0] - tol - sturm.pad, bare[1] + r * tol + sturm.pad)
     assert selects == ["v"]
+    assert got.shape == (1,)
     assert abs(float(got[0]) - expected) <= 1e-12
-    selects.clear()
-    oracle._tridiag_lowest(v, h, 1.0, 0, 0, bare)
-    assert selects == ["v", "i"]
+    # without the tolerance the window is empty, and the sweep would take the index solve
+    assert sturm.values(bare[0] - sturm.pad, bare[1] + sturm.pad).size == 0
 
 
 def test_fast_converging_sweeps_keep_their_padded_windows(monkeypatch):
@@ -618,7 +654,6 @@ def test_fast_converging_sweeps_keep_their_padded_windows(monkeypatch):
 
 
 @pytest.mark.xfail(
-    strict=True,
     raises=AssertionError,
     reason="below g = 0 the inner wall dominates and the doubled-cutoff re-solve does not bound it (ROADMAP item 4)",
 )
@@ -633,10 +668,8 @@ def test_selfconsistent_estimate_bounds_error_at_negative_coupling():
 
 
 def _index_only_near(monkeypatch):
-    lowest = oracle._tridiag_lowest
-
     def index_only(v, spacing, kinetic, guesses, lo=0):
-        return lowest(v, spacing, kinetic, lo, lo + len(guesses) - 1)
+        return oracle._Sturm(v, spacing, kinetic).index(lo, lo + len(guesses) - 1)
 
     monkeypatch.setattr(oracle, "_tridiag_near", index_only)
 
@@ -645,10 +678,10 @@ def _index_only_near(monkeypatch):
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
 def test_check_grid_windows_equal_index_solve(monkeypatch, g, count):
     potential = OscillatorParams(g=g).potential
-    guesses = oracle._tridiag_lowest(potential(FAST_GRID.points()), FAST_GRID.spacing, 0.5, 0, count - 1)
+    guesses = oracle._Sturm(potential(FAST_GRID.points()), FAST_GRID.spacing, 0.5).index(0, count - 1)
     for check in (FAST_GRID.doubled_spacing(), FAST_GRID.doubled_cutoff()):
         v = potential(check.points())
-        expected = oracle._tridiag_lowest(v, check.spacing, 0.5, 0, count - 1)
+        expected = oracle._Sturm(v, check.spacing, 0.5).index(0, count - 1)
         selects = _record_selects(monkeypatch)
         got = oracle._tridiag_near(v, check.spacing, 0.5, guesses)
         monkeypatch.undo()
@@ -665,14 +698,14 @@ def test_check_grid_windows_reject_wrong_guesses(monkeypatch, case):
     v = potential(check.points())
     # a heavy particle crowds the levels to a spacing of about 6e-4
     kinetic = 5e-8 if case == "crowded" else 0.5
-    lams = oracle._tridiag_lowest(v, check.spacing, kinetic, 0, 4)
+    lams = oracle._Sturm(v, check.spacing, kinetic).index(0, 4)
     guesses = {
         "shifted": lams[1:4],  # one window per eigenvalue, but eigenvalue 0 lies below them all
         "far": lams[:3] + 0.9,  # between levels: every window stays empty up to the coarse limit
         "overlapping": np.array([lams[0], lams[0] + 1e-9, lams[2]]),
         "crowded": np.array([0.5 * (lams[0] + lams[1]), lams[3], lams[4]]),  # the first window that fills holds several
     }[case]
-    expected = oracle._tridiag_lowest(v, check.spacing, kinetic, 0, 2)
+    expected = oracle._Sturm(v, check.spacing, kinetic).index(0, 2)
     selects = _record_selects(monkeypatch)
     got = oracle._tridiag_near(v, check.spacing, kinetic, guesses)
     assert selects[-1] == "i" and selects.count("i") == 1
@@ -687,10 +720,11 @@ def test_check_grid_windows_reject_wrong_guesses(monkeypatch, case):
 def _index_only(monkeypatch):
     # the declared grid and both check grids by index, as before the bracket and the windows
     _index_only_near(monkeypatch)
-    lowest = oracle._tridiag_lowest
-    monkeypatch.setattr(
-        oracle, "_tridiag_bracketed", lambda v, spacing, kinetic, count: lowest(v, spacing, kinetic, 0, count - 1)
-    )
+
+    def index_only(v, spacing, kinetic, count):
+        return oracle._Sturm(v, spacing, kinetic).index(0, count - 1)
+
+    monkeypatch.setattr(oracle, "_tridiag_bracketed", index_only)
 
 
 @pytest.mark.parametrize("g,count", [(0.5, 1), (2.0, 4), (6.0, 6), (-0.05, 2)])
@@ -743,10 +777,10 @@ def test_fd_coarse_grid_message_unchanged(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_check_grid_window_at_level_n_equals_index_solve(monkeypatch, n):
     weight = 3.2
-    guess = oracle._tridiag_lowest(_weighted_well(weight), FAST_GRID.spacing, 1.0, n, n)
+    guess = oracle._Sturm(_weighted_well(weight), FAST_GRID.spacing, 1.0).index(n, n)
     for check in (FAST_GRID.doubled_spacing(), FAST_GRID.doubled_cutoff()):
         v = _weighted_well(weight, grid=check)
-        expected = oracle._tridiag_lowest(v, check.spacing, 1.0, n, n)
+        expected = oracle._Sturm(v, check.spacing, 1.0).index(n, n)
         selects = _record_selects(monkeypatch)
         got = oracle._tridiag_near(v, check.spacing, 1.0, guess, lo=n)
         monkeypatch.undo()
@@ -759,8 +793,8 @@ def test_check_grid_window_at_level_n_equals_index_solve(monkeypatch, n):
 def test_check_grid_window_at_level_n_rejects_the_next_eigenvalue(monkeypatch, n):
     check = FAST_GRID.doubled_spacing()
     v = _weighted_well(3.2, grid=check)
-    above = oracle._tridiag_lowest(v, check.spacing, 1.0, n + 1, n + 1)
-    expected = oracle._tridiag_lowest(v, check.spacing, 1.0, n, n)
+    above = oracle._Sturm(v, check.spacing, 1.0).index(n + 1, n + 1)
+    expected = oracle._Sturm(v, check.spacing, 1.0).index(n, n)
     selects = _record_selects(monkeypatch)
     # the window finds eigenvalue n + 1; the Sturm count then finds n + 2, not n + 1
     got = oracle._tridiag_near(v, check.spacing, 1.0, above, lo=n)
@@ -782,8 +816,8 @@ def test_fd_cut_grid_windows_open_at_the_measured_shift(monkeypatch):
     potential = OscillatorParams(g=2.0).potential
     cut = FAST_GRID.doubled_cutoff()
     v = potential(cut.points())
-    e_h = oracle._tridiag_lowest(potential(FAST_GRID.points()), FAST_GRID.spacing, 0.5, 0, 5)
-    expected = oracle._tridiag_lowest(v, cut.spacing, 0.5, 0, 5)
+    e_h = oracle._Sturm(potential(FAST_GRID.points()), FAST_GRID.spacing, 0.5).index(0, 5)
+    expected = oracle._Sturm(v, cut.spacing, 0.5).index(0, 5)
     near = oracle._tridiag_near
     calls = []
 
@@ -1111,12 +1145,12 @@ def test_every_sturm_solve_keeps_the_rows_of_its_own_top(monkeypatch, run):
 
 def test_window_below_bisection_start_keeps_every_row(monkeypatch):
     v = _weighted_well(3.0)
-    h = FAST_GRID.spacing
-    lam = oracle._tridiag_lowest(v, h, 1.0, 0, 0)
-    window = (float(np.min(v[1:-1])) - 1.0, float(lam[0]) + 0.5)  # starts below every row's Gershgorin bound
+    sturm = oracle._Sturm(v, FAST_GRID.spacing, 1.0)
+    lam = sturm.index(0, 0)
     solves = _record_rows(monkeypatch)
-    got = oracle._tridiag_lowest(v, h, 1.0, 0, 0, window)
+    got = sturm.values(float(np.min(v[1:-1])) - 1.0, float(lam[0]) + 0.5)  # starts below every row's Gershgorin bound
     assert solves == [("v", FAST_GRID.n_points - 2)]
+    assert got.shape == (1,)
     assert abs(float(got[0] - lam[0])) <= 1e-12
 
 
@@ -1141,7 +1175,7 @@ def test_bracket_falls_back_to_the_index_solve_for_a_pair_below_the_float_spacin
     well = ((x - 10.0) ** 2 - 25.0) ** 2
     v = np.minimum(well, well[::-1])
     h = FAST_GRID.spacing
-    expected = oracle._tridiag_lowest(v, h, 0.5, 0, 0)
+    expected = oracle._Sturm(v, h, 0.5).index(0, 0)
     selects = _record_selects(monkeypatch)
     got = oracle._tridiag_bracketed(v, h, 0.5, 1)
     assert selects.count("i") == 1 and selects[-1] == "i"
@@ -1149,7 +1183,7 @@ def test_bracket_falls_back_to_the_index_solve_for_a_pair_below_the_float_spacin
     selects.clear()
     pair = oracle._tridiag_bracketed(v, h, 0.5, 2)  # the pair together is isolated by value
     assert "i" not in selects
-    assert float(np.max(np.abs(pair - oracle._tridiag_lowest(v, h, 0.5, 0, 1)))) <= 2.0 * oracle._EIG_TOL
+    assert float(np.max(np.abs(pair - oracle._Sturm(v, h, 0.5).index(0, 1)))) <= 2.0 * oracle._EIG_TOL
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -1163,7 +1197,7 @@ def test_bracket_with_the_well_minimum_on_the_outer_wall_keeps_every_row(monkeyp
     solves = _record_rows(monkeypatch)
     got = oracle._tridiag_bracketed(v, h, 0.5, count)
     assert solves and solves == [("v", FAST_GRID.n_points - 2)] * len(solves)
-    assert float(np.max(np.abs(got - oracle._tridiag_lowest(v, h, 0.5, 0, count - 1)))) <= 2.0 * oracle._EIG_TOL
+    assert float(np.max(np.abs(got - oracle._Sturm(v, h, 0.5).index(0, count - 1)))) <= 2.0 * oracle._EIG_TOL
     monkeypatch.undo()
 
     def run():

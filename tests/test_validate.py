@@ -44,6 +44,11 @@ def test_every_suite_passes_every_row_in_order(monkeypatch):
     assert calls == ["fd", "selfconsistent"]
 
 
+def test_unknown_suite_is_rejected():
+    with pytest.raises(ValueError, match=r"^unknown suite 'bogus'; choose from \('all', 'identities', "):
+        validate.run_suites("bogus")
+
+
 _harmonic, _log_norm, _lower = nonrel.harmonic_wavefunction, nonrel._log_norm, rel.spin_lower_spinor
 
 
