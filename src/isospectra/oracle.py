@@ -10,7 +10,11 @@ parameter containers.
 from __future__ import annotations
 
 import enum
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -142,15 +146,69 @@ def _evaluate_on(func, x: np.ndarray) -> np.ndarray:
     return np.array([float(func(xi)) for xi in x])
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    """scipy.linalg.eigh_tridiagonal, imported on the first call.
+@functools.cache
+def _dstebz():
+    """LAPACK's ``dstebz``, from scipy's compiled LAPACK module, loaded on the first call.
 
-    Importing scipy.linalg takes longer than a whole level solve, and of
-    the package only the grid oracles need it.
+    Importing scipy.linalg takes longer than a whole level solve (most of
+    it in scipy's array-API layer), and the grid oracles need only this
+    routine. So the module comes from ``sys.modules`` when scipy.linalg
+    has loaded it, and is otherwise loaded on its own from scipy's
+    directory, without running ``scipy/linalg/__init__.py``. It is
+    registered under its own name, so a later ``import scipy.linalg``
+    reuses it: ``scipy.linalg.lapack.dstebz`` is this routine. Only when
+    that file cannot be found is ``scipy.linalg.lapack`` imported.
     """
-    from scipy.linalg import eigh_tridiagonal as solve
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        scipy, spec = importlib.util.find_spec("scipy"), None
+        if scipy is not None and scipy.submodule_search_locations:
+            linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+            loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+            spec = importlib.machinery.FileFinder(linalg, loaders).find_spec(name)
+        if spec is None:
+            from scipy.linalg.lapack import dstebz
 
-    return solve(*args, **kwargs)
+            return dstebz
+        flapack = importlib.util.module_from_spec(spec)
+        sys.modules[name] = flapack
+        spec.loader.exec_module(flapack)
+    return flapack.dstebz
+
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select: str, select_range, tol: float) -> np.ndarray:
+    """Eigenvalues of the symmetric tridiagonal matrix (d, e) by Sturm bisection (LAPACK ``dstebz``).
+
+    The eigenvalues in (low, high] for select="v", or those of indices
+    low..high (from 0) for select="i", ascending, each bisected to the
+    absolute tolerance ``tol``. This is the call that
+    ``scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select=...,
+    select_range=..., lapack_driver="stebz", tol=...)`` makes, with the
+    same checks, so the eigenvalues are bit-identical: a non-finite d or
+    e, a reversed range or an index range outside the matrix raises
+    ValueError, as does LAPACK's info < 0; info > 0 raises
+    numpy.linalg.LinAlgError. Every eigensolve of the package is made
+    here.
+    """
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    low, high = select_range
+    if high < low:
+        raise ValueError(f"select_range must be in nondecreasing order, got {select_range}")
+    if select == "v":
+        args = (1, low, high, 1, 1)
+    elif select == "i":
+        if low < 0 or high >= d.size:
+            raise ValueError(f"select_range {select_range} out of bounds for {d.size} rows")
+        args = (2, 0.0, 1.0, low + 1, high + 1)  # LAPACK counts from 1
+    else:
+        raise ValueError(f"select must be 'v' or 'i', got {select!r}")
+    m, w, _, _, info = _dstebz()(d, e, *args, float(tol), "E")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dstebz")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+    return w[:m]
 
 
 class _Sturm:
@@ -198,15 +256,7 @@ class _Sturm:
         self.clip = float(np.min(v[2:-2])) + self.pad
 
     def _solve(self, rows: int, select: str, select_range, tol: float) -> np.ndarray:
-        return eigh_tridiagonal(
-            self.diag[:rows],
-            self.off[: rows - 1],
-            eigvals_only=True,
-            select=select,
-            select_range=select_range,
-            lapack_driver="stebz",
-            tol=tol,
-        )
+        return eigh_tridiagonal(self.diag[:rows], self.off[: rows - 1], select=select, select_range=select_range, tol=tol)
 
     def live_rows(self, top: float) -> int:
         """Number m of leading rows that decide every Sturm count at or below ``top``.

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -653,6 +657,19 @@ def test_fast_converging_sweeps_keep_their_padded_windows(monkeypatch):
     assert rep.eigenvalues[0] == pytest.approx(dirac_selfconsistent(0, p, FAST_GRID).eigenvalues[0], abs=1e-10)
 
 
+@pytest.mark.parametrize("n,g,c", [(0, 6.0, 100.0), (0, 6.0, 1e3), (1, 0.5, 1e3), (3, 2.0, 1e3)])
+def test_sweep_windows_are_padded_by_the_rounding_of_the_matrix(monkeypatch, n, g, c):
+    # with every sweep bisected to 1e-12, the previous tolerance's slack is
+    # 1e-12 too, and only the pad covers the rounding of the weighted
+    # diagonal between two weights; without it these windows miss their
+    # eigenvalue and take a second index solve
+    monkeypatch.setattr(oracle, "_SWEEP_TOL_FRACTION", 0.0)
+    solves = _sweep_solves(monkeypatch)
+    dirac_selfconsistent(n, DiracParams(g=g, c=c), FAST_GRID)
+    assert solves[0] == ("i",) and solves.count(("i",)) == 1
+    assert set(solves[1:]) == {("v", 1)}
+
+
 @pytest.mark.xfail(
     raises=AssertionError,
     reason="below g = 0 the inner wall dominates and the doubled-cutoff re-solve does not bound it (ROADMAP item 4)",
@@ -911,26 +928,132 @@ def test_oracles_never_solve_more_rows_than_the_declared_grid(monkeypatch, run):
 
 
 def test_every_tridiagonal_solve_goes_through_the_module_binding(monkeypatch):
-    # the bench tracer counts eigensolves at oracle.eigh_tridiagonal, so a solve
-    # that reached scipy past that binding would go uncounted
-    import scipy.linalg
+    # the bench tracer counts eigensolves at oracle.eigh_tridiagonal, so a
+    # LAPACK call that bypassed that binding would go uncounted
+    counts = {"lapack": 0, "oracle": 0}
+    stebz, real = oracle._dstebz(), oracle.eigh_tridiagonal
 
-    counts = {"scipy": 0, "oracle": 0}
+    def counting_stebz(*args):
+        counts["lapack"] += 1
+        return stebz(*args)
 
-    def counting(module, name):
-        real = module.eigh_tridiagonal
+    def counting(*args, **kwargs):
+        counts["oracle"] += 1
+        return real(*args, **kwargs)
 
-        def solve(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, "eigh_tridiagonal", solve)
-
-    counting(scipy.linalg, "scipy")
-    counting(oracle, "oracle")
+    monkeypatch.setattr(oracle, "_dstebz", lambda: counting_stebz)
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", counting)
     fd_eigenvalues(OscillatorParams(g=2.0).potential, 3, FAST_GRID)
     dirac_selfconsistent(1, spin_params(2.0, 0.0), FAST_GRID)
-    assert counts["scipy"] == counts["oracle"] > 0
+    assert counts["lapack"] == counts["oracle"] > 0
+
+
+def _operator(grid):
+    return oracle._Sturm(OscillatorParams(g=2.0).potential(grid.points()), grid.spacing, 0.5)
+
+
+def _scipy_stebz(d, e, select, select_range, tol):
+    import scipy.linalg
+
+    return scipy.linalg.eigh_tridiagonal(
+        d, e, eigvals_only=True, select=select, select_range=select_range, lapack_driver="stebz", tol=tol
+    )
+
+
+@pytest.mark.parametrize("grid", [Grid(), Grid(n_points=4000)], ids=["default", "4000"])
+def test_binding_returns_the_bits_of_scipy_stebz(grid):
+    sturm = _operator(grid)
+    levels = sturm.index(0, 4)
+    below = sturm.least - sturm.pad  # the spectrum lies above it
+    values = {
+        (below - 2.0, below - 1.0): 0,
+        (levels[0] + 0.5, levels[1] - 0.5): 0,  # between two levels
+        (levels[1] - 0.5, levels[1] + 0.5): 1,
+        (below, levels[4] + 0.5): 5,
+    }
+    wide = 2.0 * (levels[4] + 0.5 - below)  # wider than every window: a Sturm count's tolerance
+    solves = [("v", window) for window in values] + [("i", (0, 0)), ("i", (2, 4))]
+    for select, select_range in solves:
+        for tol in (wide, 1e-12):
+            got = oracle.eigh_tridiagonal(sturm.diag, sturm.off, select=select, select_range=select_range, tol=tol)
+            want = _scipy_stebz(sturm.diag, sturm.off, select, select_range, tol)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (select, select_range, tol)
+            if select == "v":
+                assert got.size == values[select_range]
+
+
+@pytest.mark.parametrize(
+    "bad_d,bad_e,select,select_range",
+    [
+        (np.nan, None, "v", (0.0, 10.0)),
+        (np.inf, None, "v", (0.0, 10.0)),
+        (None, -np.inf, "v", (0.0, 10.0)),
+        (None, None, "v", (10.0, 0.0)),
+        (None, None, "i", (3, 2)),
+        (None, None, "i", (0, 198)),  # 198 rows: the interior of 200 points
+        (None, None, "i", (-1, 2)),
+    ],
+    ids=["nan-diagonal", "inf-diagonal", "inf-off-diagonal", "reversed-values", "reversed-indices", "index-above", "index-below"],
+)
+def test_binding_rejects_what_scipy_rejects(bad_d, bad_e, select, select_range):
+    sturm = _operator(Grid(n_points=200))
+    d, e = sturm.diag.copy(), sturm.off.copy()
+    if bad_d is not None:
+        d[7] = bad_d
+    if bad_e is not None:
+        e[3] = bad_e
+    with pytest.raises(ValueError) as scipy_error:
+        _scipy_stebz(d, e, select, select_range, 1e-12)
+    with pytest.raises(ValueError) as error:
+        oracle.eigh_tridiagonal(d, e, select=select, select_range=select_range, tol=1e-12)
+    assert error.type is scipy_error.type
+
+
+# hex digits of two oracle reports on Grid(n_points=2000), run here and in fresh interpreters
+_ORACLE_DIGITS = """
+from isospectra import nonrel, oracle, rel
+grid = oracle.Grid(n_points=2000)
+fd = oracle.fd_eigenvalues(nonrel.OscillatorParams(g=2.0).potential, 3, grid)
+sc = oracle.dirac_selfconsistent(1, rel.DiracParams(g=2.0), grid)
+digits = " ".join(v.hex() for v in fd.eigenvalues + fd.richardson_error + sc.eigenvalues + sc.richardson_error)
+"""
+
+
+def _oracle_digits_here():
+    scope = {}
+    exec(_ORACLE_DIGITS, scope)
+    return scope["digits"]
+
+
+def _oracle_digits_in_a_fresh_interpreter(prelude=""):
+    """The digits, and whether scipy.linalg got imported."""
+    script = prelude + _ORACLE_DIGITS + 'import sys\nprint(digits)\nprint("scipy.linalg" in sys.modules)\n'
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    digits, imported = done.stdout.splitlines()
+    return digits, imported == "True"
+
+
+def test_grid_oracles_never_import_scipy_linalg():
+    # a fresh interpreter: this one has imported scipy.linalg for other tests
+    digits, imported = _oracle_digits_in_a_fresh_interpreter()
+    assert not imported
+    assert digits == _oracle_digits_here()
+
+
+def test_public_lapack_fallback_returns_the_same_bits():
+    # scipy's directory cannot be found, so the compiled module cannot be
+    # loaded on its own and the binding imports scipy.linalg.lapack
+    prelude = """
+import importlib.util
+find_spec = importlib.util.find_spec
+importlib.util.find_spec = lambda name, package=None: None if name == "scipy" else find_spec(name, package)
+"""
+    digits, imported = _oracle_digits_in_a_fresh_interpreter(prelude)
+    assert imported
+    assert digits == _oracle_digits_here()
 
 
 # ------------------------------------------- forbidden-tail row cut
