@@ -13,7 +13,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -105,9 +105,9 @@ class OscillatorParams:
                 return well  # no barrier: g / (2 x^2) would be 0/0 where x^2 underflows to 0
             return well + self.g / (2.0 * x2)
 
-    # The scales and the ladder are computed on first use and kept on the
-    # instance; not fields, so ==, hash, repr and dataclasses.replace see
-    # only the four parameters above. ln N is cached by value in _log_norm.
+    # The scales, the ladder and the constants of each sampled state are
+    # computed on first use and kept on the instance; not fields, so ==,
+    # hash, repr and dataclasses.replace see only the four parameters above.
 
     @cached_property
     def _quantum(self) -> float:
@@ -138,6 +138,17 @@ class OscillatorParams:
         if classify_regime(d.alpha) is Regime.UNPHYSICAL:
             raise UnphysicalRegime(f"alpha = {d.alpha} < -1/4 admits no bound spectrum")
         return d
+
+    @cached_property
+    def _states(self) -> dict:
+        """{key: (ln N, beta, zeta)} of the latest states sampled, at most _STATES_KEPT; see _keep_state.
+
+        The key is n for ``wavefunction``, (n, l) for ``oscillator3d_radial``
+        and ~n (= -1 - n) for ``harmonic_wavefunction``. A quadrature samples
+        one or two states thousands of times, and each sample reads its
+        constants with this one lookup.
+        """
+        return {}
 
 
 @dataclass(frozen=True)
@@ -230,17 +241,15 @@ def energy(n: int, p: OscillatorParams) -> EnergyLevel:
     return EnergyLevel(n=n, value=value, branch=Branch.NONREL_ISOTONIC, residual=0.0)
 
 
-@lru_cache(maxsize=16)
 def _log_norm(n: int, beta: float, zeta: float) -> float:
     """ln N for the envelope N x^(1/2 + zeta) exp(-beta x^2 / 2) of level n.
 
     With this N, the envelope times L_n^(zeta)(beta x^2) has unit norm
-    on x > 0. N is assembled in log space so large n stays finite. A
-    quadrature samples one state thousands of times, so the latest
-    constants are cached by value; a cache hit skips no call of a public
-    ``specfun`` function, so a wrapper that counts those calls sees every
-    sampling pass alike. A beta (M omega / hbar, or a spinor's falloff) of 0
-    or inf has no envelope in floats: DivergenceError names it.
+    on x > 0. N is assembled in log space so large n stays finite. The
+    samplers keep it per params object (``OscillatorParams._states``,
+    ``rel.DiracParams._spinor_memo``), not here. A beta (M omega / hbar,
+    or a spinor's falloff) of 0 or inf has no envelope in floats:
+    DivergenceError names it.
     """
     if not 0.0 < beta < math.inf:
         fate = "underflows to 0" if beta == 0.0 else "leaves the float range"
@@ -248,13 +257,31 @@ def _log_norm(n: int, beta: float, zeta: float) -> float:
     return 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(n + 1.0) - math.lgamma(n + zeta + 1.0))
 
 
+_STATES_KEPT = 16
+
+
+def _keep_state(p: OscillatorParams, key, n: int, beta: float, zeta: float, ln_shift: float = 0.0) -> tuple[float, float, float]:
+    """Put (ln N + ln_shift, beta, zeta) of level n in p._states under key and return it.
+
+    The samplers call this on a miss, after reading beta and zeta from p,
+    so a ``_ladder`` or ``_log_norm`` that raises keeps nothing and raises
+    again on the next call. The oldest entry makes room past _STATES_KEPT.
+    """
+    states = p._states
+    if len(states) >= _STATES_KEPT:
+        del states[next(iter(states))]
+    state = states[key] = (_log_norm(n, beta, zeta) + ln_shift, beta, zeta)
+    return state
+
+
 def _laguerre_state(n: int, ln_norm: float, beta: float, zeta: float, x, where: str):
     """N x^(1/2 + zeta) exp(-beta x^2 / 2) L_n^(zeta)(beta x^2): every state here.
 
     The isotonic, 3d radial and harmonic states and all three spinor
     components are made of it; they differ only in (n, beta, zeta, ln N),
-    ln N being ``_log_norm``'s. x must be finite and > 0 elementwise, else
-    ValueError(where); a scalar x gives a float.
+    ln N being ``_log_norm``'s, which each sampler keeps on its params
+    object (``_keep_state``, ``rel._spinor_state``). x must be finite and
+    > 0 elementwise, else ValueError(where); a scalar x gives a float.
 
     A scalar is computed with math, with s = (beta x) x; an array with
     numpy, with s = beta (x^2). The two round differently in the last bit,
@@ -330,8 +357,12 @@ def wavefunction(n: int, p: OscillatorParams, x):
     """
     if type(n) is not int or n < 0:  # a valid plain int skips _check_index: a quadrature calls this ~10^5 times
         n = _check_index(n)
-    d = p._ladder
-    return _laguerre_state(n, _log_norm(n, d.beta, d.xi), d.beta, d.xi, x, _WAVEFUNCTION_DOMAIN)
+    try:
+        ln_norm, beta, xi = p._states[n]
+    except KeyError:
+        d = p._ladder
+        ln_norm, beta, xi = _keep_state(p, n, n, d.beta, d.xi)
+    return _laguerre_state(n, ln_norm, beta, xi, x, _WAVEFUNCTION_DOMAIN)
 
 
 def parity_extend(n: int, m: float, psi_pos: float, x: float):
@@ -376,9 +407,10 @@ def harmonic_wavefunction(n: int, p: OscillatorParams, x):
     if type(n) is not int or n < 0:
         n = _check_index(n)
     k, odd = divmod(n, 2)
-    zeta = odd - 0.5
-    beta = p._beta
-    ln_norm = _log_norm(k, beta, zeta) - 0.5 * math.log(2.0)
+    try:
+        ln_norm, beta, zeta = p._states[~n]
+    except KeyError:
+        ln_norm, beta, zeta = _keep_state(p, ~n, k, p._beta, odd - 0.5, -0.5 * math.log(2.0))
     # The origin is sampled at the least positive float, where beta x^2 is 0: an even state is
     # N L_k^(-1/2)(0) there, and sign(x) makes an odd one 0. _laguerre_state rejects a NaN or infinite x.
     if isinstance(x, float) or np.ndim(x) == 0:
@@ -419,5 +451,8 @@ def oscillator3d_radial(n: int, l: int, p: OscillatorParams, r):
         n = _check_index(n)
     if type(l) is not int or l < 0:
         l = _check_index(l, "orbital index")
-    zeta = l + 0.5
-    return _laguerre_state(n, _log_norm(n, p._beta, zeta), p._beta, zeta, r, "radial coordinate must be finite and positive")
+    try:
+        ln_norm, beta, zeta = p._states[n, l]
+    except KeyError:
+        ln_norm, beta, zeta = _keep_state(p, (n, l), n, p._beta, l + 0.5)
+    return _laguerre_state(n, ln_norm, beta, zeta, r, "radial coordinate must be finite and positive")

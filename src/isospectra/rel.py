@@ -441,8 +441,7 @@ def _spinor_state(n: int, p: DiracParams, e_value: float, sign: float) -> tuple[
     latest state is kept on p (``DiracParams._spinor_memo`` says why
     there) and rebuilt only when (sign, E, n) changes. One slot bounds
     the memory; it is replaced as a whole, so derived and ln N always
-    belong to the same key. A rebuilt ln N comes from the cache of
-    ``nonrel._log_norm``.
+    belong to the same key.
     """
     key = (sign, e_value, n)
     entry = p._spinor_memo[0]

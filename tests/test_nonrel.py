@@ -17,7 +17,6 @@ from isospectra.nonrel import (
     EnergyLevel,
     OscillatorParams,
     Regime,
-    _log_norm,
     classify_regime,
     derive,
     energy,
@@ -345,7 +344,7 @@ def test_scalar_matches_array(fn, args):
     assert np.max(np.abs(arr - one_by_one)) <= 1e-15
 
 
-# ------------------- constants of the params: the ladder on p, ln N in cached functions
+# ------------------- constants of the params: the ladder and each state's ln N on p
 
 def _samples(p):
     """Scalar and array samples of every nonrel state, as exact bit patterns."""
@@ -399,10 +398,13 @@ def test_equal_params_give_identical_samples():
 
 
 def test_log_norm_caches_stay_bounded():
-    for k in range(10_000):
-        wavefunction(1, OscillatorParams(g=0.5 + k * 1e-3), 1.3)
-    info = _log_norm.cache_info()
-    assert info.currsize == info.maxsize == 16
+    p = OscillatorParams(g=2.7)
+    for n in range(1000):
+        wavefunction(n, p, 1.3)
+        harmonic_wavefunction(n, p, 1.3)
+        oscillator3d_radial(n, 1, p, 1.3)
+    assert len(p._states) == nonrel._STATES_KEPT == 16
+    assert list(p._states)[-3:] == [999, ~999, (999, 1)]  # the latest states are the ones kept
 
 
 def test_log_norm_caches_are_invisible_on_the_params():
@@ -410,8 +412,8 @@ def test_log_norm_caches_are_invisible_on_the_params():
     energy(0, p)  # the ladder and the scales energy reads are the constants kept on p
     before = (dict(vars(p)), repr(p), hash(p))
     _samples(p)
-    assert (dict(vars(p)), repr(p), hash(p)) == before
-    assert set(vars(p)) == {"mass", "omega", "g", "hbar", "_ladder", "_beta", "_quantum"}
+    assert ({k: v for k, v in vars(p).items() if k != "_states"}, repr(p), hash(p)) == before
+    assert set(vars(p)) == {"mass", "omega", "g", "hbar", "_ladder", "_beta", "_quantum", "_states"}
     assert p == OscillatorParams(mass=1.5, g=2.7)
 
 
@@ -419,18 +421,88 @@ def test_log_norm_entry_made_from_numpy_params_gives_float_samples():
     fields = {"mass": 1.3, "omega": 0.7, "g": 2.7, "hbar": 1.1}
     p = OscillatorParams(**fields)
     p64 = OscillatorParams(**{k: np.float64(v) for k, v in fields.items()})
-    _log_norm.cache_clear()
     expected = _samples(p)
-    _log_norm.cache_clear()
-    assert _samples(p64) == expected
-    assert _samples(p) == expected  # served from the entries p64 made: np.float64 keys equal float keys
+    assert _samples(p64) == expected  # p64 fills its own entries from np.float64 fields
+    assert _samples(p64) == expected  # and is served from them
     for q in (p, p64):
         for fn, args in ((wavefunction, (3, q)), (harmonic_wavefunction, (3, q)), (oscillator3d_radial, (3, 1, q))):
             assert type(fn(*args, 1.3)) is float
 
 
+def _written_out_state(kind, p, x, n, l=0):
+    """A nonrel state from the fields alone, in the kernel's order of operations (no rescaled tail)."""
+    beta = p.mass * p.omega / p.hbar
+    k, sign, shift = n, 1.0, 0.0
+    if kind == "isotonic":
+        zeta = 0.5 * math.sqrt(1.0 + 4.0 * (p.mass * p.g / p.hbar**2))
+    elif kind == "radial":
+        zeta = l + 0.5
+    else:  # harmonic: the half-line state on |x| over sqrt 2, times (-1)^k sign(x)^n
+        k, odd = divmod(n, 2)
+        zeta, shift = odd - 0.5, 0.5 * math.log(2.0)
+        sign = (-1.0) ** k * (np.sign(x) if odd else 1.0)
+        x = abs(x) if isinstance(x, float) else np.abs(x)
+    ln_norm = 0.5 * (math.log(2.0) + (1.0 + zeta) * math.log(beta) + math.lgamma(k + 1.0) - math.lgamma(k + zeta + 1.0)) - shift
+    if isinstance(x, float):
+        s = beta * x * x
+        value = math.exp(ln_norm + (0.5 + zeta) * math.log(x) - 0.5 * s) * laguerre(k, zeta, s)
+        return value * float(sign)
+    s = beta * x**2
+    return np.exp(ln_norm + (0.5 + zeta) * np.log(x) - 0.5 * s) * laguerre(k, zeta, s) * sign
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else np.asarray(v).tobytes()
+
+
+_SAMPLERS = {"isotonic": wavefunction, "radial": oscillator3d_radial, "harmonic": harmonic_wavefunction}
+
+
+def test_state_memo_is_invisible():
+    p = OscillatorParams(mass=1.3, omega=0.8, g=2.7, hbar=1.1)
+    twin = OscillatorParams(mass=1.3, omega=0.8, g=2.7, hbar=1.1)
+    before = (repr(p), hash(p))
+    xs = np.linspace(0.05, 5.0, 9)
+    # interleave samplers, levels and orbital indices: wavefunction's n, the harmonic n and a
+    # radial (n, l) with the same n are different states, so every call keeps or adds an entry
+    calls = [("isotonic", (2,)), ("harmonic", (2,)), ("radial", (2, 1)), ("radial", (2, 0)), ("isotonic", (3,)),
+             ("harmonic", (3,)), ("radial", (0, 2)), ("isotonic", (2,)), ("harmonic", (5,)), ("radial", (2, 1))]
+    for kind, index in calls + calls[::-1]:
+        for x in (0.7, 2.3, xs) + ((-1.7, -xs) if kind == "harmonic" else ()):
+            got = _SAMPLERS[kind](*index, p, x)
+            assert _bits(got) == _bits(_written_out_state(kind, p, x, *index))
+            assert _bits(got) == _bits(_SAMPLERS[kind](*index, twin, x))
+    assert len(p._states) == 8
+    assert (repr(p), hash(p)) == before and p == twin
+    assert "_states" not in repr(p)
+    # replace builds from the fields alone: a new coupling at the same n is not served stale
+    r = replace(p, g=3.5)
+    assert r != p
+    assert _bits(wavefunction(2, r, xs)) == _bits(_written_out_state("isotonic", r, xs, 2))
+    assert _bits(wavefunction(2, r, xs)) != _bits(wavefunction(2, p, xs))
+    assert replace(p) == p and hash(replace(p)) == hash(p)
+
+
+def test_state_memo_keeps_no_failed_state():
+    huge = OscillatorParams(mass=1e200, omega=1e200)  # beta = M omega / hbar overflows
+    hardy = OscillatorParams(g=-0.3)  # alpha below -1/4
+    for _ in range(2):
+        for sample in (lambda: wavefunction(0, huge, 0.5), lambda: harmonic_wavefunction(1, huge, 0.5),
+                       lambda: oscillator3d_radial(0, 1, huge, np.array([0.5, 1.0]))):
+            with pytest.raises(DivergenceError, match="the scale beta of the envelope"):
+                sample()
+        with pytest.raises(UnphysicalRegime, match="admits no bound spectrum"):
+            wavefunction(0, hardy, 0.5)
+    assert huge._states == {} and hardy._states == {}
+    # the harmonic state does not read g, so the same n is kept for it alone
+    assert harmonic_wavefunction(0, hardy, 0.5) == harmonic_wavefunction(0, OscillatorParams(), 0.5)
+    assert list(hardy._states) == [~0]
+    with pytest.raises(UnphysicalRegime):
+        wavefunction(0, hardy, 0.5)
+
+
 def test_two_identical_sampling_passes_call_specfun_alike(monkeypatch):
-    # ln N is cached by value across params objects; the cache must hide no call to the
+    # ln N is kept on each params object; a kept state must hide no call to the
     # public special functions, so a wrapper that counts them sees every pass alike
     spin = rel.DiracParams(mass=1.3, omega=0.8, g=2.7, sym_constant=0.6, hbar=1.1, c=1.9)
     pseudo = rel.DiracParams(g=1.4, sym_constant=-0.8, branch=rel.Symmetry.PSEUDOSPIN)
